@@ -56,15 +56,16 @@ from .model import (
     ToleranceConfig,
     UnitParams,
     UnitSchedule,
+    feasible_status_vectors,
     validate_schedule,
     validate_unit_schedule,
 )
 from .pricing import (
     as_price,
+    lattice_table,
     profit_given_status,
     standard_profit,
     unit_profit_max,
-    verification_lattice,
 )
 from .reporting import ConditionCheck, VerificationReport
 
@@ -238,11 +239,11 @@ def build_general_form(
     delta payment shifted by any non-negative expression gamma."""
     star, best, gap = _uplift_at(unit, p, x_i_star, tol)
     p_vec = as_price(p, x_i_star.periods)
-    lattice = verification_lattice(
-        unit, p_vec, formulation, anchors=(x_i_star,), periods=x_i_star.periods, tol=tol
+    table = lattice_table(
+        unit, p_vec, (gamma,), formulation, anchors=(x_i_star,),
+        periods=x_i_star.periods, tol=tol,
     )
-    for point in lattice:
-        val = gamma.evaluate(point, tol.eq_tol)
+    for point, (val,) in zip(table.points, table.values):
         if val < -tol.eq_tol:
             raise PreconditionError(
                 f"unit {unit.id}: gamma is negative ({val:.3g}) at {point.to_json()}"
@@ -310,8 +311,6 @@ def build_status_profile(
     realized status vector, via one delta constraint per feasible status
     vector.  The same marginal-pricing precondition as status-delta applies
     when the dispatched schedule is supplied."""
-    from .model import feasible_status_vectors
-
     if x_i_star is None and periods is None:
         raise ValidationError("build_status_profile needs x_i_star or periods")
     if periods is None:
@@ -418,7 +417,6 @@ def _hull_status_output(
 ) -> AmendmentBundle:
     star = standard_profit(unit, (p0,), x_i_star)
     best = unit_profit_max(unit, (p0,), 1, tol).value
-    threshold = unit.marginal_cost + unit.startup_cost / unit.g_max
     u_star, g_star = x_i_star.u[0], x_i_star.g[0]
     interior = (
         u_star == 1
@@ -616,36 +614,73 @@ def verify_conditions(
     x_i_star: UnitSchedule,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> VerificationReport:
-    """Full check of the amendment contract on the verification lattice."""
+    """Full check of the amendment contract on the unit's lattice table, in
+    one pass over its points."""
     p = as_price(p, x_i_star.periods)
-    pm = unit_profit_max(unit, p, x_i_star.periods, tol)
-    best = pm.value
-    lattice = verification_lattice(
-        unit, p, bundle.formulation, anchors=(x_i_star,),
-        periods=x_i_star.periods, tol=tol,
+    constraints, multipliers = bundle.constraints, bundle.multipliers
+    # the amendment is the last column, after the constraints
+    table = lattice_table(
+        unit, p, constraints + (bundle.amendment,), bundle.formulation,
+        anchors=(x_i_star,), periods=x_i_star.periods, tol=tol,
     )
+    pm = table.profit_max
+    best = pm.value
     star = standard_profit(unit, p, x_i_star)
     gap = best - star
     scale_tol = tol.opt_tol * max(1.0, abs(best), abs(star))
 
-    def amended(s: UnitSchedule) -> float:
-        return standard_profit(unit, p, s) + bundle.amendment.evaluate(s, tol.eq_tol)
+    amended_best_k, amended_best = None, None
+    nonneg, nonneg_witness = True, None
+    strictly_below = False
+    redundant_ok, redundant_witness = True, None
+    dominates, dominates_witness = True, None
+    matches, match_witness = True, None
+    for k, (point, profit, row) in enumerate(zip(table.points, table.profits, table.values)):
+        n_val = row[-1]
+        amended = profit + n_val
+        if amended_best is None or amended > amended_best:
+            amended_best_k, amended_best = k, amended
+        if n_val < -scale_tol and nonneg:
+            nonneg, nonneg_witness = False, point.to_json()
+        if n_val < best - profit - scale_tol:
+            strictly_below = True
+        if redundant_ok:
+            for l, val in enumerate(row[:-1]):
+                if val > tol.eq_tol:
+                    redundant_ok = False
+                    redundant_witness = {"axis": l, "point": point.to_json()}
+                    break
+        weighted = sum(m * s for m, s in zip(multipliers, row))
+        if weighted < profit - best - scale_tol:
+            dominates, dominates_witness = False, point.to_json()
+        if abs(n_val + weighted) > scale_tol:
+            matches, match_witness = False, point.to_json()
+
+    argmax_ok, argmax_witness = True, None
+    slack_ok, slack_witness = True, None
+    for point in pm.argmax_points:
+        if abs(bundle.amendment.evaluate(point, tol.eq_tol)) > scale_tol:
+            argmax_ok, argmax_witness = False, point.to_json()
+        for l, (m, rho) in enumerate(zip(multipliers, constraints)):
+            if abs(m * rho.evaluate(point, tol.eq_tol)) > scale_tol:
+                slack_ok = False
+                slack_witness = {"axis": l, "point": point.to_json()}
+
+    n_star = bundle.amendment.evaluate(x_i_star, tol.eq_tol)
+    absorbed = sum(
+        m * rho.evaluate(x_i_star, tol.eq_tol) for m, rho in zip(multipliers, constraints)
+    )
 
     report = VerificationReport()
-
-    amended_best_point = max(lattice, key=amended)
-    amended_best = amended(amended_best_point)
     report.add(
         ConditionCheck(
             "max-profit-unchanged",
             abs(amended_best - best) <= scale_tol,
             lhs=amended_best,
             rhs=best,
-            witness=amended_best_point.to_json(),
+            witness=table.points[amended_best_k].to_json(),
         )
     )
-
-    n_star = bundle.amendment.evaluate(x_i_star, tol.eq_tol)
     report.add(
         ConditionCheck(
             "zero-uplift-at-dispatch",
@@ -654,16 +689,7 @@ def verify_conditions(
             rhs=gap,
         )
     )
-
-    nonneg, witness = True, None
-    strictly_below = False
-    for point in lattice:
-        n_val = bundle.amendment.evaluate(point, tol.eq_tol)
-        if n_val < -scale_tol and nonneg:
-            nonneg, witness = False, point.to_json()
-        if n_val < best - standard_profit(unit, p, point) - scale_tol:
-            strictly_below = True
-    report.add(ConditionCheck("nonnegative", nonneg, witness=witness))
+    report.add(ConditionCheck("nonnegative", nonneg, witness=nonneg_witness))
     report.add(
         ConditionCheck(
             "strictly-below-profit-cap-somewhere",
@@ -672,32 +698,9 @@ def verify_conditions(
             note="informational; constant-profit style amendments sit at the cap",
         )
     )
-
-    argmax_ok, witness = True, None
-    slack_ok, slack_witness = True, None
-    for point in pm.argmax_points:
-        if abs(bundle.amendment.evaluate(point, tol.eq_tol)) > scale_tol:
-            argmax_ok, witness = False, point.to_json()
-        for l, (m, rho) in enumerate(zip(bundle.multipliers, bundle.constraints)):
-            if abs(m * rho.evaluate(point, tol.eq_tol)) > scale_tol:
-                slack_ok = False
-                slack_witness = {"axis": l, "point": point.to_json()}
-    report.add(ConditionCheck("zero-at-profit-argmax", argmax_ok, witness=witness))
-
-    redundant_ok, witness = True, None
-    for point in lattice:
-        for l, rho in enumerate(bundle.constraints):
-            if rho.evaluate(point, tol.eq_tol) > tol.eq_tol:
-                redundant_ok = False
-                witness = {"axis": l, "point": point.to_json()}
-                break
-        if not redundant_ok:
-            break
-    report.add(ConditionCheck("constraint-nonpositive", redundant_ok, witness=witness))
-
-    absorbed = sum(
-        m * rho.evaluate(x_i_star, tol.eq_tol)
-        for m, rho in zip(bundle.multipliers, bundle.constraints)
+    report.add(ConditionCheck("zero-at-profit-argmax", argmax_ok, witness=argmax_witness))
+    report.add(
+        ConditionCheck("constraint-nonpositive", redundant_ok, witness=redundant_witness)
     )
     report.add(
         ConditionCheck(
@@ -707,20 +710,7 @@ def verify_conditions(
             rhs=star - best,
         )
     )
-
-    dominates, witness = True, None
-    matches, match_witness = True, None
-    for point in lattice:
-        weighted = sum(
-            m * rho.evaluate(point, tol.eq_tol)
-            for m, rho in zip(bundle.multipliers, bundle.constraints)
-        )
-        if weighted < standard_profit(unit, p, point) - best - scale_tol:
-            dominates, witness = False, point.to_json()
-        n_val = bundle.amendment.evaluate(point, tol.eq_tol)
-        if abs(n_val + weighted) > scale_tol:
-            matches, match_witness = False, point.to_json()
-    report.add(ConditionCheck("dominates-profit-gap", dominates, witness=witness))
+    report.add(ConditionCheck("dominates-profit-gap", dominates, witness=dominates_witness))
     report.add(ConditionCheck("complementary-slackness", slack_ok, witness=slack_witness))
     report.add(
         ConditionCheck("amendment-matches-constraints", matches, witness=match_witness)
@@ -791,22 +781,30 @@ def check_zero_total_uplift(
     validate_schedule(instance, x_star)
     report = VerificationReport()
 
+    def profit_maxima(q) -> list[tuple[float, float]]:
+        # per unit: (standard, amended) profit maximum at q on its lattice table
+        maxima = []
+        for unit in instance.units:
+            bundle = bundles.get(unit.id)
+            if bundle is None:
+                raise ValidationError(f"no bundle for unit {unit.id}")
+            table = lattice_table(
+                unit, q, (bundle.amendment,), bundle.formulation,
+                anchors=(x_star.unit(unit.id),), periods=instance.periods, tol=tol,
+            )
+            amended = max(profit + n for profit, (n,) in zip(table.profits, table.values))
+            maxima.append((table.profit_max.value, amended))
+        return maxima
+
+    at_price = profit_maxima(p)
     total_residual = 0.0
     worst = None
-    for unit in instance.units:
-        bundle = bundles.get(unit.id)
-        if bundle is None:
-            raise ValidationError(f"no bundle for unit {unit.id}")
+    for unit, (_, amended_max) in zip(instance.units, at_price):
         sched_star = x_star.unit(unit.id)
-        lattice = verification_lattice(
-            unit, p, bundle.formulation, anchors=(sched_star,),
-            periods=instance.periods, tol=tol,
+        residual = amended_max - (
+            standard_profit(unit, p, sched_star)
+            + bundles[unit.id].amendment.evaluate(sched_star, tol.eq_tol)
         )
-
-        def amended(s: UnitSchedule, q=p, b=bundle) -> float:
-            return standard_profit(unit, q, s) + b.amendment.evaluate(s, tol.eq_tol)
-
-        residual = max(amended(s) for s in lattice) - amended(sched_star)
         total_residual += residual
         if worst is None or residual > worst[1]:
             worst = (unit.id, residual)
@@ -821,20 +819,14 @@ def check_zero_total_uplift(
     )
 
     for offset in (0.0,) + DUAL_PRICE_OFFSETS:
-        q = tuple(pt + offset for pt in p)
+        maxima = at_price if offset == 0.0 else profit_maxima(
+            tuple(pt + offset for pt in p)
+        )
         unamended_total = 0.0
         amended_total = 0.0
-        for unit in instance.units:
-            bundle = bundles[unit.id]
-            lattice = verification_lattice(
-                unit, q, bundle.formulation,
-                anchors=(x_star.unit(unit.id),), periods=instance.periods, tol=tol,
-            )
-            unamended_total += unit_profit_max(unit, q, instance.periods, tol).value
-            amended_total += max(
-                standard_profit(unit, q, s) + bundle.amendment.evaluate(s, tol.eq_tol)
-                for s in lattice
-            )
+        for unamended, amended in maxima:
+            unamended_total += unamended
+            amended_total += amended
         band = tol.opt_tol * len(instance.units)
         if offset == 0.0:
             # at the market price the amended and unamended duals coincide

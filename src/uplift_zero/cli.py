@@ -20,7 +20,7 @@ from .amendments import (
     check_zero_total_uplift,
     verify_conditions,
 )
-from .dispatch import DispatchResult, solve_centralized
+from .dispatch import solve_centralized
 from .errors import UpliftZeroError, ValidationError
 from .expr import expr_to_text
 from .model import (
@@ -29,7 +29,7 @@ from .model import (
     load_instance,
     scarf_instance,
 )
-from .pricing import convex_hull_price, dual_function, marginal_price
+from .pricing import price_for_method
 from .uplift import uplift_report
 
 _TYPE_SUFFIX = re.compile(r"-\d+$")
@@ -104,14 +104,6 @@ def _load(args) -> MarketInstance:
     return load_instance(args.instance)
 
 
-def _price(instance: MarketInstance, method: str, result: DispatchResult):
-    if method == "marginal":
-        p = marginal_price(instance, result.schedule)
-        return p, dual_function(instance, p)
-    pr = convex_hull_price(instance)
-    return pr.price, pr.dual_value
-
-
 def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}f}"
 
@@ -148,19 +140,13 @@ def cmd_dispatch(args) -> int:
 
 def cmd_price(args) -> int:
     instance = _load(args)
-    result = solve_centralized(instance) if args.method == "marginal" else None
+    x_star = solve_centralized(instance).schedule if args.method == "marginal" else None
     digits = instance.tolerances.report_digits
-    if args.method == "marginal":
-        p = marginal_price(instance, result.schedule)
-        dual = dual_function(instance, p)
-        payload = {"method": "marginal", "price": list(p), "dual_value": dual}
-    else:
-        pr = convex_hull_price(instance)
-        p, dual = pr.price, pr.dual_value
-        payload = {
-            "method": "chp", "price": list(p), "dual_value": dual,
-            "converged": pr.converged, "iterations": pr.iterations,
-        }
+    pr = price_for_method(instance, args.method, x_star)
+    p, dual = pr.price, pr.dual_value
+    payload = {"method": args.method, "price": list(p), "dual_value": dual}
+    if args.method == "chp":
+        payload.update(converged=pr.converged, iterations=pr.iterations)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
@@ -172,7 +158,7 @@ def cmd_price(args) -> int:
 def cmd_uplift(args) -> int:
     instance = _load(args)
     result = solve_centralized(instance)
-    p, _ = _price(instance, args.price_method, result)
+    p = price_for_method(instance, args.price_method, result.schedule).price
     report = uplift_report(instance, p, result.schedule)
     digits = instance.tolerances.report_digits
     if args.json:
@@ -203,7 +189,8 @@ def cmd_uplift(args) -> int:
 
 def _build_and_verify(instance: MarketInstance, args):
     result = solve_centralized(instance)
-    p, dual = _price(instance, args.price_method, result)
+    pr = price_for_method(instance, args.price_method, result.schedule)
+    p, dual = pr.price, pr.dual_value
     formulation = Formulation(args.formulation)
     bundles = build_family(args.family, instance, p, result.schedule, formulation)
     reports = {

@@ -15,39 +15,20 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import EnumerationLimitError, InfeasibleError, ValidationError
-from .expr import Expr
 from .model import (
-    DEFAULT_TOLERANCES,
     MarketInstance,
     Schedule,
-    ToleranceConfig,
     UnitSchedule,
     cost,
     feasible_status_vectors,
     status_vector_feasible,
-    validate_schedule,
 )
-from .pricing import as_price, standard_profit, verification_lattice
-from .reporting import ConditionCheck, VerificationReport
 
 PROFILE_LIMIT = 1_000_000
-THREADS_ENV_VAR = "UPLIFT_ZERO_THREADS"
-
-
-def worker_count() -> int:
-    """Worker cap from the UPLIFT_ZERO_THREADS environment variable (>= 1)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 def economic_dispatch(
@@ -174,28 +155,7 @@ def solve_centralized(instance: MarketInstance) -> DispatchResult:
             for g, vecs in zip(groups, per_group_vectors)
         )
     )
-    workers = worker_count()
-    if workers == 1:
-        best = evaluate(assignments)
-    else:
-        chunks: list[list] = [[] for _ in range(workers)]
-        for j, a in enumerate(assignments):
-            chunks[j % workers].append(a)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(evaluate, chunks))
-        best = evaluate([])
-        for part in partials:
-            if part is None:
-                continue
-            if best is None:
-                best = part
-                continue
-            tie_band = instance.tolerances.eq_tol * max(1.0, abs(best[0]))
-            if part[0] < best[0] - tie_band or (
-                part[0] <= best[0] + tie_band and part[1] < best[1]
-            ):
-                best = (min(part[0], best[0]), part[1], part[2], part[3])
-
+    best = evaluate(assignments)
     if best is None:
         raise InfeasibleError("no feasible commitment covers the demand profile")
     _, _, commitment, outputs = best
@@ -210,60 +170,3 @@ def solve_centralized(instance: MarketInstance) -> DispatchResult:
         for unit in instance.units
     )
     return DispatchResult(schedule=schedule, total_cost=total, profiles_enumerated=count)
-
-
-def verify_price_equilibrium(
-    instance: MarketInstance,
-    amendments: Mapping[str, Expr],
-    p,
-    x_star: Schedule,
-    tol: ToleranceConfig | None = None,
-) -> VerificationReport:
-    """Check that the amended market at price p supports the dispatch x_star.
-
-    Two conditions, evaluated on each unit's verification lattice:
-    every unit's dispatched schedule attains its amended profit maximum, and
-    the amended dual value at p equals the amended system cost at x_star
-    (strong duality).
-    """
-    tol = tol or instance.tolerances
-    p = as_price(p, instance.periods)
-    validate_schedule(instance, x_star)
-    report = VerificationReport()
-    dual = sum(pt * dt for pt, dt in zip(p, instance.demand))
-    primal = 0.0
-    for unit in instance.units:
-        sched_star = x_star.unit(unit.id)
-        amendment = amendments.get(unit.id)
-        lattice = verification_lattice(
-            unit, p, anchors=(sched_star,), periods=instance.periods, tol=tol
-        )
-
-        def amended(s: UnitSchedule) -> float:
-            extra = amendment.evaluate(s, tol.eq_tol) if amendment is not None else 0.0
-            return standard_profit(unit, p, s) + extra
-
-        value_star = amended(sched_star)
-        best_point = max(lattice, key=amended)
-        best = amended(best_point)
-        report.add(
-            ConditionCheck(
-                condition=f"amended-profit-max[{unit.id}]",
-                passed=best <= value_star + tol.opt_tol,
-                lhs=best,
-                rhs=value_star,
-                witness=None if best <= value_star + tol.opt_tol else best_point.to_json(),
-            )
-        )
-        dual -= best
-        primal += cost(unit, sched_star, tol.eq_tol)
-        primal -= amendment.evaluate(sched_star, tol.eq_tol) if amendment is not None else 0.0
-    report.add(
-        ConditionCheck(
-            condition="strong-duality",
-            passed=abs(dual - primal) <= tol.opt_tol * len(instance.units),
-            lhs=dual,
-            rhs=primal,
-        )
-    )
-    return report

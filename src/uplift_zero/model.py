@@ -7,14 +7,17 @@ times.  A per-unit schedule is a pair of vectors (u, g): binary commitment
 statuses and continuous outputs.
 
 The module also provides the verification lattice (`feasible_set_samples`),
-a deterministic finite sample of a unit's feasible set on which all
-"for every feasible point" checks in the rest of the package are evaluated.
+a deterministic finite sample of a unit's feasible set.  Every "for every
+feasible point" check in the rest of the package reads it through one
+lattice table (`pricing.lattice_table`), which holds the points, their
+standard profits and the checked expressions' values.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -40,6 +43,8 @@ class ToleranceConfig:
     def __post_init__(self):
         if not (self.eq_tol > 0 and self.opt_tol > 0):
             raise ValidationError("tolerances must be positive")
+        if not (math.isfinite(self.eq_tol) and math.isfinite(self.opt_tol)):
+            raise ValidationError("tolerances must be finite")
         if not (isinstance(self.report_digits, int) and self.report_digits > 0):
             raise ValidationError("report_digits must be a positive integer")
 
@@ -76,6 +81,9 @@ class UnitParams:
     def __post_init__(self):
         if not self.id:
             raise ValidationError("unit id must be non-empty")
+        for name in ("g_min", "g_max", "marginal_cost", "startup_cost"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"unit {self.id}: {name} must be finite")
         if not (0 <= self.g_min <= self.g_max):
             raise ValidationError(
                 f"unit {self.id}: need 0 <= g_min <= g_max, got [{self.g_min}, {self.g_max}]"
@@ -167,6 +175,8 @@ class MarketInstance:
             raise ValidationError(
                 f"demand has {len(self.demand)} entries for {self.periods} periods"
             )
+        if not all(math.isfinite(d) for d in self.demand):
+            raise ValidationError("demand must be finite")
         if any(d < 0 for d in self.demand):
             raise ValidationError("demand must be non-negative")
         if not self.units:

@@ -18,9 +18,10 @@ so the maximum is a finite scan over status vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import PreconditionError, ValidationError
+from .expr import Expr
 from .model import (
     DEFAULT_TOLERANCES,
     Formulation,
@@ -129,19 +130,92 @@ def verification_lattice(
     anchors: Iterable[UnitSchedule] = (),
     periods: int | None = None,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
+    profit_max: ProfitMax | None = None,
 ) -> tuple[UnitSchedule, ...]:
     """Feasible-set samples anchored at the profit argmax points (and any
-    caller-supplied anchors such as the dispatched schedule)."""
+    caller-supplied anchors such as the dispatched schedule).  A
+    precomputed `profit_max` at p saves solving for the argmax again."""
     anchors = tuple(anchors)
     if periods is None:
         periods = anchors[0].periods if anchors else (len(p) if not isinstance(p, (int, float)) else 1)
-    pm = unit_profit_max(unit, p, periods, tol)
+    if profit_max is None:
+        profit_max = unit_profit_max(unit, p, periods, tol)
     return feasible_set_samples(
         unit,
         formulation,
-        anchors=anchors + pm.argmax_points,
+        anchors=anchors + profit_max.argmax_points,
         periods=periods,
         eq_tol=tol.eq_tol,
+    )
+
+
+@dataclass(frozen=True)
+class LatticeTable:
+    """One unit's verification lattice at one price, with everything the
+    "for every feasible point" checks read off it.
+
+    values[k][j] is the j-th expression the table was built with, evaluated
+    at points[k]; gaps[k] = profits[k] - profit_max.value <= 0.
+    """
+
+    unit: UnitParams
+    points: tuple[UnitSchedule, ...]
+    profits: tuple[float, ...]
+    gaps: tuple[float, ...]
+    values: tuple[tuple[float, ...], ...]
+    profit_max: ProfitMax
+    tol: ToleranceConfig
+
+    def require_redundant(self) -> None:
+        """Raise PreconditionError unless every column is a constraint
+        rho <= 0 at every point."""
+        width = len(self.values[0]) if self.values else 0
+        for l in range(width):
+            for point, row in zip(self.points, self.values):
+                if row[l] > self.tol.eq_tol:
+                    raise PreconditionError(
+                        f"unit {self.unit.id}: constraint {l} is positive ({row[l]:.3g}) "
+                        f"at {point.to_json()}, not redundant"
+                    )
+
+    def gap_violations(self, multipliers: Sequence[float], tol: float) -> Iterator[int]:
+        """Indices of the points where mu' rho(x) >= pi(x) - pi_max - tol
+        fails; the multipliers weight the leading columns."""
+        for k, (gap, row) in enumerate(zip(self.gaps, self.values)):
+            if not sum(m * s for m, s in zip(multipliers, row)) >= gap - tol:
+                yield k
+
+    def is_member(self, multipliers: Sequence[float], tol: float) -> bool:
+        """Whether mu keeps the unit's profit maximum unchanged on the lattice."""
+        return next(self.gap_violations(multipliers, tol), None) is None
+
+
+def lattice_table(
+    unit: UnitParams,
+    p,
+    exprs: Sequence[Expr] = (),
+    formulation: Formulation = Formulation.STATUS_OUTPUT,
+    anchors: Iterable[UnitSchedule] = (),
+    periods: int | None = None,
+    tol: ToleranceConfig = DEFAULT_TOLERANCES,
+) -> LatticeTable:
+    """Build the unit's verification lattice at price p and evaluate standard
+    profit and each of `exprs` once per point."""
+    anchors = tuple(anchors)
+    if periods is None:
+        periods = anchors[0].periods if anchors else (len(p) if not isinstance(p, (int, float)) else 1)
+    p = as_price(p, periods)
+    pm = unit_profit_max(unit, p, periods, tol)
+    points = verification_lattice(unit, p, formulation, anchors, periods, tol, profit_max=pm)
+    profits = tuple(standard_profit(unit, p, s) for s in points)
+    return LatticeTable(
+        unit=unit,
+        points=points,
+        profits=profits,
+        gaps=tuple(pi - pm.value for pi in profits),
+        values=tuple(tuple(e.evaluate(s, tol.eq_tol) for e in exprs) for s in points),
+        profit_max=pm,
+        tol=tol,
     )
 
 
@@ -249,12 +323,16 @@ def marginal_price(instance: MarketInstance, x_star: Schedule) -> tuple[float, .
     return tuple(prices)
 
 
-def price_for_method(instance: MarketInstance, method: str, x_star: Schedule | None = None):
-    """Dispatch helper shared by the CLI and the amendment pipeline."""
+def price_for_method(
+    instance: MarketInstance, method: str, x_star: Schedule | None = None
+) -> PriceResult:
+    """Price the instance with the named rule ("chp" or "marginal"); the
+    marginal rule needs the dispatched schedule."""
     if method == "chp":
-        return convex_hull_price(instance).price
+        return convex_hull_price(instance)
     if method == "marginal":
         if x_star is None:
             raise PreconditionError("marginal pricing needs the dispatched schedule")
-        return marginal_price(instance, x_star)
+        p = marginal_price(instance, x_star)
+        return PriceResult(p, dual_function(instance, p), "marginal", True)
     raise ValidationError(f"unknown price method {method!r}")

@@ -11,7 +11,10 @@ uplift, and the support-based optimality test for multiplier vectors, plus a
 repair transform that restores exact uplift absorption at the dispatch
 point.
 
-All quantifiers run over the verification lattice.
+All quantifiers run over the unit's lattice table (`pricing.lattice_table`):
+the verification lattice with standard profit, the gap to the profit
+maximum and every constraint evaluated once per point.  The checks are
+therefore sampled, not exact, between lattice points.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .model import (
     UnitParams,
     UnitSchedule,
 )
-from .pricing import as_price, standard_profit, unit_profit_max, verification_lattice
+from .pricing import LatticeTable, as_price, lattice_table, standard_profit
 from .reporting import ConditionCheck, VerificationReport
 
 SCAN_POINTS_PER_AXIS = 11
@@ -56,42 +59,6 @@ def constraint_cap(
 
 
 @dataclass(frozen=True)
-class _LatticeData:
-    points: tuple[UnitSchedule, ...]
-    gaps: tuple[float, ...]                 # pi(x) - pi_max
-    slacks: tuple[tuple[float, ...], ...]   # slacks[k][l] = rho_l(x_k)
-    max_profit: float
-
-
-def _lattice_data(
-    unit: UnitParams,
-    p,
-    constraints: Sequence[Expr],
-    anchors: Sequence[UnitSchedule],
-    periods: int,
-    formulation: Formulation,
-    tol: ToleranceConfig,
-) -> _LatticeData:
-    p = as_price(p, periods)
-    points = verification_lattice(
-        unit, p, formulation, anchors=anchors, periods=periods, tol=tol
-    )
-    best = unit_profit_max(unit, p, periods, tol).value
-    gaps = tuple(standard_profit(unit, p, s) - best for s in points)
-    slacks = tuple(
-        tuple(rho.evaluate(s, tol.eq_tol) for rho in constraints) for s in points
-    )
-    for l in range(len(constraints)):
-        for point, slack in zip(points, slacks):
-            if slack[l] > tol.eq_tol:
-                raise PreconditionError(
-                    f"unit {unit.id}: constraint {l} is positive ({slack[l]:.3g}) "
-                    f"at {point.to_json()}, not redundant"
-                )
-    return _LatticeData(points=points, gaps=gaps, slacks=slacks, max_profit=best)
-
-
-@dataclass(frozen=True)
 class ConstraintClass:
     """Lattice classification of one redundant constraint."""
 
@@ -101,10 +68,10 @@ class ConstraintClass:
     zero_witness: Optional[dict] = None
 
 
-def _classify(data: _LatticeData, l: int, tol: ToleranceConfig) -> ConstraintClass:
+def _classify(table: LatticeTable, l: int, tol: ToleranceConfig) -> ConstraintClass:
     support_witness = None
     zero_witness = None
-    for point, slack in zip(data.points, data.slacks):
+    for point, slack in zip(table.points, table.values):
         if slack[l] < -tol.eq_tol:
             if support_witness is None:
                 support_witness = point.to_json()
@@ -113,7 +80,7 @@ def _classify(data: _LatticeData, l: int, tol: ToleranceConfig) -> ConstraintCla
     if support_witness is None:
         return ConstraintClass("identically_zero", None, None, zero_witness)
     kind = "strictly_negative" if zero_witness is None else "mixed"
-    cap = constraint_cap(data.gaps, [s[l] for s in data.slacks], tol)
+    cap = constraint_cap(table.gaps, [s[l] for s in table.values], tol)
     return ConstraintClass(kind, cap, support_witness, zero_witness)
 
 
@@ -130,8 +97,9 @@ def classify_constraint(
     identically_zero: any multiplier keeps the profit maximum (interval
     unbounded).  strictly_negative: only 0 does.  mixed: interval [0, upper].
     """
-    data = _lattice_data(unit, p, (rho,), (), periods, formulation, tol)
-    return _classify(data, 0, tol)
+    table = lattice_table(unit, p, (rho,), formulation, periods=periods, tol=tol)
+    table.require_redundant()
+    return _classify(table, 0, tol)
 
 
 def mu_max(
@@ -151,13 +119,13 @@ def mu_max(
     return cls.upper
 
 
-def _axis_caps(data: _LatticeData, tol: ToleranceConfig) -> list[Optional[float]]:
-    return [_classify(data, l, tol).upper for l in range(len(data.slacks[0]) if data.slacks else 0)]
+def _axis_caps(table: LatticeTable, tol: ToleranceConfig) -> list[Optional[float]]:
+    return [_classify(table, l, tol).upper for l in range(len(table.values[0]) if table.values else 0)]
 
 
-def _unbounded_probe(data: _LatticeData) -> float:
+def _unbounded_probe(table: LatticeTable) -> float:
     # finite stand-in for an unbounded multiplier axis: twice the profit range
-    spread = -min(data.gaps) if data.gaps else 1.0
+    spread = -min(table.gaps) if table.gaps else 1.0
     return 2.0 * max(spread, 1.0)
 
 
@@ -172,9 +140,10 @@ def strong_duality_scan(
     """Numeric check that pricing redundant constraints cannot lower the
     unit's profit maximum: over a multiplier grid covering twice each axis
     cap, the minimum of max_x [pi - mu' rho] equals pi_max, attained at 0."""
-    data = _lattice_data(unit, p, constraints, (), periods, formulation, tol)
-    caps = _axis_caps(data, tol)
-    probe = _unbounded_probe(data)
+    table = lattice_table(unit, p, constraints, formulation, periods=periods, tol=tol)
+    table.require_redundant()
+    caps = _axis_caps(table, tol)
+    probe = _unbounded_probe(table)
     axes = []
     for cap in caps:
         top = 2.0 * cap if cap is not None else probe
@@ -185,7 +154,7 @@ def strong_duality_scan(
     for mu in itertools.product(*axes):
         val = max(
             gap - sum(m * s for m, s in zip(mu, slack))
-            for gap, slack in zip(data.gaps, data.slacks)
+            for gap, slack in zip(table.gaps, table.values)
         )
         if best_val is None or val < best_val:
             best_val, best_mu = val, mu
@@ -194,18 +163,18 @@ def strong_duality_scan(
         ConditionCheck(
             condition="amended-max-never-below-standard",
             passed=best_val >= -tol.opt_tol,
-            lhs=data.max_profit + best_val,
-            rhs=data.max_profit,
+            lhs=table.profit_max.value + best_val,
+            rhs=table.profit_max.value,
             witness={"multipliers": list(best_mu)},
         )
     )
-    at_zero = max(data.gaps)
+    at_zero = max(table.gaps)
     report.add(
         ConditionCheck(
             condition="minimum-attained-at-zero",
             passed=abs(at_zero) <= tol.opt_tol and at_zero <= best_val + tol.opt_tol,
-            lhs=data.max_profit + at_zero,
-            rhs=data.max_profit + best_val,
+            lhs=table.profit_max.value + at_zero,
+            rhs=table.profit_max.value + best_val,
         )
     )
     return report
@@ -227,22 +196,16 @@ def box_structure(
     disjoint the membership set is exactly the product box, so every box
     corner must be a member.
     """
-    data = _lattice_data(unit, p, constraints, (), periods, formulation, tol)
-    caps = _axis_caps(data, tol)
-
-    def member(mu: Sequence[float]) -> bool:
-        return all(
-            sum(m * s for m, s in zip(mu, slack)) >= gap - tol.opt_tol
-            for gap, slack in zip(data.gaps, data.slacks)
-        )
-
+    table = lattice_table(unit, p, constraints, formulation, periods=periods, tol=tol)
+    table.require_redundant()
+    caps = _axis_caps(table, tol)
     report = VerificationReport()
     contained = True
     witness = None
     for mu in mu_samples:
         if len(mu) != len(constraints):
             raise ValidationError("multiplier sample length must match constraint count")
-        if any(m < 0 for m in mu) or not member(mu):
+        if any(m < 0 for m in mu) or not table.is_member(mu, tol.opt_tol):
             continue
         for l, cap in enumerate(caps):
             if cap is not None and mu[l] > cap + tol.opt_tol:
@@ -263,7 +226,7 @@ def box_structure(
     for l1 in range(len(constraints)):
         for l2 in range(l1 + 1, len(constraints)):
             if any(
-                s[l1] < -tol.eq_tol and s[l2] < -tol.eq_tol for s in data.slacks
+                s[l1] < -tol.eq_tol and s[l2] < -tol.eq_tol for s in table.values
             ):
                 disjoint = False
     report.add(
@@ -275,12 +238,12 @@ def box_structure(
         )
     )
     if disjoint:
-        probe = _unbounded_probe(data)
+        probe = _unbounded_probe(table)
         corners_ok = True
         witness = None
         corner_axes = [(0.0, cap if cap is not None else probe) for cap in caps]
         for corner in itertools.product(*corner_axes):
-            if not member(corner):
+            if not table.is_member(corner, tol.opt_tol):
                 corners_ok = False
                 witness = {"multipliers": list(corner)}
                 break
@@ -305,12 +268,13 @@ def zero_uplift_necessary(
     """Necessary condition for some member to absorb all uplift: the box
     corner of bounded axis caps must reach pi_star - pi_max at the dispatch
     point.  Failure proves the residual uplift is positive."""
-    data = _lattice_data(
-        unit, p, constraints, (x_i_star,), x_i_star.periods, formulation, tol
+    table = lattice_table(
+        unit, p, constraints, formulation, (x_i_star,), x_i_star.periods, tol
     )
-    caps = _axis_caps(data, tol)
+    table.require_redundant()
+    caps = _axis_caps(table, tol)
     p_vec = as_price(p, x_i_star.periods)
-    star_gap = standard_profit(unit, p_vec, x_i_star) - data.max_profit
+    star_gap = standard_profit(unit, p_vec, x_i_star) - table.profit_max.value
     star_slack = [rho.evaluate(x_i_star, tol.eq_tol) for rho in constraints]
     lhs = sum(
         cap * s for cap, s in zip(caps, star_slack) if cap is not None
@@ -350,11 +314,12 @@ def multiplier_optimality(
         raise ValidationError("multiplier vector length must match constraint count")
     if any(m < 0 for m in multipliers):
         raise ValidationError("multipliers must be non-negative")
-    data = _lattice_data(
-        unit, p, constraints, (x_i_star,), x_i_star.periods, formulation, tol
+    table = lattice_table(
+        unit, p, constraints, formulation, (x_i_star,), x_i_star.periods, tol
     )
+    table.require_redundant()
     p_vec = as_price(p, x_i_star.periods)
-    star_gap = standard_profit(unit, p_vec, x_i_star) - data.max_profit
+    star_gap = standard_profit(unit, p_vec, x_i_star) - table.profit_max.value
     if star_gap > -tol.opt_tol:
         raise PreconditionError(
             f"unit {unit.id}: the dispatch point has no uplift to absorb"
@@ -379,7 +344,7 @@ def multiplier_optimality(
     cap_witnesses = []
     for l in range(len(constraints)):
         bound, bound_points = None, []
-        for point, gap, slack in zip(data.points, data.gaps, data.slacks):
+        for point, gap, slack in zip(table.points, table.gaps, table.values):
             if slack[l] >= -tol.eq_tol:
                 continue
             rest = sum(
@@ -420,13 +385,9 @@ def multiplier_optimality(
 
     absorbed = sum(m * s for m, s in zip(multipliers, star_slack))
     direct_17 = abs(absorbed - star_gap) <= tol.opt_tol * scale
-    direct_18 = True
-    witness_18 = None
-    for point, gap, slack in zip(data.points, data.gaps, data.slacks):
-        if sum(m * s for m, s in zip(multipliers, slack)) < gap - tol.opt_tol * scale:
-            direct_18 = False
-            witness_18 = point.to_json()
-            break
+    violation = next(table.gap_violations(multipliers, tol.opt_tol * scale), None)
+    direct_18 = violation is None
+    witness_18 = None if direct_18 else table.points[violation].to_json()
     report.add(
         ConditionCheck(
             "absorbs-uplift-at-dispatch", direct_17, lhs=absorbed, rhs=star_gap
@@ -468,17 +429,18 @@ def repair(
     norm_sq = sum(m * m for m in multipliers)
     if norm_sq <= 0.0:
         raise PreconditionError("repair needs a non-zero multiplier vector")
-    data = _lattice_data(
-        unit, p, constraints, (x_i_star,), x_i_star.periods, formulation, tol
+    table = lattice_table(
+        unit, p, constraints, formulation, (x_i_star,), x_i_star.periods, tol
     )
-    for point, gap, slack in zip(data.points, data.gaps, data.slacks):
-        if sum(m * s for m, s in zip(multipliers, slack)) < gap - tol.opt_tol:
-            raise PreconditionError(
-                f"unit {unit.id}: family does not dominate the profit gap at "
-                f"{point.to_json()}; repair would not restore membership"
-            )
+    table.require_redundant()
+    violation = next(table.gap_violations(multipliers, tol.opt_tol), None)
+    if violation is not None:
+        raise PreconditionError(
+            f"unit {unit.id}: family does not dominate the profit gap at "
+            f"{table.points[violation].to_json()}; repair would not restore membership"
+        )
     p_vec = as_price(p, x_i_star.periods)
-    star_gap = standard_profit(unit, p_vec, x_i_star) - data.max_profit
+    star_gap = standard_profit(unit, p_vec, x_i_star) - table.profit_max.value
     star_slack = [rho.evaluate(x_i_star, tol.eq_tol) for rho in constraints]
     c = (star_gap - sum(m * s for m, s in zip(multipliers, star_slack))) / norm_sq
     marker = Delta(u_ref=x_i_star.u, g_ref=x_i_star.g)

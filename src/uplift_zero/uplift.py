@@ -5,7 +5,9 @@ profit of its dispatched schedule.  Amending revenue by -mu' rho(p, x) for
 redundant constraints rho <= 0 shrinks that gap; this module measures the
 amended uplift, tests multiplier vectors for membership in the set that
 keeps the per-unit profit maximum unchanged, and searches that set for the
-multipliers minimizing residual uplift.
+multipliers minimizing residual uplift.  All three read the unit's lattice
+table (`pricing.lattice_table`), so "for every feasible point" means every
+point of the sampled verification lattice.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import io
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import PreconditionError, ValidationError
+from .errors import ValidationError
 from .expr import Expr
 from .model import (
     DEFAULT_TOLERANCES,
@@ -27,7 +29,8 @@ from .model import (
     UnitSchedule,
     validate_schedule,
 )
-from .pricing import as_price, standard_profit, unit_profit_max, verification_lattice
+from .pricing import as_price, lattice_table, standard_profit, unit_profit_max
+from .redundant import constraint_cap
 
 COORDINATE_SWEEP_LIMIT = 50
 
@@ -91,33 +94,6 @@ def uplift_report(instance: MarketInstance, p, x_star: Schedule) -> UpliftReport
     return UpliftReport(entries=tuple(entries))
 
 
-def _check_constraints_redundant(
-    unit: UnitParams,
-    constraints: Sequence[Expr],
-    lattice: Sequence[UnitSchedule],
-    eq_tol: float,
-) -> None:
-    for l, rho in enumerate(constraints):
-        for point in lattice:
-            val = rho.evaluate(point, eq_tol)
-            if val > eq_tol:
-                raise PreconditionError(
-                    f"unit {unit.id}: constraint {l} is positive ({val:.3g}) at "
-                    f"{point.to_json()}, not redundant"
-                )
-
-
-def _weighted_slack(
-    constraints: Sequence[Expr],
-    multipliers: Sequence[float],
-    point: UnitSchedule,
-    eq_tol: float,
-) -> float:
-    return sum(
-        m * rho.evaluate(point, eq_tol) for m, rho in zip(multipliers, constraints)
-    )
-
-
 def amended_uplift(
     unit: UnitParams,
     p,
@@ -135,18 +111,18 @@ def amended_uplift(
     if any(m < 0 for m in multipliers):
         raise ValidationError("multipliers must be non-negative")
     p = as_price(p, x_i_star.periods)
-    lattice = verification_lattice(
-        unit, p, formulation, anchors=(x_i_star,), periods=x_i_star.periods, tol=tol
+    table = lattice_table(
+        unit, p, constraints, formulation, anchors=(x_i_star,),
+        periods=x_i_star.periods, tol=tol,
     )
-    _check_constraints_redundant(unit, constraints, lattice, tol.eq_tol)
-
-    def amended(s: UnitSchedule) -> float:
-        return standard_profit(unit, p, s) - _weighted_slack(
-            constraints, multipliers, s, tol.eq_tol
-        )
-
-    at_star = amended(x_i_star)
-    return max(amended(s) for s in lattice) - at_star
+    table.require_redundant()
+    at_star = standard_profit(unit, p, x_i_star) - sum(
+        m * rho.evaluate(x_i_star, tol.eq_tol) for m, rho in zip(multipliers, constraints)
+    )
+    return max(
+        profit - sum(m * s for m, s in zip(multipliers, row))
+        for profit, row in zip(table.profits, table.values)
+    ) - at_star
 
 
 def in_m_plus(
@@ -159,20 +135,14 @@ def in_m_plus(
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> bool:
     """Membership test: mu keeps the unit's profit maximum unchanged, i.e.
-    mu' rho(p, x) >= pi(p, x) - pi_max(p) on the verification lattice."""
+    mu' rho(p, x) >= pi(p, x) - pi_max(p) on the lattice table."""
     if len(multipliers) != len(constraints):
         raise ValidationError("multiplier vector length must match constraint count")
     if any(m < 0 for m in multipliers):
         return False
-    p = as_price(p, periods)
-    best = unit_profit_max(unit, p, periods, tol).value
-    lattice = verification_lattice(unit, p, formulation, periods=periods, tol=tol)
-    _check_constraints_redundant(unit, constraints, lattice, tol.eq_tol)
-    for point in lattice:
-        gap = standard_profit(unit, p, point) - best
-        if _weighted_slack(constraints, multipliers, point, tol.eq_tol) < gap - tol.opt_tol:
-            return False
-    return True
+    table = lattice_table(unit, p, constraints, formulation, periods=periods, tol=tol)
+    table.require_redundant()
+    return table.is_member(multipliers, tol.opt_tol)
 
 
 @dataclass(frozen=True)
@@ -221,20 +191,14 @@ def min_uplift(
     back off the corner, in which case the result is feasible but may be
     conservative.
     """
-    from .redundant import constraint_cap  # local import avoids a cycle
-
     p = as_price(p, x_i_star.periods)
-    lattice = verification_lattice(
-        unit, p, formulation, anchors=(x_i_star,), periods=x_i_star.periods, tol=tol
+    table = lattice_table(
+        unit, p, constraints, formulation, anchors=(x_i_star,),
+        periods=x_i_star.periods, tol=tol,
     )
-    _check_constraints_redundant(unit, constraints, lattice, tol.eq_tol)
-    best = unit_profit_max(unit, p, x_i_star.periods, tol).value
-    base_uplift = best - standard_profit(unit, p, x_i_star)
-
-    gaps = [standard_profit(unit, p, s) - best for s in lattice]
-    slacks = [
-        [rho.evaluate(s, tol.eq_tol) for rho in constraints] for s in lattice
-    ]
+    table.require_redundant()
+    base_uplift = table.profit_max.value - standard_profit(unit, p, x_i_star)
+    gaps, slacks = table.gaps, table.values
     star_slack = [rho.evaluate(x_i_star, tol.eq_tol) for rho in constraints]
 
     # per-constraint caps; coordinates that cannot lower the objective stay 0
@@ -247,14 +211,8 @@ def min_uplift(
             caps.append(0.0 if cap is None else max(0.0, cap))
     multipliers = list(caps)
 
-    def member(mu: Sequence[float]) -> bool:
-        return all(
-            sum(m * s for m, s in zip(mu, slack)) >= gap - tol.opt_tol
-            for gap, slack in zip(gaps, slacks)
-        )
-
     stalled = False
-    if not member(multipliers):
+    if not table.is_member(multipliers, tol.opt_tol):
         stalled = True
         for _ in range(COORDINATE_SWEEP_LIMIT):
             changed = False
@@ -266,9 +224,9 @@ def min_uplift(
                 if new < multipliers[l] - tol.eq_tol:
                     multipliers[l] = new
                     changed = True
-            if member(multipliers) or not changed:
+            if table.is_member(multipliers, tol.opt_tol) or not changed:
                 break
-        if not member(multipliers):
+        if not table.is_member(multipliers, tol.opt_tol):
             multipliers = [0.0] * len(constraints)
 
     value = base_uplift + sum(m * s for m, s in zip(multipliers, star_slack))

@@ -262,3 +262,25 @@ class TestExitCodes:
         code, _, err = run(capsys, "dispatch", str(path))
         assert code == 1
         assert "no feasible commitment" in err
+
+    @pytest.mark.parametrize(
+        "field,value",
+        (("demand", "[NaN]"), ("marginal_cost", "NaN"), ("startup_cost", "Infinity")),
+    )
+    def test_non_finite_input_is_two(self, capsys, tmp_path, field, value):
+        fields = {
+            "demand": "[5.0]", "g_min": "0.0", "g_max": "10.0",
+            "marginal_cost": "1.0", "startup_cost": "3.0",
+        }
+        fields[field] = value
+        path = tmp_path / "nonfinite.json"
+        path.write_text(
+            '{"periods": 1, "demand": %(demand)s, "unit_types": [{"id": "a", '
+            '"g_min": %(g_min)s, "g_max": %(g_max)s, "marginal_cost": %(marginal_cost)s, '
+            '"startup_cost": %(startup_cost)s}]}' % fields
+        )
+        code, out, err = run(capsys, "report", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err

@@ -95,12 +95,6 @@ class TestSolver:
         with pytest.raises(EnumerationLimitError):
             solve_centralized(scarf_instance(10.0))
 
-    def test_thread_count_does_not_change_result(self, scarf10, monkeypatch):
-        monkeypatch.setenv("UPLIFT_ZERO_THREADS", "3")
-        result = solve_centralized(scarf10.instance)
-        assert result.total_cost == scarf10.result.total_cost
-        assert result.schedule == scarf10.result.schedule
-
     def test_startup_cost_changes_commitment(self):
         # a cheap-energy unit with a huge startup cost loses to a dearer one
         big_start = UnitParams(id="bs", g_min=0.0, g_max=10.0, marginal_cost=1.0, startup_cost=100.0)

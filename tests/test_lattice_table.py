@@ -1,0 +1,104 @@
+"""The lattice table: one build per (unit, price, formulation, anchors),
+shared by every "for all feasible x" check."""
+
+import sys
+from collections import Counter
+
+import pytest
+
+import uplift_zero.cli as cli
+from uplift_zero import model, pricing
+from uplift_zero.errors import PreconditionError
+from uplift_zero.expr import Const, Output, Status, Sub, scale
+from uplift_zero.model import UnitParams, UnitSchedule
+
+MT = UnitParams("MT", 2.0, 6.0, 7.0, 0.0)
+HT = UnitParams("HT", 0.0, 7.0, 2.0, 30.0)
+
+
+def _rebind(monkeypatch, original, replacement) -> None:
+    """Point every package module's name for `original` at `replacement`."""
+    for name, module in list(sys.modules.items()):
+        if name == "uplift_zero" or name.startswith("uplift_zero."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def test_report_builds_one_lattice_and_one_profit_max_per_table(monkeypatch, capsys):
+    counts: Counter = Counter()
+    stage = [None]
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            counts[(stage[0], kind)] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def staged(label, fn):
+        def wrapper(*args, **kwargs):
+            stage[0] = label
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stage[0] = None
+        return wrapper
+
+    _rebind(monkeypatch, model.feasible_set_samples,
+            counted("lattice", model.feasible_set_samples))
+    _rebind(monkeypatch, pricing.unit_profit_max,
+            counted("profit_max", pricing.unit_profit_max))
+    monkeypatch.setattr(cli, "verify_conditions", staged("verify", cli.verify_conditions))
+    monkeypatch.setattr(
+        cli, "check_zero_total_uplift", staged("market", cli.check_zero_total_uplift)
+    )
+    assert cli.main(["report", "--scarf", "40", "--family", "convex-hull"]) == 0
+    capsys.readouterr()
+    # 16 units; the market check builds one table per unit at the market
+    # price (shared by the residual and the dual checks) and at each of the
+    # five perturbed prices
+    assert counts[("verify", "lattice")] == 16
+    assert counts[("verify", "profit_max")] == 16
+    assert counts[("market", "lattice")] == 96
+    assert counts[("market", "profit_max")] == 96
+
+
+def test_rows_hold_each_expression_once_per_point():
+    rho = Sub(scale(MT.g_min, Status(0)), Output(0))
+    table = pricing.lattice_table(MT, (6.0,), (rho, Const(1.5)))
+    assert len(table.values) == len(table.points) == len(table.profits) == len(table.gaps)
+    for point, row, profit, gap in zip(table.points, table.values, table.profits, table.gaps):
+        assert row == (rho.evaluate(point), 1.5)
+        assert profit == pricing.standard_profit(MT, (6.0,), point)
+        assert gap == profit - table.profit_max.value
+    assert set(table.profit_max.argmax_points) <= set(table.points)
+
+
+def test_anchor_is_among_the_points():
+    star = UnitSchedule((1,), (3.3,))
+    table = pricing.lattice_table(MT, (7.0,), anchors=(star,))
+    assert star in table.points
+
+
+def test_require_redundant_names_the_first_positive_constraint():
+    ok = Sub(Output(0), scale(HT.g_max, Status(0)))      # g - u g_max <= 0
+    bad = Sub(Output(0), Const(3.0))                       # positive above g = 3
+    table = pricing.lattice_table(HT, (4.0,), (ok, bad))
+    with pytest.raises(PreconditionError, match=r"unit HT: constraint 1 is positive .* not redundant"):
+        table.require_redundant()
+    pricing.lattice_table(HT, (4.0,), (ok,)).require_redundant()
+
+
+def test_membership_tolerance():
+    # -u <= 0: online points may be charged up to their loss against the
+    # offline maximum; online at g_max loses 30 - 7 = 23 at price 3
+    rho = scale(-1.0, Status(0))
+    table = pricing.lattice_table(HT, (3.0,), (rho,))
+    assert table.profit_max.value == 0.0
+    assert table.is_member((23.0,), 1e-6)
+    assert not table.is_member((23.0 + 1e-3,), 1e-6)
+    assert table.is_member((23.0 + 1e-3,), 1e-2)
+    # violations come in lattice order: every online point losing less than 24
+    losing_less = [k for k, point in enumerate(table.points)
+                   if point.u == (1,) and 30.0 - point.g[0] < 24.0]
+    assert list(table.gap_violations((24.0,), 1e-6)) == losing_less

@@ -46,6 +46,23 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ToleranceConfig(report_digits=0)
 
+    def test_tolerances_must_be_finite(self):
+        with pytest.raises(ValidationError, match="finite"):
+            ToleranceConfig(eq_tol=float("inf"))
+        with pytest.raises(ValidationError):
+            ToleranceConfig(opt_tol=float("nan"))
+
+    @pytest.mark.parametrize("field", ("g_min", "g_max", "marginal_cost", "startup_cost"))
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), float("-inf")))
+    def test_unit_parameters_must_be_finite(self, field, value):
+        with pytest.raises(ValidationError):
+            unit(**{field: value})
+
+    @pytest.mark.parametrize("value", (float("nan"), float("inf")))
+    def test_demand_must_be_finite(self, value):
+        with pytest.raises(ValidationError, match="finite"):
+            MarketInstance(periods=1, demand=(value,), units=(unit(),))
+
     def test_unit_bounds_ordering(self):
         with pytest.raises(ValidationError):
             unit(g_min=5.0, g_max=4.0)
