@@ -26,6 +26,7 @@ preconditions; builders raise PreconditionError when their setting fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -88,6 +89,8 @@ class AmendmentBundle:
         object.__setattr__(self, "multipliers", tuple(float(m) for m in self.multipliers))
         if len(self.constraints) != len(self.multipliers):
             raise ValidationError("constraints and multipliers must align")
+        if not all(map(math.isfinite, self.multipliers)):
+            raise ValidationError(f"unit {self.unit_id}: multipliers must be finite")
         if any(m < 0 for m in self.multipliers):
             raise ValidationError("multipliers must be non-negative")
 

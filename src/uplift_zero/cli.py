@@ -29,7 +29,7 @@ from .model import (
     load_instance,
     scarf_instance,
 )
-from .pricing import price_for_method
+from .pricing import as_price, price_for_method
 from .uplift import uplift_report
 
 _TYPE_SUFFIX = re.compile(r"-\d+$")
@@ -246,10 +246,13 @@ def cmd_verify(args) -> int:
         raise ValidationError(f"cannot read amendments file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"amendments file is not valid JSON: {exc}") from exc
-    if "bundles" not in payload or "price" not in payload:
+    if not isinstance(payload, dict) or "bundles" not in payload or "price" not in payload:
         raise ValidationError("amendments file needs 'price' and 'bundles' entries")
     bundles = bundles_from_json(payload["bundles"])
-    p = tuple(float(q) for q in payload["price"])
+    try:
+        p = as_price(payload["price"], instance.periods)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"amendments file has a malformed price: {exc}") from exc
     result = solve_centralized(instance)
     missing = [u.id for u in instance.units if u.id not in bundles]
     if missing:

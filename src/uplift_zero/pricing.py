@@ -17,6 +17,7 @@ so the maximum is a finite scan over status vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -44,12 +45,16 @@ SUBGRADIENT_STEP = 1.0
 
 
 def as_price(p, periods: int) -> tuple[float, ...]:
-    """Normalize a scalar or sequence price to a per-period tuple."""
+    """Normalize a scalar or sequence price to a per-period tuple of finite
+    numbers."""
     if isinstance(p, (int, float)):
-        return (float(p),) * periods
-    p = tuple(float(v) for v in p)
-    if len(p) != periods:
-        raise ValidationError(f"price vector has {len(p)} entries for {periods} periods")
+        p = (float(p),) * periods
+    else:
+        p = tuple(float(v) for v in p)
+        if len(p) != periods:
+            raise ValidationError(f"price vector has {len(p)} entries for {periods} periods")
+    if not all(map(math.isfinite, p)):
+        raise ValidationError(f"price must be finite, got {list(p)}")
     return p
 
 

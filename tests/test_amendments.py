@@ -285,6 +285,15 @@ class TestBundleSerde:
         with pytest.raises(ValidationError):
             dataclasses.replace(b, multipliers=(1.0, 1.0))
 
+    @pytest.mark.parametrize("value", ("NaN", "Infinity"))
+    def test_non_finite_multiplier_rejected(self, scarf10, value):
+        unit = mt_unit(scarf10.instance)
+        star = scarf10.result.schedule.unit(unit.id)
+        obj = build_uplift_delta(unit, scarf10.price, star).to_json()
+        obj["mu"] = [float(value)]
+        with pytest.raises(ValidationError, match="multipliers must be finite"):
+            bundles_from_json({unit.id: obj})
+
 
 class TestAggregate:
     def test_evaluates_to_minus_total_uplift(self, scarf10, scarf40):

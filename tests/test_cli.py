@@ -284,3 +284,53 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def _bundle_file(self, capsys, tmp_path, edit):
+        path = tmp_path / "bundles.json"
+        code, _, _ = run(capsys, "amend", "--scarf", "10", "--out", str(path))
+        assert code == 0
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return path
+
+    def _assert_one_error_line(self, code, out, err):
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_nan_multipliers_are_two(self, capsys, tmp_path):
+        # every multiplier NaN used to pass the market check and exit 1
+        def edit(payload):
+            for bundle in payload["bundles"].values():
+                bundle["mu"] = [float("nan")] * len(bundle["mu"])
+
+        path = self._bundle_file(capsys, tmp_path, edit)
+        code, out, err = run(capsys, "verify", "--scarf", "10", "--amendments", str(path))
+        self._assert_one_error_line(code, out, err)
+        assert "multipliers must be finite" in err
+
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), -float("inf")))
+    def test_non_finite_bundle_price_is_two(self, capsys, tmp_path, value):
+        def edit(payload):
+            payload["price"] = [value]
+
+        path = self._bundle_file(capsys, tmp_path, edit)
+        code, out, err = run(capsys, "verify", "--scarf", "10", "--amendments", str(path))
+        self._assert_one_error_line(code, out, err)
+        assert "price must be finite" in err
+
+    def test_bundle_file_that_is_not_an_object_is_two(self, capsys, tmp_path):
+        path = tmp_path / "bundles.json"
+        path.write_text("5")
+        code, out, err = run(capsys, "verify", "--scarf", "10", "--amendments", str(path))
+        self._assert_one_error_line(code, out, err)
+        assert "needs 'price' and 'bundles'" in err
+
+    def test_malformed_bundle_price_is_two(self, capsys, tmp_path):
+        def edit(payload):
+            payload["price"] = ["cheap"]
+
+        path = self._bundle_file(capsys, tmp_path, edit)
+        code, out, err = run(capsys, "verify", "--scarf", "10", "--amendments", str(path))
+        self._assert_one_error_line(code, out, err)

@@ -1,4 +1,5 @@
-"""Centralized dispatch: goldens, merit order, symmetry, threading, oracle."""
+"""Centralized dispatch: goldens, merit order, symmetry, oracles, and exact
+agreement with the former enumerator."""
 
 import math
 import random
@@ -17,7 +18,7 @@ from uplift_zero import (
 from uplift_zero.dispatch import economic_dispatch
 from uplift_zero.model import schedule_cost, validate_schedule
 
-from _oracles import brute_force_dispatch
+from _oracles import brute_force_dispatch, reference_dispatch
 from conftest import random_instance
 
 
@@ -165,3 +166,68 @@ def test_dispatch_cost_minimal_among_sampled_commitments():
             hit = economic_dispatch(inst, commitment)
             if hit is not None:
                 assert hit[1] >= result.total_cost - 1e-7
+
+
+def integer_instance(rng: random.Random, periods: int, max_units: int) -> MarketInstance:
+    """Instance with integer capacities and costs (some marginal costs
+    negative), some of its units in groups of identical parameters, so that
+    profiles often tie on cost."""
+    units = []
+    for k in range(rng.randint(1, 4)):
+        g_min = rng.choice((0, 0, 1, 2))
+        params = dict(
+            g_min=float(g_min),
+            g_max=float(g_min + rng.randint(1, 6)),
+            marginal_cost=float(rng.randint(-1, 4)),
+            startup_cost=float(rng.choice((0, 2, 4, 6))),
+            initial_status=rng.choice((0, 0, 1)),
+            min_up=rng.choice((0, 2)) if periods > 1 else 0,
+            min_down=rng.choice((0, 2)) if periods > 1 else 0,
+        )
+        for j in range(rng.choice((1, 1, 2, 3))):
+            units.append(UnitParams(id=f"T{k}-{j + 1}", **params))
+    units = units[:max_units]
+    cap = sum(u.g_max for u in units)
+    demand = tuple(float(rng.randint(0, int(cap))) for _ in range(periods))
+    return MarketInstance(periods=periods, demand=demand, units=tuple(units))
+
+
+class TestReferenceEquality:
+    @pytest.mark.parametrize("periods,max_units", [(1, 12), (2, 8), (3, 5)])
+    def test_matches_former_enumerator_exactly(self, periods, max_units):
+        rng = random.Random(7000 + periods)
+        solved = skipped = 0
+        while solved < 40:
+            inst = integer_instance(rng, periods, max_units)
+            try:
+                schedule, total, count = reference_dispatch(inst)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    solve_centralized(inst)
+                continue
+            result = solve_centralized(inst)
+            assert result.schedule == schedule
+            assert repr(result.total_cost) == repr(total)
+            assert result.profiles_enumerated == count
+            assert result.profiles_dispatched <= count
+            skipped += result.profiles_dispatched < count
+            solved += 1
+        assert skipped > 0  # the cost bound is exercised
+
+    def test_negative_marginal_cost_tie(self):
+        # Both commitments cost -0.5; the tie goes to the later one, with both
+        # units online.  The energy floor must let negative-cost units run up
+        # to d + eq_tol, or that profile's bound lands above the limit and it
+        # is skipped.
+        twin = dict(g_min=0.0, g_max=10.0, marginal_cost=-10.0, startup_cost=0.0)
+        inst = MarketInstance(periods=1, demand=(0.05,), units=(
+            UnitParams(id="a", **twin), UnitParams(id="b", **twin)))
+        schedule, total, count = reference_dispatch(inst)
+        result = solve_centralized(inst)
+        assert (result.schedule, result.total_cost, result.profiles_enumerated) == (
+            schedule, total, count)
+        assert result.schedule.unit("b").u == (1,)
+
+    def test_scarf_dispatch_counts(self, scarf10):
+        result = scarf10.result
+        assert 0 < result.profiles_dispatched <= result.profiles_enumerated

@@ -8,16 +8,23 @@ each standard output against recorded values, so any change to a printed
 byte or a verdict shows here.  A few bundles are also verified with their multipliers
 zeroed or doubled, so that failing checks and their witnesses are pinned
 too.
+
+A second set pins `dispatch --json` and `uplift --json` (chp and
+marginal prices) on heterogeneous instances built below from a fixed
+seed: units that share no parameters, some with g_min = 0, min up/down
+times of 2 or an initial online status, over one to three periods.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
 from uplift_zero.cli import main
+from uplift_zero.model import UnitParams, feasible_status_vectors
 
 COMBOS = (
     ("uplift-delta", "xu", "chp"),
@@ -261,3 +268,118 @@ def test_cli_output_matches_golden(demand, family, formulation, method, tmp_path
 def test_failing_verify_matches_golden(family, formulation, method, factor, tmp_path):
     got = tampered_outputs("40", family, formulation, method, factor, tmp_path / "bundles.json")
     assert got == TAMPERED_GOLDEN[(family, formulation, method, factor)]
+
+
+# (periods, units) of the heterogeneous instances, in build order
+HETERO_SHAPES = ((1, 6), (1, 9), (1, 7), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 4), (1, 8))
+
+
+def hetero_documents() -> list[dict]:
+    """Instance documents whose units share no parameters; the demand of
+    each is met by a randomly drawn feasible commitment."""
+    rng = random.Random(314159)
+    docs = []
+    for periods, n_units in HETERO_SHAPES:
+        units = []
+        for k in range(n_units):
+            g_min = 0.0 if rng.random() < 0.4 else round(rng.uniform(0.5, 4.0), 2)
+            slow = periods > 1 and rng.random() < 0.4
+            units.append(UnitParams(
+                id=f"U{k + 1:02d}",
+                g_min=g_min,
+                g_max=round(g_min + rng.uniform(2.0, 12.0), 2),
+                marginal_cost=round(rng.uniform(1.0, 10.0), 2),
+                startup_cost=round(rng.uniform(0.0, 60.0), 2),
+                initial_status=int(rng.random() < 0.25),
+                min_up=2 if slow else 0,
+                min_down=2 if slow else 0,
+            ))
+        demand = [0.0] * periods
+        for unit in units:
+            u = rng.choice(feasible_status_vectors(unit, periods))
+            for t in range(periods):
+                if u[t]:
+                    demand[t] += rng.uniform(unit.g_min, unit.g_max)
+        docs.append({
+            "periods": periods,
+            "demand": [round(d, 3) for d in demand],
+            "unit_types": [
+                {"id": u.id, "g_min": u.g_min, "g_max": u.g_max,
+                 "marginal_cost": u.marginal_cost, "startup_cost": u.startup_cost,
+                 "initial_status": u.initial_status, "min_up": u.min_up,
+                 "min_down": u.min_down}
+                for u in units
+            ],
+        })
+    return docs
+
+
+HETERO_COMMANDS = {
+    "dispatch --json": ["dispatch", "--json"],
+    "uplift --json chp": ["uplift", "--price-method", "chp", "--json"],
+    "uplift --json marginal": ["uplift", "--price-method", "marginal", "--json"],
+}
+
+# instance index -> {command: (exit code, sha256 of stdout)}
+HETERO_GOLDEN = {
+    0: {
+        'dispatch --json': (0, 'c84cf0cf5e1533aaed7b5a97a0336ac2a838d60d1a3e7781161762a1ac1e41a7'),
+        'uplift --json chp': (0, '8ed3f5a09b50319cf2ff74d1d93d488aace8192a7d2ae4f508e618116b445626'),
+        'uplift --json marginal': (0, '0f30b9347f6bfaebd850d6b6bee17e61665fc1875f03d9dee94b1ace0c673af4'),
+    },
+    1: {
+        'dispatch --json': (0, 'a6952096ba89f3e1e97e777fb091bfe7f3703b2fcd97f0d15f2d6cc015605449'),
+        'uplift --json chp': (0, '51517551e67767e28e57293d0c63ef291168272e9e27d86d62e58aa242a93ad4'),
+        'uplift --json marginal': (0, 'e94f9a2bd3adf0809eb7aa126e52facd49535b3f597268a2eacbbb60ee20a138'),
+    },
+    2: {
+        'dispatch --json': (0, '47f73622fe5438b6708a8836ecc8276f34e49ac3c0e9e3fc6794366354bf3646'),
+        'uplift --json chp': (0, '5d167b1232633468ce15a068060909c5425896b881c107cad26ffbf1528b12f2'),
+        'uplift --json marginal': (0, '5d167b1232633468ce15a068060909c5425896b881c107cad26ffbf1528b12f2'),
+    },
+    3: {
+        'dispatch --json': (0, 'fe0f4c4d0e228e063b29d3e8a1c51e865c29d03e373bf681c9014fa152b839f0'),
+        'uplift --json chp': (0, 'c6c8a26de16f4acc9bafe2247a7b07704f0f1a68c919ba6a665723d0daa77365'),
+        'uplift --json marginal': (0, 'f9313178e2a462d5d13740934006f460317e0c3407076de30b23876ec729e877'),
+    },
+    4: {
+        'dispatch --json': (0, 'a888eae1f7b42e58648ca1a932cdbf9db5479734b12c69a844438d9bd66020db'),
+        'uplift --json chp': (0, '5ed12b02cc3a89760dfdb5ee2c5afede543303e7e92f6c658d9b73ec2bfe62a4'),
+        'uplift --json marginal': (0, 'e1a7a824d7abef5d78572ffabcdd8dc3dfce256b3a3f43c2d25eba75a2dc0650'),
+    },
+    5: {
+        'dispatch --json': (0, '61eac092c135e0de37d2dc0cffafe6bf3ac698f533f878161861060320797cae'),
+        'uplift --json chp': (0, '460a6f6de61cdbe7163501984c6c34997f36b6270f7580f3cc5932004e1f1a40'),
+        'uplift --json marginal': (0, '819a4b1ea87085af32ae92a0249873431d576bed9ad51a204ea23c05c0a1d970'),
+    },
+    6: {
+        'dispatch --json': (0, '553b1fa4347d4057e7d1bd093b2c11a75f712a13e53e94a8037bd8e9575ab465'),
+        'uplift --json chp': (0, 'c8a5d7cf03fa29a0d9e8cedaec5912f37694725dd14e03a3b51a2b5a07c274ec'),
+        'uplift --json marginal': (0, '2f84ff8df2d8fdab964046ca5b54ad083f82fef0a1c674a387ee554d9e9ecf70'),
+    },
+    7: {
+        'dispatch --json': (0, 'b888fcbf7329bffb446347cd540a3a1a5c2a3cbb602d167e616e737e3daa48cc'),
+        'uplift --json chp': (0, 'e35292c09b6891e27980517c8ef2f277318e7a1fbb4b80ea0d6752c6a929eb37'),
+        'uplift --json marginal': (0, 'e1bdd30b859e32eb283ab948e293ad3b5c42d3cbcdb751d2ceb44afd3101f5ef'),
+    },
+    8: {
+        'dispatch --json': (0, 'a11b2b2d2fc448da6e89490ee8017673c51a5fcd74170e7690eaa5f50cb8cf74'),
+        'uplift --json chp': (0, '446de53189be55cbc2ac83ec05fb1d1e5b605b2c44b7522c55c9c84502ae05da'),
+        'uplift --json marginal': (0, '21d98d682796f804e139b689cf611a8e0636f000a4c2e1ea2f9df1378c0b49c5'),
+    },
+    9: {
+        'dispatch --json': (0, '0afcc77300dac508e20922c144a9d69d9c81b87c35efb285457419b8b6457efe'),
+        'uplift --json chp': (0, '285d0275cbe5c2bd7e49087facfd0b1b22ff9077272ca156f51a5b5953b9d92b'),
+        'uplift --json marginal': (0, '2e9bbaee8124038bade1eaf046f8e8210cdf9d904dcabde1a28feff0432f0418'),
+    },
+}
+
+
+def hetero_outputs(index: int, instance_path) -> dict:
+    instance_path.write_text(json.dumps(hetero_documents()[index]))
+    return {name: _run([*argv, str(instance_path)]) for name, argv in HETERO_COMMANDS.items()}
+
+
+@pytest.mark.parametrize("index", range(len(HETERO_SHAPES)))
+def test_hetero_cli_output_matches_golden(index, tmp_path):
+    assert hetero_outputs(index, tmp_path / "instance.json") == HETERO_GOLDEN[index]

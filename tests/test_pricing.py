@@ -10,6 +10,7 @@ from uplift_zero import (
     MarketInstance,
     PreconditionError,
     UnitParams,
+    ValidationError,
     UnitSchedule,
     convex_hull_price,
     dual_function,
@@ -19,6 +20,8 @@ from uplift_zero import (
     standard_profit,
     unit_profit_max,
 )
+
+from uplift_zero.pricing import as_price
 
 from _oracles import chp_scan, dual_value_oracle, unit_profit_max_oracle
 from conftest import random_instance, random_price, random_unit
@@ -41,6 +44,11 @@ class TestStandardProfit:
         u = UnitParams(id="x", g_min=0.0, g_max=7.0, marginal_cost=2.0, startup_cost=0.0)
         s = UnitSchedule((1, 1), (7.0, 7.0))
         assert standard_profit(u, 5.0, s) == standard_profit(u, (5.0, 5.0), s)
+
+    @pytest.mark.parametrize("price", (float("nan"), (5.0, float("inf")), (-float("inf"), 5.0)))
+    def test_non_finite_price_rejected(self, price):
+        with pytest.raises(ValidationError, match="price must be finite"):
+            as_price(price, 2)
 
 
 class TestProfitMax:
@@ -178,8 +186,6 @@ class TestPriceForMethod:
             price_for_method(scarf10.instance, "marginal")
 
     def test_unknown_method(self, scarf10):
-        from uplift_zero import ValidationError
-
         with pytest.raises(ValidationError):
             price_for_method(scarf10.instance, "vcg")
 
