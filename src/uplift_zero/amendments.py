@@ -57,7 +57,6 @@ from .model import (
     ToleranceConfig,
     UnitParams,
     UnitSchedule,
-    feasible_status_vectors,
     validate_schedule,
     validate_unit_schedule,
 )
@@ -320,15 +319,14 @@ def build_status_profile(
         periods = x_i_star.periods
     if x_i_star is not None:
         _require_status_consistency(unit, p, x_i_star, tol, "status-profile")
-    p_vec = as_price(p, periods)
-    best = unit_profit_max(unit, p_vec, periods, tol).value
-    vectors = feasible_status_vectors(unit, periods)
+    pm = unit_profit_max(unit, p, periods, tol)
+    best = pm.value
+    # per_status runs over the feasible status vectors in lexicographic order
+    vectors = tuple(pm.per_status)
     constraints = tuple(neg(status_delta_of(w)) for w in vectors)
-    multipliers = tuple(
-        best - profit_given_status(unit, p_vec, w) for w in vectors
-    )
+    multipliers = tuple(best - value for value, _ in pm.per_status.values())
     if periods == 1:
-        online = profit_given_status(unit, p_vec, (1,))
+        online = pm.per_status[(1,)][0]
         amendment = Sub(Const(best), scale(online, Status(0)))
     else:
         amendment = add(
@@ -778,28 +776,31 @@ def check_zero_total_uplift(
 ) -> VerificationReport:
     """Market-level outcome checks: residual uplift sums to zero and pricing
     the aggregate constraint leaves the dual value unchanged at the market
-    price and at perturbed prices."""
+    price and at perturbed prices.  Each unit's lattice table is built once,
+    at the market price, and re-priced at every perturbed price."""
     tol = instance.tolerances
     p = as_price(p, instance.periods)
     validate_schedule(instance, x_star)
     report = VerificationReport()
 
-    def profit_maxima(q) -> list[tuple[float, float]]:
-        # per unit: (standard, amended) profit maximum at q on its lattice table
-        maxima = []
-        for unit in instance.units:
-            bundle = bundles.get(unit.id)
-            if bundle is None:
-                raise ValidationError(f"no bundle for unit {unit.id}")
-            table = lattice_table(
-                unit, q, (bundle.amendment,), bundle.formulation,
-                anchors=(x_star.unit(unit.id),), periods=instance.periods, tol=tol,
-            )
-            amended = max(profit + n for profit, (n,) in zip(table.profits, table.values))
-            maxima.append((table.profit_max.value, amended))
-        return maxima
+    tables = []
+    for unit in instance.units:
+        bundle = bundles.get(unit.id)
+        if bundle is None:
+            raise ValidationError(f"no bundle for unit {unit.id}")
+        tables.append(lattice_table(
+            unit, p, (bundle.amendment,), bundle.formulation,
+            anchors=(x_star.unit(unit.id),), periods=instance.periods, tol=tol,
+        ))
 
-    at_price = profit_maxima(p)
+    def profit_maxima(priced) -> list[tuple[float, float]]:
+        # per unit: (standard, amended) profit maximum on its priced table
+        return [
+            (t.profit_max.value, max(profit + n for profit, (n,) in zip(t.profits, t.values)))
+            for t in priced
+        ]
+
+    at_price = profit_maxima(tables)
     total_residual = 0.0
     worst = None
     for unit, (_, amended_max) in zip(instance.units, at_price):
@@ -823,7 +824,7 @@ def check_zero_total_uplift(
 
     for offset in (0.0,) + DUAL_PRICE_OFFSETS:
         maxima = at_price if offset == 0.0 else profit_maxima(
-            tuple(pt + offset for pt in p)
+            t.at_price(tuple(pt + offset for pt in p)) for t in tables
         )
         unamended_total = 0.0
         amended_total = 0.0

@@ -8,6 +8,7 @@ stable: 0 success, 1 infeasible or violated precondition, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -39,6 +40,7 @@ def _type_name(unit_id: str) -> str:
     return _TYPE_SUFFIX.sub("", unit_id)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uplift-zero",
@@ -193,15 +195,19 @@ def _build_and_verify(instance: MarketInstance, args):
     p, dual = pr.price, pr.dual_value
     formulation = Formulation(args.formulation)
     bundles = build_family(args.family, instance, p, result.schedule, formulation)
+    reports, market = _verify(instance, p, bundles, result.schedule)
+    return result, p, dual, bundles, reports, market
+
+
+def _verify(instance: MarketInstance, p, bundles, x_star):
+    """Per-unit contract reports and the market-level report."""
     reports = {
         unit.id: verify_conditions(
-            unit, p, bundles[unit.id], result.schedule.unit(unit.id),
-            instance.tolerances,
+            unit, p, bundles[unit.id], x_star.unit(unit.id), instance.tolerances,
         )
         for unit in instance.units
     }
-    market = check_zero_total_uplift(instance, p, bundles, result.schedule)
-    return result, p, dual, bundles, reports, market
+    return reports, check_zero_total_uplift(instance, p, bundles, x_star)
 
 
 def cmd_amend(args) -> int:
@@ -257,14 +263,7 @@ def cmd_verify(args) -> int:
     missing = [u.id for u in instance.units if u.id not in bundles]
     if missing:
         raise ValidationError(f"no bundle for units: {', '.join(missing)}")
-    reports = {
-        unit.id: verify_conditions(
-            unit, p, bundles[unit.id], result.schedule.unit(unit.id),
-            instance.tolerances,
-        )
-        for unit in instance.units
-    }
-    market = check_zero_total_uplift(instance, p, bundles, result.schedule)
+    reports, market = _verify(instance, p, bundles, result.schedule)
     if args.json:
         print(json.dumps({
             "units": {uid: rep.to_json() for uid, rep in reports.items()},

@@ -7,10 +7,11 @@ times.  A per-unit schedule is a pair of vectors (u, g): binary commitment
 statuses and continuous outputs.
 
 The module also provides the verification lattice (`feasible_set_samples`),
-a deterministic finite sample of a unit's feasible set.  Every "for every
-feasible point" check in the rest of the package reads it through one
-lattice table (`pricing.lattice_table`), which holds the points, their
-standard profits and the checked expressions' values.
+a deterministic finite sample of a unit's feasible set; it does not depend
+on the price.  Every "for every feasible point" check in the rest of the
+package reads it through one lattice table (`pricing.lattice_table`), which
+holds the points, their costs (`unchecked_cost`), the checked expressions'
+values and the standard profits at one price.
 """
 
 from __future__ import annotations
@@ -128,9 +129,6 @@ class UnitSchedule:
             raise ValidationError(f"bad unit schedule object: {obj!r}") from exc
 
 
-OFFLINE_1 = UnitSchedule((0,), (0.0,))
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Full market schedule: one UnitSchedule per unit id."""
@@ -190,12 +188,6 @@ class MarketInstance:
                 raise ValidationError(
                     f"demand {d} in period {t + 1} exceeds total capacity {cap}"
                 )
-
-    def unit_by_id(self, unit_id: str) -> UnitParams:
-        for u in self.units:
-            if u.id == unit_id:
-                return u
-        raise ValidationError(f"no unit with id {unit_id!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +294,12 @@ def cost(
 ) -> float:
     """Production plus startup cost of one unit schedule."""
     validate_unit_schedule(unit, sched, sched.periods, eq_tol)
+    return unchecked_cost(unit, sched)
+
+
+def unchecked_cost(unit: UnitParams, sched: UnitSchedule) -> float:
+    """`cost` without validation, for schedules already known to be
+    feasible, such as the points of the verification lattice."""
     energy = sum(unit.marginal_cost * g for g in sched.g)
     starts = sum(startup_flags(unit, sched.u))
     return energy + unit.startup_cost * starts

@@ -18,7 +18,7 @@ so the maximum is a finite scan over status vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import PreconditionError, ValidationError
@@ -36,6 +36,7 @@ from .model import (
     feasible_status_vectors,
     startup_flags,
     status_vector_feasible,
+    unchecked_cost,
     validate_schedule,
 )
 
@@ -58,11 +59,15 @@ def as_price(p, periods: int) -> tuple[float, ...]:
     return p
 
 
+def _profit(p: Sequence[float], g: Sequence[float], c: float) -> float:
+    # the one per-point profit formula: revenue at p minus the cost c
+    return sum(pt * gt for pt, gt in zip(p, g)) - c
+
+
 def standard_profit(unit: UnitParams, p: Sequence[float], sched: UnitSchedule) -> float:
     """Revenue at price p minus the unit's cost, for one schedule."""
     p = as_price(p, sched.periods)
-    revenue = sum(pt * gt for pt, gt in zip(p, sched.g))
-    return revenue - cost(unit, sched)
+    return _profit(p, sched.g, cost(unit, sched))
 
 
 def _best_outputs_for_status(
@@ -74,17 +79,6 @@ def _best_outputs_for_status(
         (unit.g_max if pt >= unit.marginal_cost else unit.g_min) if u_t == 1 else 0.0
         for pt, u_t in zip(p, u)
     )
-
-
-def profit_given_status(unit: UnitParams, p, u: Sequence[int]) -> float:
-    """Maximum standard profit achievable with the status vector fixed."""
-    p = as_price(p, len(u))
-    if not status_vector_feasible(unit, u):
-        raise ValidationError(f"unit {unit.id}: status vector {tuple(u)} is infeasible")
-    g = _best_outputs_for_status(unit, p, u)
-    margin = sum((pt - unit.marginal_cost) * gt for pt, gt in zip(p, g))
-    starts = sum(startup_flags(unit, tuple(int(v) for v in u)))
-    return margin - unit.startup_cost * starts
 
 
 @dataclass(frozen=True)
@@ -128,48 +122,44 @@ def unit_profit_max(
     return ProfitMax(value=best, argmax_points=argmax, per_status=per_status)
 
 
-def verification_lattice(
-    unit: UnitParams,
-    p,
-    formulation: Formulation = Formulation.STATUS_OUTPUT,
-    anchors: Iterable[UnitSchedule] = (),
-    periods: int | None = None,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-    profit_max: ProfitMax | None = None,
-) -> tuple[UnitSchedule, ...]:
-    """Feasible-set samples anchored at the profit argmax points (and any
-    caller-supplied anchors such as the dispatched schedule).  A
-    precomputed `profit_max` at p saves solving for the argmax again."""
-    anchors = tuple(anchors)
-    if periods is None:
-        periods = anchors[0].periods if anchors else (len(p) if not isinstance(p, (int, float)) else 1)
-    if profit_max is None:
-        profit_max = unit_profit_max(unit, p, periods, tol)
-    return feasible_set_samples(
-        unit,
-        formulation,
-        anchors=anchors + profit_max.argmax_points,
-        periods=periods,
-        eq_tol=tol.eq_tol,
-    )
+def profit_given_status(unit: UnitParams, p, u: Sequence[int]) -> float:
+    """Maximum standard profit achievable with the status vector fixed."""
+    p = as_price(p, len(u))
+    if not status_vector_feasible(unit, u):
+        raise ValidationError(f"unit {unit.id}: status vector {tuple(u)} is infeasible")
+    return unit_profit_max(unit, p, len(u)).per_status[tuple(u)][0]
 
 
 @dataclass(frozen=True)
 class LatticeTable:
-    """One unit's verification lattice at one price, with everything the
-    "for every feasible point" checks read off it.
+    """One unit's verification lattice, with everything the "for every
+    feasible point" checks read off it.
 
-    values[k][j] is the j-th expression the table was built with, evaluated
-    at points[k]; gaps[k] = profits[k] - profit_max.value <= 0.
+    The points, their costs and the expression rows do not depend on the
+    price: values[k][j] is the j-th expression the table was built with,
+    evaluated at points[k].  The rest is the table priced at one price p:
+    profits[k] = p' g_k - costs[k] and gaps[k] = profits[k] -
+    profit_max.value <= 0.  `at_price` re-prices the same table.
     """
 
     unit: UnitParams
     points: tuple[UnitSchedule, ...]
-    profits: tuple[float, ...]
-    gaps: tuple[float, ...]
+    costs: tuple[float, ...]
     values: tuple[tuple[float, ...], ...]
-    profit_max: ProfitMax
     tol: ToleranceConfig
+    profits: tuple[float, ...] = ()
+    gaps: tuple[float, ...] = ()
+    profit_max: ProfitMax | None = None
+
+    def at_price(self, q) -> "LatticeTable":
+        """The same points, costs and rows priced at q, with the unit's
+        profit maximum solved at q."""
+        q = as_price(q, self.points[0].periods)
+        pm = unit_profit_max(self.unit, q, len(q), self.tol)
+        profits = tuple(_profit(q, s.g, c) for s, c in zip(self.points, self.costs))
+        return replace(
+            self, profits=profits, gaps=tuple(pi - pm.value for pi in profits), profit_max=pm
+        )
 
     def require_redundant(self) -> None:
         """Raise PreconditionError unless every column is a constraint
@@ -204,24 +194,24 @@ def lattice_table(
     periods: int | None = None,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> LatticeTable:
-    """Build the unit's verification lattice at price p and evaluate standard
-    profit and each of `exprs` once per point."""
+    """Build the unit's verification lattice anchored at `anchors`, evaluate
+    its cost and each of `exprs` once per point, and price it at p.
+
+    The lattice does not depend on p: the profit-maximizing schedules at
+    any price have outputs g_min, g_max or 0 per period, and those are on
+    the grid of every feasible status vector already."""
     anchors = tuple(anchors)
     if periods is None:
         periods = anchors[0].periods if anchors else (len(p) if not isinstance(p, (int, float)) else 1)
     p = as_price(p, periods)
-    pm = unit_profit_max(unit, p, periods, tol)
-    points = verification_lattice(unit, p, formulation, anchors, periods, tol, profit_max=pm)
-    profits = tuple(standard_profit(unit, p, s) for s in points)
+    points = feasible_set_samples(unit, formulation, anchors, periods, tol.eq_tol)
     return LatticeTable(
         unit=unit,
         points=points,
-        profits=profits,
-        gaps=tuple(pi - pm.value for pi in profits),
+        costs=tuple(unchecked_cost(unit, s) for s in points),
         values=tuple(tuple(e.evaluate(s, tol.eq_tol) for e in exprs) for s in points),
-        profit_max=pm,
         tol=tol,
-    )
+    ).at_price(p)
 
 
 def dual_function(instance: MarketInstance, q) -> float:

@@ -21,7 +21,7 @@ from uplift_zero import (
     solve_centralized,
 )
 from uplift_zero.expr import Const, Delta, Max, Min, Output, Status, Sub, add, neg, scale
-from uplift_zero.pricing import verification_lattice
+from uplift_zero.model import feasible_set_samples
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def random_redundant_constraints(
     """Random constraints that are non-positive on the unit's feasible set:
     combinations of the box arms, point deltas, and min/max mixes."""
     anchors = (x_anchor,) if x_anchor is not None else ()
-    lattice = verification_lattice(unit, p, anchors=anchors, periods=1)
+    lattice = feasible_set_samples(unit, anchors=anchors, periods=1)
     box = (
         Sub(scale(unit.g_min, Status(0)), Output(0)),
         Sub(Output(0), scale(unit.g_max, Status(0))),
@@ -139,7 +139,7 @@ def delta_partition_constraints(
     """Point-delta constraints on distinct lattice points: their supports are
     pairwise disjoint by construction."""
     anchors = (x_anchor,) if x_anchor is not None else ()
-    lattice = list(verification_lattice(unit, p, anchors=anchors, periods=1))
+    lattice = list(feasible_set_samples(unit, anchors=anchors, periods=1))
     rng.shuffle(lattice)
     picked = lattice[: min(count, len(lattice))]
     if x_anchor is not None and x_anchor not in picked:

@@ -38,7 +38,7 @@ from uplift_zero import (
 )
 from uplift_zero import Output, Status, Sub, scale
 from uplift_zero.amendments import FAMILIES
-from uplift_zero.pricing import verification_lattice
+from uplift_zero.model import feasible_set_samples
 
 from _oracles import brute_force_dispatch, chp_scan, dual_value_oracle
 from conftest import (
@@ -277,7 +277,7 @@ def test_criterion_6_caps_box_geometry_necessity():
     for k in range(30):
         u = random_unit(rng, f"N{k}", periods=1)
         p = random_price(rng, 1)
-        lattice = verification_lattice(u, p, periods=1)
+        lattice = feasible_set_samples(u, periods=1)
         star = rng.choice(lattice)
         rhos = random_redundant_constraints(rng, u, p, rng.randint(1, 3), star)
         if min_uplift(u, p, rhos, star).value == 0.0:
@@ -318,7 +318,7 @@ def test_criterion_8_support_verdict_agreement():
         attempts += 1
         u = random_unit(rng, f"V{attempts}", periods=1)
         p = random_price(rng, 1)
-        lattice = verification_lattice(u, p, periods=1)
+        lattice = feasible_set_samples(u, periods=1)
         star = min(lattice, key=lambda s: standard_profit(u, p, s))
         best = unit_profit_max(u, p, 1).value
         if best - standard_profit(u, p, star) < 1e-3:

@@ -37,7 +37,7 @@ from uplift_zero import (
     verify_conditions,
 )
 from uplift_zero.amendments import FAMILIES
-from uplift_zero.pricing import verification_lattice
+from uplift_zero.model import feasible_set_samples
 
 from _oracles import (
     hull_amendment_oracle_online,
@@ -114,8 +114,8 @@ class TestGoldenCoefficients:
         star = scarf10.result.schedule.unit(unit.id)
         b = build_constant_profit(unit, scarf10.price, star.periods)
         # amended profit is constant at the cap on every lattice point
-        lattice = verification_lattice(
-            unit, scarf10.price, anchors=(star,), periods=1
+        lattice = feasible_set_samples(
+            unit, anchors=(star,), periods=1
         )
         best = unit_profit_max(unit, scarf10.price, 1).value
         for s in lattice:
@@ -256,8 +256,8 @@ class TestBundleSerde:
             assert set(back) == set(bundles)
             for unit in sc.instance.units:
                 star = sc.result.schedule.unit(unit.id)
-                lattice = verification_lattice(
-                    unit, sc.price, anchors=(star,), periods=1
+                lattice = feasible_set_samples(
+                    unit, anchors=(star,), periods=1
                 )
                 a, b = bundles[unit.id], back[unit.id]
                 assert b.family == a.family

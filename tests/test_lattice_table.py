@@ -1,10 +1,11 @@
-"""The lattice table: one build per (unit, price, formulation, anchors),
-shared by every "for all feasible x" check."""
+"""The lattice table: one build per (unit, formulation, anchors, horizon),
+shared by every "for all feasible x" check and re-priced per query."""
 
 import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import uplift_zero.cli as cli
 from uplift_zero import model, pricing
@@ -55,11 +56,11 @@ def test_report_builds_one_lattice_and_one_profit_max_per_table(monkeypatch, cap
     assert cli.main(["report", "--scarf", "40", "--family", "convex-hull"]) == 0
     capsys.readouterr()
     # 16 units; the market check builds one table per unit at the market
-    # price (shared by the residual and the dual checks) and at each of the
-    # five perturbed prices
+    # price (shared by the residual and the dual checks) and re-prices it at
+    # each of the five perturbed prices, solving the profit maximum anew
     assert counts[("verify", "lattice")] == 16
     assert counts[("verify", "profit_max")] == 16
-    assert counts[("market", "lattice")] == 96
+    assert counts[("market", "lattice")] == 16
     assert counts[("market", "profit_max")] == 96
 
 
@@ -102,3 +103,40 @@ def test_membership_tolerance():
     losing_less = [k for k, point in enumerate(table.points)
                    if point.u == (1,) and 30.0 - point.g[0] < 24.0]
     assert list(table.gap_violations((24.0,), 1e-6)) == losing_less
+
+
+@st.composite
+def _unit_anchor_prices(draw):
+    g_max = draw(st.sampled_from((1.0, 6.0, 16.0)))
+    g_min = draw(st.sampled_from((0.0, 0.25 * g_max, g_max)))
+    unit = UnitParams(
+        "U", g_min, g_max,
+        marginal_cost=draw(st.sampled_from((0.0, 2.0, 3.5, 7.0))),
+        startup_cost=draw(st.sampled_from((0.0, 4.0, 53.0))),
+        initial_status=draw(st.sampled_from((0, 1))),
+        min_up=draw(st.integers(0, 2)),
+        min_down=draw(st.integers(0, 2)),
+    )
+    periods = draw(st.sampled_from((1, 2)))
+    u = draw(st.sampled_from(model.feasible_status_vectors(unit, periods)))
+    g = tuple(
+        draw(st.floats(g_min, g_max, allow_nan=False)) if u_t else 0.0 for u_t in u
+    )
+    price = st.tuples(*[st.floats(-5.0, 15.0, allow_nan=False)] * periods)
+    return unit, UnitSchedule(u, g), draw(price), draw(price)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unit_anchor_prices())
+def test_repricing_equals_a_table_built_at_the_new_price(case):
+    unit, anchor, p, q = case
+    exprs = (Sub(Output(0), Const(0.5 * unit.g_max)), scale(-1.0, Status(0)))
+    repriced = pricing.lattice_table(unit, p, exprs, anchors=(anchor,)).at_price(q)
+    built = pricing.lattice_table(unit, q, exprs, anchors=(anchor,))
+    assert repriced.points == built.points
+    assert repriced.profits == built.profits
+    assert repriced.gaps == built.gaps
+    assert repriced.values == built.values
+    assert repriced.profit_max == built.profit_max
+    # the profit argmax points are box corners, already on every grid
+    assert set(pricing.unit_profit_max(unit, q, len(q)).argmax_points) <= set(built.points)

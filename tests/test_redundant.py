@@ -31,7 +31,7 @@ from uplift_zero import (
     unit_profit_max,
     zero_uplift_necessary,
 )
-from uplift_zero.pricing import verification_lattice
+from uplift_zero.model import feasible_set_samples
 
 from conftest import (
     delta_partition_constraints,
@@ -129,7 +129,7 @@ class TestMuMaxClosedForms:
             u = random_unit(rng, f"G{k}", periods=1)
             p = random_price(rng, 1)
             best = unit_profit_max(u, p, 1).value
-            lattice = verification_lattice(u, p, periods=1)
+            lattice = feasible_set_samples(u, periods=1)
             point = min(lattice, key=lambda s: standard_profit(u, p, s))
             gap = best - standard_profit(u, p, point)
             if gap <= 1e-6:
@@ -230,7 +230,7 @@ class TestZeroUpliftNecessary:
         for k in range(20):
             u = random_unit(rng, f"Z{k}", periods=1)
             p = random_price(rng, 1)
-            lattice = verification_lattice(u, p, periods=1)
+            lattice = feasible_set_samples(u, periods=1)
             star = rng.choice(lattice)
             rhos = random_redundant_constraints(rng, u, p, rng.randint(1, 3), star)
             res = min_uplift(u, p, rhos, star)
@@ -273,7 +273,7 @@ class TestMultiplierOptimality:
         for k in range(60):
             u = random_unit(rng, f"A{k}", periods=1)
             p = random_price(rng, 1)
-            lattice = verification_lattice(u, p, periods=1)
+            lattice = feasible_set_samples(u, periods=1)
             star = min(lattice, key=lambda s: standard_profit(u, p, s))
             best = unit_profit_max(u, p, 1).value
             if best - standard_profit(u, p, star) < 1e-3:
@@ -315,7 +315,7 @@ class TestRepair:
     def test_repaired_constraints_stay_redundant(self):
         b = build_constant_profit(MT, CHP10, 1)
         fixed = repair(MT, CHP10, list(b.constraints), [0.25], MT_STAR)
-        lattice = verification_lattice(MT, CHP10, anchors=(MT_STAR,), periods=1)
+        lattice = feasible_set_samples(MT, anchors=(MT_STAR,), periods=1)
         for rho in fixed:
             assert all(rho.evaluate(s) <= 1e-9 for s in lattice)
 
@@ -333,7 +333,7 @@ class TestRepair:
     def test_noop_when_already_exact(self):
         b = build_uplift_delta(MT, CHP10, MT_STAR)
         fixed = repair(MT, CHP10, list(b.constraints), list(b.multipliers), MT_STAR)
-        lattice = verification_lattice(MT, CHP10, anchors=(MT_STAR,), periods=1)
+        lattice = feasible_set_samples(MT, anchors=(MT_STAR,), periods=1)
         for old, new in zip(b.constraints, fixed):
             for s in lattice:
                 assert new.evaluate(s) == pytest.approx(old.evaluate(s), abs=1e-9)
@@ -344,7 +344,7 @@ class TestRepair:
         for k in range(40):
             u = random_unit(rng, f"R{k}", periods=1)
             p = random_price(rng, 1)
-            lattice = verification_lattice(u, p, periods=1)
+            lattice = feasible_set_samples(u, periods=1)
             star = min(lattice, key=lambda s: standard_profit(u, p, s))
             best = unit_profit_max(u, p, 1).value
             star_gap = standard_profit(u, p, star) - best
