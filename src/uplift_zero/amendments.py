@@ -27,7 +27,7 @@ preconditions; builders raise PreconditionError when their setting fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .errors import PreconditionError, ValidationError
@@ -61,6 +61,7 @@ from .model import (
     validate_unit_schedule,
 )
 from .pricing import (
+    LatticeTable,
     as_price,
     lattice_table,
     profit_given_status,
@@ -608,15 +609,29 @@ def build_family(
 # verification
 # ---------------------------------------------------------------------------
 
+@dataclass
+class UnitReport(VerificationReport):
+    """One unit's contract checks and the lattice table they read."""
+
+    table: LatticeTable | None = field(default=None, repr=False, compare=False)
+
+
+@dataclass
+class MarketReport(VerificationReport):
+    """The market checks, and each unit's report by unit id in instance order."""
+
+    units: dict[str, UnitReport] = field(default_factory=dict)
+
+
 def verify_conditions(
     unit: UnitParams,
     p,
     bundle: AmendmentBundle,
     x_i_star: UnitSchedule,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> VerificationReport:
+) -> UnitReport:
     """Full check of the amendment contract on the unit's lattice table, in
-    one pass over its points."""
+    one pass over its points; the report keeps the table for the market check."""
     p = as_price(p, x_i_star.periods)
     constraints, multipliers = bundle.constraints, bundle.multipliers
     # the amendment is the last column, after the constraints
@@ -672,7 +687,7 @@ def verify_conditions(
         m * rho.evaluate(x_i_star, tol.eq_tol) for m, rho in zip(multipliers, constraints)
     )
 
-    report = VerificationReport()
+    report = UnitReport(table=table)
     report.add(
         ConditionCheck(
             "max-profit-unchanged",
@@ -745,24 +760,22 @@ def aggregate_constraint(
     p,
     bundles: Mapping[str, AmendmentBundle],
     x_star: Schedule,
-    verify: bool = True,
 ) -> AggregateConstraint:
     """Combine verified per-unit amendments into the single market-wide
     redundant constraint whose pricing removes all uplift."""
-    if verify:
-        for unit in instance.units:
-            bundle = bundles.get(unit.id)
-            if bundle is None:
-                raise ValidationError(f"no bundle for unit {unit.id}")
-            report = verify_conditions(
-                unit, p, bundle, x_star.unit(unit.id), instance.tolerances
+    for unit in instance.units:
+        bundle = bundles.get(unit.id)
+        if bundle is None:
+            raise ValidationError(f"no bundle for unit {unit.id}")
+        report = verify_conditions(
+            unit, p, bundle, x_star.unit(unit.id), instance.tolerances
+        )
+        needed = ("max-profit-unchanged", "zero-uplift-at-dispatch", "nonnegative")
+        bad = [c for c in needed if not report.check_named(c).passed]
+        if bad:
+            raise PreconditionError(
+                f"unit {unit.id}: bundle fails verification ({', '.join(bad)})"
             )
-            needed = ("max-profit-unchanged", "zero-uplift-at-dispatch", "nonnegative")
-            bad = [c for c in needed if not report.check_named(c).passed]
-            if bad:
-                raise PreconditionError(
-                    f"unit {unit.id}: bundle fails verification ({', '.join(bad)})"
-                )
     return AggregateConstraint(
         amendments={uid: b.amendment for uid, b in bundles.items()}
     )
@@ -773,30 +786,27 @@ def check_zero_total_uplift(
     p,
     bundles: Mapping[str, AmendmentBundle],
     x_star: Schedule,
-) -> VerificationReport:
+) -> MarketReport:
     """Market-level outcome checks: residual uplift sums to zero and pricing
     the aggregate constraint leaves the dual value unchanged at the market
-    price and at perturbed prices.  Each unit's lattice table is built once,
-    at the market price, and re-priced at every perturbed price."""
+    price and at perturbed prices.  They read the lattice table of each unit's
+    verify_conditions report (kept in `units`) and re-price it at every perturbed price."""
     tol = instance.tolerances
     p = as_price(p, instance.periods)
     validate_schedule(instance, x_star)
-    report = VerificationReport()
-
-    tables = []
     for unit in instance.units:
-        bundle = bundles.get(unit.id)
-        if bundle is None:
+        if unit.id not in bundles:
             raise ValidationError(f"no bundle for unit {unit.id}")
-        tables.append(lattice_table(
-            unit, p, (bundle.amendment,), bundle.formulation,
-            anchors=(x_star.unit(unit.id),), periods=instance.periods, tol=tol,
-        ))
+    report = MarketReport(units={
+        unit.id: verify_conditions(unit, p, bundles[unit.id], x_star.unit(unit.id), tol)
+        for unit in instance.units
+    })
+    tables = [rep.table for rep in report.units.values()]
 
     def profit_maxima(priced) -> list[tuple[float, float]]:
-        # per unit: (standard, amended) profit maximum on its priced table
+        # per unit: (standard, amended) profit maximum; the amendment is the last column
         return [
-            (t.profit_max.value, max(profit + n for profit, (n,) in zip(t.profits, t.values)))
+            (t.profit_max.value, max(profit + row[-1] for profit, row in zip(t.profits, t.values)))
             for t in priced
         ]
 

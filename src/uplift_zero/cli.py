@@ -19,7 +19,6 @@ from .amendments import (
     bundles_from_json,
     bundles_to_json,
     check_zero_total_uplift,
-    verify_conditions,
 )
 from .dispatch import solve_centralized
 from .errors import UpliftZeroError, ValidationError
@@ -195,19 +194,8 @@ def _build_and_verify(instance: MarketInstance, args):
     p, dual = pr.price, pr.dual_value
     formulation = Formulation(args.formulation)
     bundles = build_family(args.family, instance, p, result.schedule, formulation)
-    reports, market = _verify(instance, p, bundles, result.schedule)
-    return result, p, dual, bundles, reports, market
-
-
-def _verify(instance: MarketInstance, p, bundles, x_star):
-    """Per-unit contract reports and the market-level report."""
-    reports = {
-        unit.id: verify_conditions(
-            unit, p, bundles[unit.id], x_star.unit(unit.id), instance.tolerances,
-        )
-        for unit in instance.units
-    }
-    return reports, check_zero_total_uplift(instance, p, bundles, x_star)
+    market = check_zero_total_uplift(instance, p, bundles, result.schedule)
+    return result, p, dual, bundles, market.units, market
 
 
 def cmd_amend(args) -> int:
@@ -263,7 +251,8 @@ def cmd_verify(args) -> int:
     missing = [u.id for u in instance.units if u.id not in bundles]
     if missing:
         raise ValidationError(f"no bundle for units: {', '.join(missing)}")
-    reports, market = _verify(instance, p, bundles, result.schedule)
+    market = check_zero_total_uplift(instance, p, bundles, result.schedule)
+    reports = market.units
     if args.json:
         print(json.dumps({
             "units": {uid: rep.to_json() for uid, rep in reports.items()},

@@ -15,8 +15,9 @@ Abs ("abs").
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
 from .model import DEFAULT_TOLERANCES, Formulation, UnitSchedule
@@ -250,17 +251,34 @@ def status_delta_of(u: Sequence[int]) -> Delta:
 # serialization
 # ---------------------------------------------------------------------------
 
+def _period(obj: Mapping) -> int:
+    t = int(obj.get("t", 0))
+    if t < 0:
+        raise ValidationError(f"expression period must be non-negative: {obj!r}")
+    return t
+
+
+def _finite(values: Iterable, obj: Mapping) -> tuple[float, ...]:
+    values = tuple(map(float, values))
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"expression values must be finite: {obj!r}")
+    return values
+
+
 def expr_from_dict(obj: Mapping) -> Expr:
+    """Read an expression tree from its JSON form; periods must be
+    non-negative and constants and references finite."""
     if not isinstance(obj, Mapping) or "op" not in obj:
         raise ValidationError(f"bad expression node: {obj!r}")
     op = obj["op"]
     try:
         if op == "const":
-            return Const(float(obj["value"]))
+            (value,) = _finite((obj["value"],), obj)
+            return Const(value)
         if op == "u":
-            return Status(int(obj.get("t", 0)))
+            return Status(_period(obj))
         if op == "g":
-            return Output(int(obj.get("t", 0)))
+            return Output(_period(obj))
         if op in ("add", "mul", "min", "max"):
             args = tuple(expr_from_dict(a) for a in obj["args"])
             return {"add": Add, "mul": Mul, "min": Min, "max": Max}[op](args)
@@ -271,7 +289,7 @@ def expr_from_dict(obj: Mapping) -> Expr:
             ref = obj["ref"]
             return Delta(
                 u_ref=tuple(ref["u"]) if "u" in ref else None,
-                g_ref=tuple(ref["g"]) if "g" in ref else None,
+                g_ref=_finite(ref["g"], obj) if "g" in ref else None,
             )
         if op == "theta":
             (arg,) = (expr_from_dict(a) for a in obj["args"])
@@ -279,7 +297,7 @@ def expr_from_dict(obj: Mapping) -> Expr:
         if op == "abs":
             (arg,) = (expr_from_dict(a) for a in obj["args"])
             return Abs(arg)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad expression node for op {op!r}: {obj!r}") from exc
     raise ValidationError(f"unknown expression op {op!r}")
 

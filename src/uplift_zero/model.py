@@ -109,8 +109,8 @@ class UnitSchedule:
     g: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "u", tuple(int(v) for v in self.u))
-        object.__setattr__(self, "g", tuple(float(v) for v in self.g))
+        object.__setattr__(self, "u", tuple(map(int, self.u)))
+        object.__setattr__(self, "g", tuple(map(float, self.g)))
         if len(self.u) != len(self.g):
             raise ValidationError("u and g must have the same length")
 
@@ -355,7 +355,9 @@ def feasible_set_samples(
     samples: list[UnitSchedule] = []
 
     def add(u_vec: tuple[int, ...], g_vec: tuple[float, ...]) -> None:
-        key = (u_vec, tuple(round(g, 12) for g in g_vec))
+        # an anchor output within rounding of g_min or g_max must not displace
+        # that box end: the profit-maximizing outputs are box ends
+        key = (u_vec, tuple((g,) if g in (unit.g_min, unit.g_max) else round(g, 12) for g in g_vec))
         if key not in seen:
             seen.add(key)
             samples.append(UnitSchedule(u_vec, g_vec))

@@ -169,6 +169,36 @@ class TestFamiliesOnStockScenarios:
             assert rep.passed, f"{family}/{unit.id}: {rep.failures()}"
 
 
+class TestMarketReportUnits:
+    @staticmethod
+    def doubled(bundles):
+        return {
+            uid: dataclasses.replace(
+                b,
+                amendment=scale(2.0, b.amendment),
+                multipliers=tuple(2.0 * m for m in b.multipliers),
+            )
+            for uid, b in bundles.items()
+        }
+
+    @pytest.mark.parametrize("case", ("convex-hull", "uplift-delta", "doubled"))
+    def test_unit_reports_equal_verify_conditions_alone(self, case, scarf10, scarf40):
+        for sc in (scarf10, scarf40):
+            family = "uplift-delta" if case == "doubled" else case
+            bundles = build_family(family, sc.instance, sc.price, sc.result.schedule)
+            if case == "doubled":
+                bundles = self.doubled(bundles)
+            outcome = check_zero_total_uplift(sc.instance, sc.price, bundles, sc.result.schedule)
+            assert list(outcome.units) == [u.id for u in sc.instance.units]
+            for unit in sc.instance.units:
+                alone = verify_conditions(
+                    unit, sc.price, bundles[unit.id], sc.result.schedule.unit(unit.id),
+                    sc.instance.tolerances,
+                )
+                assert outcome.units[unit.id].to_json() == alone.to_json()
+            assert all(rep.passed for rep in outcome.units.values()) == (case != "doubled")
+
+
 class TestPreconditions:
     def test_status_families_need_marginal_style_prices(self, scarf10):
         unit = mt_unit(scarf10.instance)

@@ -320,6 +320,25 @@ class TestExitCodes:
         self._assert_one_error_line(code, out, err)
         assert "price must be finite" in err
 
+    @pytest.mark.parametrize("amendment", (
+        '{"op": "g", "t": -1}',
+        '{"op": "u", "t": -1}',
+        '{"op": "const", "value": NaN}',
+        '{"op": "const", "value": 1e400}',
+        '{"op": "mul", "args": [{"op": "const", "value": Infinity}, {"op": "u"}]}',
+        '{"op": "delta", "ref": {"u": [1], "g": [NaN]}}',
+    ))
+    def test_malformed_amendment_expression_is_two(self, capsys, tmp_path, amendment):
+        # a negative period used to read the last period and exit 1; a NaN
+        # delta reference matched every output
+        def edit(payload):
+            payload["bundles"]["Med Tech-1"]["N"] = "__N__"
+
+        path = self._bundle_file(capsys, tmp_path, edit)
+        path.write_text(path.read_text().replace('"__N__"', amendment))
+        code, out, err = run(capsys, "verify", "--scarf", "10", "--amendments", str(path))
+        self._assert_one_error_line(code, out, err)
+
     def test_bundle_file_that_is_not_an_object_is_two(self, capsys, tmp_path):
         path = tmp_path / "bundles.json"
         path.write_text("5")

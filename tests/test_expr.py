@@ -130,6 +130,31 @@ class TestSerde:
         with pytest.raises(ValidationError):
             expr_loads("[]")
 
+    @pytest.mark.parametrize("doc", (
+        {"op": "g", "t": -1},
+        {"op": "u", "t": -1},
+        {"op": "u", "t": 1e400},
+        {"op": "const", "value": float("nan")},
+        {"op": "const", "value": float("inf")},
+        {"op": "const", "value": "-inf"},
+        {"op": "delta", "ref": {"g": [float("nan")]}},
+        {"op": "delta", "ref": {"u": [1], "g": [3.0, float("inf")]}},
+        {"op": "delta", "ref": {"u": [float("inf")]}},
+        {"op": "add", "args": [{"op": "g"}, {"op": "const", "value": float("nan")}]},
+    ), ids=repr)
+    def test_negative_periods_and_non_finite_values_rejected(self, doc):
+        with pytest.raises(ValidationError):
+            expr_from_dict(doc)
+
+    @pytest.mark.parametrize("text", (
+        '{"op": "const", "value": NaN}',
+        '{"op": "const", "value": 1e400}',
+        '{"op": "delta", "ref": {"g": [-Infinity]}}',
+    ))
+    def test_json_non_finite_literals_rejected(self, text):
+        with pytest.raises(ValidationError, match="finite"):
+            expr_loads(text)
+
 
 class TestText:
     def test_single_period_drops_indices(self):

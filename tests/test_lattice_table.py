@@ -1,6 +1,7 @@
 """The lattice table: one build per (unit, formulation, anchors, horizon),
 shared by every "for all feasible x" check and re-priced per query."""
 
+import math
 import sys
 from collections import Counter
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import uplift_zero.cli as cli
-from uplift_zero import model, pricing
+from uplift_zero import amendments, model, pricing
 from uplift_zero.errors import PreconditionError
 from uplift_zero.expr import Const, Output, Status, Sub, scale
 from uplift_zero.model import UnitParams, UnitSchedule
@@ -28,40 +29,42 @@ def _rebind(monkeypatch, original, replacement) -> None:
 
 def test_report_builds_one_lattice_and_one_profit_max_per_table(monkeypatch, capsys):
     counts: Counter = Counter()
-    stage = [None]
+    stages: list[str] = []   # innermost stage last: verify runs inside market
 
     def counted(kind, fn):
         def wrapper(*args, **kwargs):
-            counts[(stage[0], kind)] += 1
+            counts[(stages[-1] if stages else None, kind)] += 1
             return fn(*args, **kwargs)
         return wrapper
 
     def staged(label, fn):
         def wrapper(*args, **kwargs):
-            stage[0] = label
+            stages.append(label)
             try:
                 return fn(*args, **kwargs)
             finally:
-                stage[0] = None
+                stages.pop()
         return wrapper
 
     _rebind(monkeypatch, model.feasible_set_samples,
             counted("lattice", model.feasible_set_samples))
     _rebind(monkeypatch, pricing.unit_profit_max,
             counted("profit_max", pricing.unit_profit_max))
-    monkeypatch.setattr(cli, "verify_conditions", staged("verify", cli.verify_conditions))
-    monkeypatch.setattr(
-        cli, "check_zero_total_uplift", staged("market", cli.check_zero_total_uplift)
-    )
+    _rebind(monkeypatch, amendments.verify_conditions,
+            staged("verify", amendments.verify_conditions))
+    _rebind(monkeypatch, amendments.check_zero_total_uplift,
+            staged("market", amendments.check_zero_total_uplift))
     assert cli.main(["report", "--scarf", "40", "--family", "convex-hull"]) == 0
     capsys.readouterr()
-    # 16 units; the market check builds one table per unit at the market
-    # price (shared by the residual and the dual checks) and re-prices it at
-    # each of the five perturbed prices, solving the profit maximum anew
+    # 16 units; verify_conditions builds one table per unit at the market
+    # price, and the market check builds none of its own: it reads those
+    # tables at the market price and re-prices each at the five perturbed
+    # prices, solving the profit maximum anew
+    assert counts[(None, "lattice")] == 0
     assert counts[("verify", "lattice")] == 16
     assert counts[("verify", "profit_max")] == 16
-    assert counts[("market", "lattice")] == 16
-    assert counts[("market", "profit_max")] == 96
+    assert counts[("market", "lattice")] == 0
+    assert counts[("market", "profit_max")] == 80
 
 
 def test_rows_hold_each_expression_once_per_point():
@@ -79,6 +82,16 @@ def test_anchor_is_among_the_points():
     star = UnitSchedule((1,), (3.3,))
     table = pricing.lattice_table(MT, (7.0,), anchors=(star,))
     assert star in table.points
+
+
+def test_anchor_next_to_a_box_end_keeps_the_box_end():
+    # an anchor output one ulp inside g_max used to replace the g_max point,
+    # so the profit argmax was not on the lattice
+    unit = UnitParams("U", 0.0, 6.0, 0.0, 0.0)
+    star = UnitSchedule((1,), (math.nextafter(6.0, 0.0),))
+    table = pricing.lattice_table(unit, (0.0,), anchors=(star,))
+    assert star in table.points
+    assert set(table.profit_max.argmax_points) <= set(table.points)
 
 
 def test_require_redundant_names_the_first_positive_constraint():
