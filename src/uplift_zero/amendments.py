@@ -27,8 +27,8 @@ preconditions; builders raise PreconditionError when their setting fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Mapping
 
 from .errors import PreconditionError, ValidationError
 from .expr import (
@@ -57,6 +57,8 @@ from .model import (
     ToleranceConfig,
     UnitParams,
     UnitSchedule,
+    exact_key,
+    unit_key,
     validate_schedule,
     validate_unit_schedule,
 )
@@ -580,7 +582,14 @@ def build_family(
     x_star: Schedule,
     formulation: Formulation = Formulation.STATUS_OUTPUT,
 ) -> dict[str, AmendmentBundle]:
-    """Build one bundle per unit with the named family."""
+    """Build one bundle per unit with the named family.
+
+    The builder runs once per group of units with the same parameters,
+    dispatched schedule and effective formulation, for the group's first
+    unit in instance order; every other unit of the group gets a copy of
+    that bundle under its own id.  The group key is exact (`exact_key`):
+    the bundle carries the unit's own numbers, down to the sign of a zero.
+    """
     try:
         builder = FAMILIES[family]
     except KeyError:
@@ -594,14 +603,20 @@ def build_family(
     ):
         raise PreconditionError(f"family {family} is defined on status and output")
     bundles = {}
+    built: dict[str, AmendmentBundle] = {}
     for unit in instance.units:
         form = formulation
         # units whose status cannot be read off the output keep status terms
         if form is Formulation.OUTPUT_ONLY and not unit.output_determines_status():
             form = Formulation.STATUS_OUTPUT
-        bundles[unit.id] = builder(
-            unit, p, x_star.unit(unit.id), form, instance.tolerances
-        )
+        sched = x_star.unit(unit.id)
+        key = exact_key(unit_key(unit), sched, form)
+        bundle = built.get(key)
+        if bundle is None:
+            bundle = built[key] = builder(unit, p, sched, form, instance.tolerances)
+        else:
+            bundle = replace(bundle, unit_id=unit.id)
+        bundles[unit.id] = bundle
     return bundles
 
 
@@ -755,6 +770,38 @@ class AggregateConstraint:
         }
 
 
+def _unit_reports(
+    instance: MarketInstance,
+    p,
+    bundles: Mapping[str, AmendmentBundle],
+    x_star: Schedule,
+) -> Iterator[tuple[UnitParams, UnitReport, int]]:
+    """Each unit with its verify_conditions report and the index of its
+    group, in instance order and lazily, so a caller that stops at a bad
+    unit has verified none after it.
+
+    A group is the units with the same parameters, dispatched schedule and
+    bundle apart from its unit id, under an exact key (`exact_key`): the
+    report carries the unit's own numbers, down to the sign of a zero.  The
+    group's first unit is verified and the others share its report; groups
+    are numbered in order of their first unit."""
+    reports: dict[str, tuple[UnitReport, int]] = {}
+    for unit in instance.units:
+        bundle = bundles.get(unit.id)
+        if bundle is None:
+            raise ValidationError(f"no bundle for unit {unit.id}")
+        sched = x_star.unit(unit.id)
+        key = exact_key(
+            unit_key(unit), sched, bundle.family, bundle.formulation,
+            bundle.amendment, bundle.constraints, bundle.multipliers,
+        )
+        hit = reports.get(key)
+        if hit is None:
+            report = verify_conditions(unit, p, bundle, sched, instance.tolerances)
+            hit = reports[key] = (report, len(reports))
+        yield unit, *hit
+
+
 def aggregate_constraint(
     instance: MarketInstance,
     p,
@@ -762,14 +809,10 @@ def aggregate_constraint(
     x_star: Schedule,
 ) -> AggregateConstraint:
     """Combine verified per-unit amendments into the single market-wide
-    redundant constraint whose pricing removes all uplift."""
-    for unit in instance.units:
-        bundle = bundles.get(unit.id)
-        if bundle is None:
-            raise ValidationError(f"no bundle for unit {unit.id}")
-        report = verify_conditions(
-            unit, p, bundle, x_star.unit(unit.id), instance.tolerances
-        )
+    redundant constraint whose pricing removes all uplift.  Units are
+    verified in instance order, once per group of identical units as in
+    check_zero_total_uplift; the first unit whose bundle fails raises."""
+    for unit, report, _ in _unit_reports(instance, p, bundles, x_star):
         needed = ("max-profit-unchanged", "zero-uplift-at-dispatch", "nonnegative")
         bad = [c for c in needed if not report.check_named(c).passed]
         if bad:
@@ -789,36 +832,50 @@ def check_zero_total_uplift(
 ) -> MarketReport:
     """Market-level outcome checks: residual uplift sums to zero and pricing
     the aggregate constraint leaves the dual value unchanged at the market
-    price and at perturbed prices.  They read the lattice table of each unit's
-    verify_conditions report (kept in `units`) and re-price it at every perturbed price."""
+    price and at perturbed prices.
+
+    Each unit's verify_conditions report is kept in `units`, by unit id in
+    instance order; units with the same parameters, dispatched schedule and
+    bundle apart from its unit id share one report, verified once for the
+    first of them (so its table is that unit's).  The
+    market checks read the lattice table of each distinct report, at the
+    market price and re-priced at every perturbed price, so the residual
+    and the profit maxima are computed once per table; the totals still add
+    them unit by unit in instance order."""
     tol = instance.tolerances
     p = as_price(p, instance.periods)
     validate_schedule(instance, x_star)
     for unit in instance.units:
         if unit.id not in bundles:
             raise ValidationError(f"no bundle for unit {unit.id}")
-    report = MarketReport(units={
-        unit.id: verify_conditions(unit, p, bundles[unit.id], x_star.unit(unit.id), tol)
-        for unit in instance.units
-    })
-    tables = [rep.table for rep in report.units.values()]
+    report = MarketReport()
+    firsts: list[tuple[UnitParams, LatticeTable]] = []   # per group: first unit, table
+    group_of: list[int] = []                              # per unit
+    for unit, rep, group in _unit_reports(instance, p, bundles, x_star):
+        report.units[unit.id] = rep
+        if group == len(firsts):
+            firsts.append((unit, rep.table))
+        group_of.append(group)
 
-    def profit_maxima(priced) -> list[tuple[float, float]]:
-        # per unit: (standard, amended) profit maximum; the amendment is the last column
+    def table_maxima(priced) -> list[tuple[float, float]]:
+        # per table: (standard, amended) profit maximum; the amendment is the last column
         return [
             (t.profit_max.value, max(profit + row[-1] for profit, row in zip(t.profits, t.values)))
             for t in priced
         ]
 
-    at_price = profit_maxima(tables)
-    total_residual = 0.0
-    worst = None
-    for unit, (_, amended_max) in zip(instance.units, at_price):
+    at_price = table_maxima(t for _, t in firsts)
+    residuals = []
+    for (unit, _), (_, amended_max) in zip(firsts, at_price):
         sched_star = x_star.unit(unit.id)
-        residual = amended_max - (
+        residuals.append(amended_max - (
             standard_profit(unit, p, sched_star)
             + bundles[unit.id].amendment.evaluate(sched_star, tol.eq_tol)
-        )
+        ))
+    total_residual = 0.0
+    worst = None
+    for unit, group in zip(instance.units, group_of):
+        residual = residuals[group]
         total_residual += residual
         if worst is None or residual > worst[1]:
             worst = (unit.id, residual)
@@ -833,12 +890,13 @@ def check_zero_total_uplift(
     )
 
     for offset in (0.0,) + DUAL_PRICE_OFFSETS:
-        maxima = at_price if offset == 0.0 else profit_maxima(
-            t.at_price(tuple(pt + offset for pt in p)) for t in tables
+        maxima = at_price if offset == 0.0 else table_maxima(
+            t.at_price(tuple(pt + offset for pt in p)) for _, t in firsts
         )
         unamended_total = 0.0
         amended_total = 0.0
-        for unamended, amended in maxima:
+        for group in group_of:
+            unamended, amended = maxima[group]
             unamended_total += unamended
             amended_total += amended
         band = tol.opt_tol * len(instance.units)

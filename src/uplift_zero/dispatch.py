@@ -45,6 +45,7 @@ from .model import (
     feasible_status_vectors,
     startup_flags,
     status_vector_feasible,
+    unit_key,
 )
 
 PROFILE_LIMIT = 1_000_000
@@ -175,9 +176,7 @@ def _group_units(instance: MarketInstance) -> list[list[int]]:
     """Indices of interchangeable units, grouped by identical parameters."""
     groups: dict[tuple, list[int]] = {}
     for i, u in enumerate(instance.units):
-        key = (u.g_min, u.g_max, u.marginal_cost, u.startup_cost,
-               u.initial_status, u.min_up, u.min_down)
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(unit_key(u), []).append(i)
     return list(groups.values())
 
 

@@ -101,6 +101,27 @@ class UnitParams:
         return self.g_min > 0 or self.startup_cost == 0
 
 
+def unit_key(unit: UnitParams) -> tuple:
+    """Every parameter of the unit but its id.  Units with equal keys are
+    interchangeable: dispatch enumerates one multiset of status vectors per
+    key, and pricing solves one profit maximum per key.
+
+    The key compares with ==, under which -0.0 equals 0.0 and 1 equals 1.0.
+    That is harmless where only values leave the computation (a cost, a
+    profit maximum); where a unit's own numbers reach the output, group on
+    `exact_key(unit_key(unit), ...)` instead."""
+    return (unit.g_min, unit.g_max, unit.marginal_cost, unit.startup_cost,
+            unit.initial_status, unit.min_up, unit.min_down)
+
+
+def exact_key(*parts) -> str:
+    """A key that is equal for two tuples of values only when every number
+    in them has the same type and bits: unlike ==, it tells -0.0 from 0.0
+    and 1 from 1.0.  A result computed from one such tuple therefore stands
+    bit for bit for a result computed from the other."""
+    return repr(parts)
+
+
 @dataclass(frozen=True)
 class UnitSchedule:
     """Commitment statuses and outputs of one unit over the horizon."""

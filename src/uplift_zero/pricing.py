@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import PreconditionError, ValidationError
 from .expr import Expr
@@ -37,6 +37,7 @@ from .model import (
     startup_flags,
     status_vector_feasible,
     unchecked_cost,
+    unit_key,
     validate_schedule,
 )
 
@@ -214,14 +215,51 @@ def lattice_table(
     ).at_price(p)
 
 
-def dual_function(instance: MarketInstance, q) -> float:
-    """Lagrangian dual of the dispatch problem at price vector q."""
-    q = as_price(q, instance.periods)
+def _profit_maxima_at(instance: MarketInstance) -> Callable[[tuple[float, ...]], list[ProfitMax]]:
+    """Group the instance's identical units (`unit_key`) once; the returned
+    function is `profit_maxima` at a normalized price, so a price search
+    groups the units once for all its prices."""
+    slots: dict[tuple, int] = {}
+    firsts: list[UnitParams] = []
+    group_of = []
+    for unit in instance.units:
+        key = unit_key(unit)
+        if key not in slots:
+            slots[key] = len(firsts)
+            firsts.append(unit)
+        group_of.append(slots[key])
+    periods, tol = instance.periods, instance.tolerances
+
+    def at(q: tuple[float, ...]) -> list[ProfitMax]:
+        solved = [unit_profit_max(unit, q, periods, tol) for unit in firsts]
+        return [solved[g] for g in group_of]
+
+    return at
+
+
+def _dual_value(instance: MarketInstance, q: tuple[float, ...], maxima: list[ProfitMax]) -> float:
+    # revenue minus the profit maxima, added unit by unit in instance order
     revenue = sum(qt * dt for qt, dt in zip(q, instance.demand))
-    return revenue - sum(
-        unit_profit_max(u, q, instance.periods, instance.tolerances).value
-        for u in instance.units
-    )
+    return revenue - sum(pm.value for pm in maxima)
+
+
+def profit_maxima(instance: MarketInstance, q) -> list[ProfitMax]:
+    """Every unit's profit maximum at q, in instance order, solved once per
+    group of identical units (`unit_key`) for the group's first unit; the
+    units of a group share that ProfitMax.
+
+    The key compares with ==, so a unit with a parameter of -0.0 (or 1) can
+    share the ProfitMax of one with 0.0 (or 1.0).  Its value is still the
+    unit's own, and its outputs differ from the unit's own at most in the
+    sign of a zero or an int standing for a float, which sums do not show."""
+    return _profit_maxima_at(instance)(as_price(q, instance.periods))
+
+
+def dual_function(instance: MarketInstance, q) -> float:
+    """Lagrangian dual of the dispatch problem at price vector q: revenue
+    minus every unit's profit maximum (`profit_maxima`)."""
+    q = as_price(q, instance.periods)
+    return _dual_value(instance, q, profit_maxima(instance, q))
 
 
 @dataclass(frozen=True)
@@ -243,9 +281,11 @@ def _hull_price_single_period(instance: MarketInstance) -> PriceResult:
         candidates.add(u.marginal_cost)
         if u.g_max > 0:
             candidates.add(u.marginal_cost + u.startup_cost / u.g_max)
+    maxima_at = _profit_maxima_at(instance)
     best_q, best_val = None, None
     for q in sorted(candidates):
-        val = dual_function(instance, (q,))
+        price = as_price((q,), 1)
+        val = _dual_value(instance, price, maxima_at(price))
         if best_val is None or val > best_val:
             best_q, best_val = q, val
     return PriceResult(
@@ -256,25 +296,29 @@ def _hull_price_single_period(instance: MarketInstance) -> PriceResult:
 def _hull_price_subgradient(instance: MarketInstance) -> PriceResult:
     tol = instance.tolerances
     T = instance.periods
-    q = [0.0] * T
-    best_q, best_val = tuple(q), dual_function(instance, q)
+    maxima_at = _profit_maxima_at(instance)
+    q = (0.0,) * T
+    maxima = maxima_at(q)
+    best_q, best_val = q, _dual_value(instance, q, maxima)
     last_improvement = 0
     k = 0
     for k in range(1, SUBGRADIENT_MAX_ITERS + 1):
         # supergradient of the dual: demand minus the aggregate best response
+        # at q, read off the profit maxima that gave the dual value at q
         total = [0.0] * T
-        for unit in instance.units:
-            pm = unit_profit_max(unit, q, T, tol)
+        for pm in maxima:
             g = pm.argmax_points[0].g
             for t in range(T):
                 total[t] += g[t]
         step = SUBGRADIENT_STEP / k
-        q = [max(0.0, qt + step * (dt - gt)) for qt, dt, gt in zip(q, instance.demand, total)]
-        val = dual_function(instance, q)
+        q = as_price([max(0.0, qt + step * (dt - gt))
+                      for qt, dt, gt in zip(q, instance.demand, total)], T)
+        maxima = maxima_at(q)
+        val = _dual_value(instance, q, maxima)
         if val > best_val + tol.opt_tol:
-            best_q, best_val, last_improvement = tuple(q), val, k
+            best_q, best_val, last_improvement = q, val, k
         elif val > best_val:
-            best_q, best_val = tuple(q), val
+            best_q, best_val = q, val
         if k - last_improvement >= SUBGRADIENT_PATIENCE:
             return PriceResult(best_q, best_val, "subgradient", True, k)
     return PriceResult(best_q, best_val, "subgradient", False, k)

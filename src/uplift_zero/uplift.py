@@ -29,7 +29,7 @@ from .model import (
     UnitSchedule,
     validate_schedule,
 )
-from .pricing import as_price, lattice_table, standard_profit, unit_profit_max
+from .pricing import as_price, lattice_table, profit_maxima, standard_profit
 from .redundant import constraint_cap
 
 COORDINATE_SWEEP_LIMIT = 50
@@ -69,7 +69,9 @@ class UpliftReport:
 
 
 def uplift_report(instance: MarketInstance, p, x_star: Schedule) -> UpliftReport:
-    """Per-unit dispatched profit, best profit, and uplift at price p.
+    """Per-unit dispatched profit, best profit, and uplift at price p.  The
+    best profit is solved once per group of identical units
+    (`pricing.profit_maxima`).
 
     Uplift within opt_tol of zero is clamped to exactly zero.
     """
@@ -77,9 +79,9 @@ def uplift_report(instance: MarketInstance, p, x_star: Schedule) -> UpliftReport
     p = as_price(p, instance.periods)
     tol = instance.tolerances
     entries = []
-    for unit in instance.units:
+    for unit, pm in zip(instance.units, profit_maxima(instance, p)):
         dispatched = standard_profit(unit, p, x_star.unit(unit.id))
-        best = unit_profit_max(unit, p, instance.periods, tol).value
+        best = pm.value
         gap = best - dispatched
         if abs(gap) <= tol.opt_tol:
             gap = 0.0

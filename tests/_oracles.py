@@ -6,7 +6,9 @@ reduction, no merit order), the hull price by a fine scan of the dual, the
 per-unit profit maximum by a dense output grid, and the hull amendment by an
 explicit lower convex envelope.  `reference_dispatch` is the package's
 former dispatch enumerator, kept verbatim so the current one can be held to
-it exactly.
+it exactly.  The `reference_*` pricing, uplift and amendment functions are
+the package's former per-unit loops, kept verbatim: they solve every unit on
+its own, where the package now solves each group of identical units once.
 """
 
 from __future__ import annotations
@@ -17,9 +19,37 @@ import math
 import numpy as np
 
 from uplift_zero import MarketInstance, Schedule, UnitParams, UnitSchedule
+from uplift_zero.amendments import (
+    DUAL_PRICE_OFFSETS,
+    FAMILIES,
+    MarketReport,
+    verify_conditions,
+)
 from uplift_zero.dispatch import PROFILE_LIMIT
-from uplift_zero.errors import EnumerationLimitError, InfeasibleError, ValidationError
-from uplift_zero.model import cost, feasible_status_vectors, status_vector_feasible
+from uplift_zero.errors import (
+    EnumerationLimitError,
+    InfeasibleError,
+    PreconditionError,
+    ValidationError,
+)
+from uplift_zero.model import (
+    Formulation,
+    cost,
+    feasible_status_vectors,
+    status_vector_feasible,
+    validate_schedule,
+)
+from uplift_zero.pricing import (
+    SUBGRADIENT_MAX_ITERS,
+    SUBGRADIENT_PATIENCE,
+    SUBGRADIENT_STEP,
+    PriceResult,
+    as_price,
+    standard_profit,
+    unit_profit_max,
+)
+from uplift_zero.reporting import ConditionCheck
+from uplift_zero.uplift import UnitUplift, UpliftReport
 
 
 def _period_vertex_dispatch(lows, highs, costs, demand, eq_tol):
@@ -210,6 +240,204 @@ def reference_dispatch(instance: MarketInstance):
         for unit in instance.units
     )
     return schedule, total, count
+
+
+# ---------------------------------------------------------------------------
+# the former per-unit loops, one computation per unit
+# ---------------------------------------------------------------------------
+
+def reference_dual_function(instance: MarketInstance, q) -> float:
+    """Lagrangian dual of the dispatch problem at price vector q."""
+    q = as_price(q, instance.periods)
+    revenue = sum(qt * dt for qt, dt in zip(q, instance.demand))
+    return revenue - sum(
+        unit_profit_max(u, q, instance.periods, instance.tolerances).value
+        for u in instance.units
+    )
+
+
+def _reference_hull_price_single_period(instance: MarketInstance) -> PriceResult:
+    candidates = {0.0}
+    for u in instance.units:
+        candidates.add(u.marginal_cost)
+        if u.g_max > 0:
+            candidates.add(u.marginal_cost + u.startup_cost / u.g_max)
+    best_q, best_val = None, None
+    for q in sorted(candidates):
+        val = reference_dual_function(instance, (q,))
+        if best_val is None or val > best_val:
+            best_q, best_val = q, val
+    return PriceResult(
+        price=(best_q,), dual_value=best_val, method="breakpoint-scan", converged=True
+    )
+
+
+def _reference_hull_price_subgradient(instance: MarketInstance) -> PriceResult:
+    tol = instance.tolerances
+    T = instance.periods
+    q = [0.0] * T
+    best_q, best_val = tuple(q), reference_dual_function(instance, q)
+    last_improvement = 0
+    k = 0
+    for k in range(1, SUBGRADIENT_MAX_ITERS + 1):
+        # supergradient of the dual: demand minus the aggregate best response
+        total = [0.0] * T
+        for unit in instance.units:
+            pm = unit_profit_max(unit, q, T, tol)
+            g = pm.argmax_points[0].g
+            for t in range(T):
+                total[t] += g[t]
+        step = SUBGRADIENT_STEP / k
+        q = [max(0.0, qt + step * (dt - gt)) for qt, dt, gt in zip(q, instance.demand, total)]
+        val = reference_dual_function(instance, q)
+        if val > best_val + tol.opt_tol:
+            best_q, best_val, last_improvement = tuple(q), val, k
+        elif val > best_val:
+            best_q, best_val = tuple(q), val
+        if k - last_improvement >= SUBGRADIENT_PATIENCE:
+            return PriceResult(best_q, best_val, "subgradient", True, k)
+    return PriceResult(best_q, best_val, "subgradient", False, k)
+
+
+def reference_convex_hull_price(instance: MarketInstance) -> PriceResult:
+    """Price vector maximizing the Lagrangian dual, every unit solved on its own."""
+    if instance.periods == 1:
+        return _reference_hull_price_single_period(instance)
+    return _reference_hull_price_subgradient(instance)
+
+
+def reference_uplift_report(instance: MarketInstance, p, x_star: Schedule) -> UpliftReport:
+    """Per-unit dispatched profit, best profit, and uplift at price p."""
+    validate_schedule(instance, x_star)
+    p = as_price(p, instance.periods)
+    tol = instance.tolerances
+    entries = []
+    for unit in instance.units:
+        dispatched = standard_profit(unit, p, x_star.unit(unit.id))
+        best = unit_profit_max(unit, p, instance.periods, tol).value
+        gap = best - dispatched
+        if abs(gap) <= tol.opt_tol:
+            gap = 0.0
+        entries.append(
+            UnitUplift(
+                unit_id=unit.id,
+                dispatch_profit=dispatched,
+                max_profit=best,
+                uplift=gap,
+            )
+        )
+    return UpliftReport(entries=tuple(entries))
+
+
+def reference_build_family(
+    family: str,
+    instance: MarketInstance,
+    p,
+    x_star: Schedule,
+    formulation: Formulation = Formulation.STATUS_OUTPUT,
+):
+    """Build one bundle per unit with the named family."""
+    try:
+        builder = FAMILIES[family]
+    except KeyError:
+        raise ValidationError(
+            f"unknown family {family!r}; choose from {sorted(FAMILIES)}"
+        ) from None
+    validate_schedule(instance, x_star)
+    p = as_price(p, instance.periods)
+    if formulation is not Formulation.STATUS_OUTPUT and family in (
+        "status-delta", "status-profile", "linear-unit"
+    ):
+        raise PreconditionError(f"family {family} is defined on status and output")
+    bundles = {}
+    for unit in instance.units:
+        form = formulation
+        # units whose status cannot be read off the output keep status terms
+        if form is Formulation.OUTPUT_ONLY and not unit.output_determines_status():
+            form = Formulation.STATUS_OUTPUT
+        bundles[unit.id] = builder(
+            unit, p, x_star.unit(unit.id), form, instance.tolerances
+        )
+    return bundles
+
+
+def reference_check_zero_total_uplift(instance: MarketInstance, p, bundles, x_star: Schedule):
+    """Market-level outcome checks, with verify_conditions run once per unit."""
+    tol = instance.tolerances
+    p = as_price(p, instance.periods)
+    validate_schedule(instance, x_star)
+    for unit in instance.units:
+        if unit.id not in bundles:
+            raise ValidationError(f"no bundle for unit {unit.id}")
+    report = MarketReport(units={
+        unit.id: verify_conditions(unit, p, bundles[unit.id], x_star.unit(unit.id), tol)
+        for unit in instance.units
+    })
+    tables = [rep.table for rep in report.units.values()]
+
+    def profit_maxima(priced):
+        # per unit: (standard, amended) profit maximum; the amendment is the last column
+        return [
+            (t.profit_max.value, max(profit + row[-1] for profit, row in zip(t.profits, t.values)))
+            for t in priced
+        ]
+
+    at_price = profit_maxima(tables)
+    total_residual = 0.0
+    worst = None
+    for unit, (_, amended_max) in zip(instance.units, at_price):
+        sched_star = x_star.unit(unit.id)
+        residual = amended_max - (
+            standard_profit(unit, p, sched_star)
+            + bundles[unit.id].amendment.evaluate(sched_star, tol.eq_tol)
+        )
+        total_residual += residual
+        if worst is None or residual > worst[1]:
+            worst = (unit.id, residual)
+    report.add(
+        ConditionCheck(
+            "zero-total-uplift",
+            total_residual <= tol.opt_tol * len(instance.units),
+            lhs=total_residual,
+            rhs=0.0,
+            witness={"worst_unit": worst[0], "residual": worst[1]} if worst else None,
+        )
+    )
+
+    for offset in (0.0,) + DUAL_PRICE_OFFSETS:
+        maxima = at_price if offset == 0.0 else profit_maxima(
+            t.at_price(tuple(pt + offset for pt in p)) for t in tables
+        )
+        unamended_total = 0.0
+        amended_total = 0.0
+        for unamended, amended in maxima:
+            unamended_total += unamended
+            amended_total += amended
+        band = tol.opt_tol * len(instance.units)
+        if offset == 0.0:
+            # at the market price the amended and unamended duals coincide
+            report.add(
+                ConditionCheck(
+                    "amended-dual-at-price",
+                    abs(amended_total - unamended_total) <= band,
+                    lhs=amended_total,
+                    rhs=unamended_total,
+                    note="sum of profit maxima with vs without the amendments",
+                )
+            )
+        else:
+            # elsewhere amendments only raise profit maxima, so pricing the
+            # aggregate constraint never improves the dual value
+            report.add(
+                ConditionCheck(
+                    f"amended-dual-not-improved[{offset:+g}]",
+                    amended_total >= unamended_total - band,
+                    lhs=amended_total,
+                    rhs=unamended_total,
+                    note="pricing the aggregate constraint cannot raise the dual",
+                )
+            )
+    return report
 
 
 def unit_profit_max_oracle(unit: UnitParams, p, periods: int, grid: int = 2001) -> float:

@@ -1,0 +1,128 @@
+"""Work shared between identical units gives every unit exactly what it got
+when each unit was solved on its own.
+
+Pricing, uplift, the amendment builders and verification solve each group
+of identical units once and hand the result to every unit of the group.
+The references in `tests/_oracles.py` are the former per-unit loops; on
+seeded instances with repeated unit types (some of them twins that differ
+only in the sign of a zero), min up/down times and initially online units,
+every value must match them in `repr` and every bundle and report in
+`to_json()`.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from _oracles import (
+    reference_build_family,
+    reference_check_zero_total_uplift,
+    reference_convex_hull_price,
+    reference_dual_function,
+    reference_uplift_report,
+)
+from uplift_zero.amendments import FAMILIES, build_family, check_zero_total_uplift
+from uplift_zero.dispatch import solve_centralized
+from uplift_zero.errors import UpliftZeroError
+from uplift_zero.model import Formulation, MarketInstance, UnitParams, feasible_status_vectors
+from uplift_zero.pricing import convex_hull_price, dual_function, marginal_price
+from uplift_zero.uplift import uplift_report
+
+# (seed, periods, unit types, most units per type) of the seeded instances;
+# the two-period seed is one whose dispatch leaves some units of a type on
+# the same schedule, so that builds and checks are shared there too (its
+# lattices have 21^2 outputs per status vector, so there is only one)
+CASES = ((2718, 1, 3, 4), (2719, 1, 2, 4), (2720, 1, 3, 3), (2721, 1, 2, 5),
+         (3014, 2, 2, 3))
+
+
+def _instance(seed: int, periods: int, n_types: int, most: int) -> MarketInstance:
+    rng = random.Random(seed)
+    units = []
+    for k in range(n_types):
+        g_min = rng.choice((0.0, 0.0, 1.0, 2.5))
+        params = dict(
+            g_min=g_min,
+            g_max=g_min + rng.choice((3.0, 6.0, 7.5)),
+            marginal_cost=rng.choice((1.0, 2.0, 3.5, 7.0)),
+            startup_cost=rng.choice((0.0, 10.0, 30.0, 53.0)),
+            initial_status=int(rng.random() < 0.4),
+            min_up=rng.choice((0, 2)) if periods > 1 else 0,
+            min_down=rng.choice((0, 2)) if periods > 1 else 0,
+        )
+        for j in range(rng.randint(2, most)):
+            unit = dict(params)
+            # a twin that == cannot tell from its siblings
+            if j == 1 and unit["g_min"] == 0.0:
+                unit["g_min"] = -0.0
+            elif j == 1 and unit["startup_cost"] == 0.0:
+                unit["startup_cost"] = -0.0
+            units.append(UnitParams(f"T{k}-{j + 1}", **unit))
+    # demand met by a random feasible commitment, so dispatch always succeeds
+    demand = [0.0] * periods
+    for unit in units:
+        u = rng.choice(feasible_status_vectors(unit, periods))
+        for t in range(periods):
+            if u[t]:
+                demand[t] += rng.uniform(unit.g_min, unit.g_max)
+    return MarketInstance(periods, tuple(round(d, 3) for d in demand), tuple(units))
+
+
+def _outcome(fn, *args):
+    """The result, or the exception type and message it raised."""
+    try:
+        return fn(*args)
+    except UpliftZeroError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: f"seed{case[0]}-T{case[1]}")
+def test_shared_results_equal_per_unit_results(case):
+    instance = _instance(*case)
+    x_star = solve_centralized(instance).schedule
+
+    chp = convex_hull_price(instance)
+    assert repr(chp) == repr(reference_convex_hull_price(instance))
+    rng = random.Random(case[0])
+    for q in [chp.price] + [tuple(rng.uniform(-1.0, 9.0) for _ in range(instance.periods))
+                            for _ in range(5)]:
+        assert repr(dual_function(instance, q)) == repr(reference_dual_function(instance, q))
+
+    checked = 0
+    for p in (chp.price, marginal_price(instance, x_star)):
+        assert repr(uplift_report(instance, p, x_star)) == repr(
+            reference_uplift_report(instance, p, x_star))
+        for family in FAMILIES:
+            for formulation in Formulation:
+                bundles = _outcome(build_family, family, instance, p, x_star, formulation)
+                expected = _outcome(reference_build_family, family, instance, p, x_star,
+                                    formulation)
+                assert repr(bundles) == repr(expected)
+                if not isinstance(bundles, dict):
+                    continue
+                assert {uid: b.to_json() for uid, b in bundles.items()} == {
+                    uid: b.to_json() for uid, b in expected.items()}
+
+                verified_sets = [bundles]
+                if formulation is Formulation.STATUS_OUTPUT:
+                    # every second unit's multipliers doubled: identical
+                    # units with different bundles must not share a report
+                    verified_sets.append({
+                        uid: replace(b, multipliers=tuple(2.0 * m for m in b.multipliers))
+                        if k % 2 else b
+                        for k, (uid, b) in enumerate(bundles.items())
+                    })
+                for verified in verified_sets:
+                    report = _outcome(check_zero_total_uplift, instance, p, verified, x_star)
+                    expected = _outcome(reference_check_zero_total_uplift, instance, p,
+                                        verified, x_star)
+                    assert repr(report) == repr(expected)
+                    assert list(report.units) == list(expected.units) == [
+                        u.id for u in instance.units]
+                    assert report.to_json() == expected.to_json()
+                    for uid, rep in report.units.items():
+                        assert rep.to_json() == expected.units[uid].to_json()
+                checked += 1
+    # every instance gets past the builders for several families
+    assert checked >= 4
