@@ -67,6 +67,7 @@ from .pricing import (
     as_price,
     lattice_table,
     profit_given_status,
+    profit_maxima,
     standard_profit,
     unit_profit_max,
 )
@@ -840,8 +841,10 @@ def check_zero_total_uplift(
     first of them (so its table is that unit's).  The
     market checks read the lattice table of each distinct report, at the
     market price and re-priced at every perturbed price, so the residual
-    and the profit maxima are computed once per table; the totals still add
-    them unit by unit in instance order."""
+    and the amended profit maxima are computed once per table; the profit
+    maxima at a perturbed price are solved once per parameter group
+    (`profit_maxima`) and shared by that group's tables.  The totals still
+    add them unit by unit in instance order."""
     tol = instance.tolerances
     p = as_price(p, instance.periods)
     validate_schedule(instance, x_star)
@@ -849,12 +852,12 @@ def check_zero_total_uplift(
         if unit.id not in bundles:
             raise ValidationError(f"no bundle for unit {unit.id}")
     report = MarketReport()
-    firsts: list[tuple[UnitParams, LatticeTable]] = []   # per group: first unit, table
-    group_of: list[int] = []                              # per unit
-    for unit, rep, group in _unit_reports(instance, p, bundles, x_star):
+    firsts: list[tuple[int, LatticeTable]] = []   # per group: first unit's index, table
+    group_of: list[int] = []                      # per unit
+    for i, (unit, rep, group) in enumerate(_unit_reports(instance, p, bundles, x_star)):
         report.units[unit.id] = rep
         if group == len(firsts):
-            firsts.append((unit, rep.table))
+            firsts.append((i, rep.table))
         group_of.append(group)
 
     def table_maxima(priced) -> list[tuple[float, float]]:
@@ -866,7 +869,8 @@ def check_zero_total_uplift(
 
     at_price = table_maxima(t for _, t in firsts)
     residuals = []
-    for (unit, _), (_, amended_max) in zip(firsts, at_price):
+    for (i, _), (_, amended_max) in zip(firsts, at_price):
+        unit = instance.units[i]
         sched_star = x_star.unit(unit.id)
         residuals.append(amended_max - (
             standard_profit(unit, p, sched_star)
@@ -890,9 +894,12 @@ def check_zero_total_uplift(
     )
 
     for offset in (0.0,) + DUAL_PRICE_OFFSETS:
-        maxima = at_price if offset == 0.0 else table_maxima(
-            t.at_price(tuple(pt + offset for pt in p)) for _, t in firsts
-        )
+        if offset == 0.0:
+            maxima = at_price
+        else:
+            q = tuple(pt + offset for pt in p)
+            solved = profit_maxima(instance, q)   # once per parameter group
+            maxima = table_maxima(t.at_price(q, solved[i]) for i, t in firsts)
         unamended_total = 0.0
         amended_total = 0.0
         for group in group_of:

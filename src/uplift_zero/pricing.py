@@ -152,11 +152,13 @@ class LatticeTable:
     gaps: tuple[float, ...] = ()
     profit_max: ProfitMax | None = None
 
-    def at_price(self, q) -> "LatticeTable":
+    def at_price(self, q, profit_max: ProfitMax | None = None) -> "LatticeTable":
         """The same points, costs and rows priced at q, with the unit's
-        profit maximum solved at q."""
+        profit maximum at q: `profit_max` when the caller has solved it (a
+        unit of the same `unit_key` gives the same value), else solved here."""
         q = as_price(q, self.points[0].periods)
-        pm = unit_profit_max(self.unit, q, len(q), self.tol)
+        pm = profit_max if profit_max is not None else unit_profit_max(
+            self.unit, q, len(q), self.tol)
         profits = tuple(_profit(q, s.g, c) for s, c in zip(self.points, self.costs))
         return replace(
             self, profits=profits, gaps=tuple(pi - pm.value for pi in profits), profit_max=pm

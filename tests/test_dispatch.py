@@ -1,6 +1,7 @@
 """Centralized dispatch: goldens, merit order, symmetry, oracles, and exact
 agreement with the former enumerator."""
 
+import gc
 import math
 import random
 
@@ -15,8 +16,9 @@ from uplift_zero import (
     scarf_instance,
     solve_centralized,
 )
+from uplift_zero import dispatch
 from uplift_zero.dispatch import economic_dispatch
-from uplift_zero.model import schedule_cost, validate_schedule
+from uplift_zero.model import ToleranceConfig, schedule_cost, unit_key, validate_schedule
 
 from _oracles import brute_force_dispatch, reference_dispatch
 from conftest import random_instance
@@ -192,6 +194,41 @@ def integer_instance(rng: random.Random, periods: int, max_units: int) -> Market
     return MarketInstance(periods=periods, demand=demand, units=tuple(units))
 
 
+def hetero_instance(rng: random.Random, periods: int, max_units: int) -> MarketInstance:
+    """Instance whose units share no parameters, so every group is one unit.
+    Some units have g_min > 0, negative marginal costs, initial_status = 1
+    or min up/down times of 2.  Each period's demand lies on, or eq_tol / 2
+    either side of, an edge of some commitment's output window, so the
+    window test meets its tolerance.  The tie band is eq_tol times the best
+    cost; with eq_tol = 1e-300 it is below rounding, and decimal costs make
+    the node bound and the dispatched total round differently."""
+    eq_tol = rng.choice((1e-7, 0.01, 0.25, 1e-300))
+    units, keys = [], set()
+    for k in range(rng.randint(1, max_units)):
+        g_min = rng.choice((0.0, 0.0, 0.7, 1.0, 2.0))
+        slow = periods > 1 and rng.random() < 0.5
+        unit = UnitParams(
+            id=f"U{k}",
+            g_min=g_min,
+            g_max=g_min + rng.choice((0.2, 0.6, 1.0, 3.0, 6.0)),
+            marginal_cost=rng.choice((-3.0, -1.0, 0.0, 0.1, 0.3, 0.3, 1.0, 2.0)),
+            startup_cost=rng.choice((0.0, 0.1, 0.3, 2.0, 6.0)),
+            initial_status=rng.choice((0, 0, 1)),
+            min_up=2 if slow else 0,
+            min_down=2 if slow else 0,
+        )
+        if unit_key(unit) not in keys:
+            keys.add(unit_key(unit))
+            units.append(unit)
+    demand = []
+    for _ in range(periods):
+        online = [u for u in units if rng.random() < 0.5]
+        edge = sum(u.g_max if rng.random() < 0.5 else u.g_min for u in online)
+        demand.append(max(0.0, edge + rng.choice((0.0, 0.5, -0.5)) * eq_tol))
+    return MarketInstance(periods=periods, demand=tuple(demand), units=tuple(units),
+                          tolerances=ToleranceConfig(eq_tol=eq_tol))
+
+
 class TestReferenceEquality:
     @pytest.mark.parametrize("periods,max_units", [(1, 12), (2, 8), (3, 5)])
     def test_matches_former_enumerator_exactly(self, periods, max_units):
@@ -231,3 +268,79 @@ class TestReferenceEquality:
     def test_scarf_dispatch_counts(self, scarf10):
         result = scarf10.result
         assert 0 < result.profiles_dispatched <= result.profiles_enumerated
+
+    @pytest.mark.parametrize("periods,max_units", [(1, 10), (2, 6), (3, 4)])
+    def test_heterogeneous_units_match_exactly(self, periods, max_units):
+        # fails if the window test drops eq_tol, if the node bound runs
+        # negative-cost units only to d_t - eq_tol, or if subtrees are
+        # pruned at the limit less the rounding margin
+        rng = random.Random(8000 + periods)
+        dispatched = enumerated = 0
+        for _ in range(100):
+            inst = hetero_instance(rng, periods, max_units)
+            try:
+                expected = reference_dispatch(inst)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    solve_centralized(inst)
+                continue
+            result = solve_centralized(inst)
+            assert (result.schedule, result.total_cost, result.profiles_enumerated) == expected
+            assert repr(result.total_cost) == repr(expected[1])
+            dispatched += result.profiles_dispatched
+            enumerated += result.profiles_enumerated
+        assert dispatched < enumerated / 4  # whole subtrees are pruned
+
+
+def test_thirteen_heterogeneous_units_dispatch_few_profiles():
+    # A single-period instance of 13 units that share no parameters: 8,192
+    # profiles, of which the former search dispatched 2,449 and the
+    # subtree bound dispatches 23.
+    rows = (
+        (3.08, 12.46, 1.03, 3.2), (0.0, 8.45, 2.48, 1.97), (3.13, 9.16, 6.86, 16.56),
+        (2.35, 13.35, 5.9, 22.69), (0.6, 14.01, 1.22, 14.36), (3.69, 14.97, 1.07, 15.56),
+        (0.0, 10.64, 2.32, 38.35), (0.0, 5.77, 2.85, 33.33), (3.33, 13.93, 9.07, 16.47),
+        (3.14, 18.01, 9.09, 22.43), (0.0, 13.93, 2.58, 55.14), (0.0, 10.31, 2.8, 4.63),
+        (0.6, 14.86, 7.71, 37.86),
+    )
+    inst = MarketInstance(periods=1, demand=(60.191,), units=tuple(
+        UnitParams(f"U{k:02d}", *row) for k, row in enumerate(rows, 1)))
+    result = solve_centralized(inst)
+    assert (result.schedule, result.total_cost, result.profiles_enumerated) == (
+        reference_dispatch(inst))
+    assert result.profiles_dispatched <= 30
+
+
+def test_demand_no_commitment_meets_raises_without_dispatching(monkeypatch):
+    # A alone cannot reach d = 5 and B alone cannot go below g_min = 10, so
+    # every node fails the window test before a profile is dispatched.
+    calls = []
+    kernel = dispatch._merit_order_fill
+
+    def counted(instance):
+        fill = kernel(instance)
+
+        def wrapper(*args):
+            calls.append(args)
+            return fill(*args)
+        return wrapper
+
+    monkeypatch.setattr(dispatch, "_merit_order_fill", counted)
+    a = UnitParams(id="a", g_min=0.0, g_max=3.0, marginal_cost=1.0, startup_cost=0.0)
+    b = UnitParams(id="b", g_min=10.0, g_max=12.0, marginal_cost=2.0, startup_cost=0.0)
+    for periods, demand in ((1, (5.0,)), (2, (1.0, 5.0))):
+        inst = MarketInstance(periods=periods, demand=demand, units=(a, b))
+        with pytest.raises(InfeasibleError):
+            solve_centralized(inst)
+    assert calls == []
+
+
+def test_solve_leaves_no_cyclic_garbage():
+    # cycles wait for the collector, and a long run of solves piles them up
+    gc.collect()
+    gc.disable()
+    try:
+        solve_centralized(scarf_instance(40.0))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
