@@ -10,11 +10,12 @@ status matrix is lexicographically largest wins, which puts low-index units
 online first; the merit-order output fill is itself deterministic (ties by
 unit index).
 
-The search is set up once per solve: the feasible status vectors of every
-group, the startup cost of every (unit, status vector) pair and the merit
-order (units by marginal cost, then index).  One kernel, `_merit_order_fill`,
-dispatches a commitment from them; `economic_dispatch` runs the same kernel
-after validating its commitment.
+The search is set up once per solve: the status table of every group (its
+feasible status vectors and their startup counts, `model.status_table`,
+which pricing reads too), the startup cost of every (unit, status vector)
+pair and the merit order (units by marginal cost, then index).  One kernel,
+`_merit_order_fill`, dispatches a commitment from them; `economic_dispatch`
+runs the same kernel after validating its commitment.
 
 The search is a depth-first branch and bound over the groups.  A node at
 depth k has decided the multisets of groups 0 .. k-1; its children take
@@ -83,8 +84,8 @@ from .model import (
     UnitParams,
     UnitSchedule,
     cost,
-    feasible_status_vectors,
-    startup_flags,
+    startup_count,
+    status_table,
     status_vector_feasible,
     unit_key,
 )
@@ -151,7 +152,7 @@ def _merit_order_fill(
 
 
 def _startup_cost(unit: UnitParams, u: Sequence[int]) -> float:
-    return unit.startup_cost * sum(startup_flags(unit, u))
+    return unit.startup_cost * startup_count(unit, u)
 
 
 def economic_dispatch(
@@ -266,12 +267,10 @@ def solve_centralized(instance: MarketInstance) -> DispatchResult:
     PROFILE_LIMIT.
     """
     groups = _group_units(instance)
-    per_group_vectors = [
-        feasible_status_vectors(instance.units[g[0]], instance.periods) for g in groups
-    ]
+    tables = [status_table(instance.units[g[0]], instance.periods) for g in groups]
     count = 1
-    for g, vecs in zip(groups, per_group_vectors):
-        count *= math.comb(len(vecs) + len(g) - 1, len(g))
+    for g, table in zip(groups, tables):
+        count *= math.comb(len(table.vectors) + len(g) - 1, len(g))
     if count > PROFILE_LIMIT:
         raise EnumerationLimitError(
             f"{count} commitment profiles exceed the supported budget of {PROFILE_LIMIT}"
@@ -289,12 +288,12 @@ def solve_centralized(instance: MarketInstance) -> DispatchResult:
     # none) and the highest among those on in t with g_min > 0 (-1 if none)
     options = []
     startup_costs_by_group = []
-    for g, vecs in zip(groups, per_group_vectors):
+    for g, table in zip(groups, tables):
         unit = units[g[0]]
-        by_vector = {u: _startup_cost(unit, u) for u in vecs}
+        by_vector = {u: unit.startup_cost * k for u, k in zip(table.vectors, table.starts)}
         startup_costs_by_group.append(by_vector)
         group_options = []
-        for vectors in itertools.combinations_with_replacement(vecs, len(g)):
+        for vectors in itertools.combinations_with_replacement(table.vectors, len(g)):
             vectors = tuple(sorted(vectors, reverse=True))
             steps = []
             for t in periods:

@@ -257,6 +257,26 @@ def feasible_status_vectors(unit: UnitParams, periods: int) -> tuple[tuple[int, 
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class StatusTable:
+    """The price-free part of a unit's commitment choices over a horizon:
+    its feasible status vectors in lexicographic order and the number of
+    startups of each (`startup_count`).
+
+    It depends on the unit's initial status and min up/down times and on
+    the horizon only.  Dispatch prices its startups once per solve, and
+    pricing prices its margins once per price (`pricing.unit_profit_max`)."""
+
+    vectors: tuple[tuple[int, ...], ...]
+    starts: tuple[int, ...]
+
+
+def status_table(unit: UnitParams, periods: int) -> StatusTable:
+    """Enumerate and check the unit's 2^T status vectors once."""
+    vectors = feasible_status_vectors(unit, periods)
+    return StatusTable(vectors, tuple(startup_count(unit, u) for u in vectors))
+
+
 def validate_unit_schedule(
     unit: UnitParams,
     sched: UnitSchedule,
@@ -297,15 +317,15 @@ def validate_schedule(instance: MarketInstance, schedule: Schedule) -> None:
 # cost
 # ---------------------------------------------------------------------------
 
-def startup_flags(unit: UnitParams, u: Sequence[int]) -> tuple[int, ...]:
-    """Per-period startup indicators u_t (1 - u_{t-1}) with the initial status
-    supplying u_0."""
+def startup_count(unit: UnitParams, u: Sequence[int]) -> int:
+    """Number of startups in a status vector: the sum of u_t (1 - u_{t-1})
+    with the initial status supplying u_0."""
     prev = unit.initial_status
-    flags = []
+    count = 0
     for u_t in u:
-        flags.append(int(u_t == 1 and prev == 0))
+        count += int(u_t == 1 and prev == 0)
         prev = u_t
-    return tuple(flags)
+    return count
 
 
 def cost(
@@ -322,8 +342,7 @@ def unchecked_cost(unit: UnitParams, sched: UnitSchedule) -> float:
     """`cost` without validation, for schedules already known to be
     feasible, such as the points of the verification lattice."""
     energy = sum(unit.marginal_cost * g for g in sched.g)
-    starts = sum(startup_flags(unit, sched.u))
-    return energy + unit.startup_cost * starts
+    return energy + unit.startup_cost * startup_count(unit, sched.u)
 
 
 def schedule_cost(instance: MarketInstance, schedule: Schedule) -> float:

@@ -12,7 +12,21 @@ Two price rules are provided for a solved instance:
 
 Per-unit profit maximization under a fixed price has a closed form: for each
 feasible status vector the optimal output sits at a box corner per period,
-so the maximum is a finite scan over status vectors.
+so the maximum is a finite scan over status vectors.  The vectors and their
+startup counts do not depend on the price.  They form the unit's status
+table (`model.status_table`), which is built once per call, or once per
+price search for each group of identical units (`unit_key`).
+`_status_values` prices a table: two margin terms per period, then one sum
+per vector, less its startup cost.  `unit_profit_max` is the table at one
+price, with its argmax schedules and per-status outputs, and
+`profit_given_status` prices a single vector.
+
+The price search reads values only.  The breakpoint scan evaluates the dual
+at every candidate price from the units' maxima alone, and the subgradient
+reads each unit's maximum and the outputs of its first status vector within
+opt_tol of it.  Neither builds a ProfitMax, a schedule or a dict per unit
+and price.  Every float is computed by the same expression, in the same
+order, as when each unit is solved alone at each price.
 """
 
 from __future__ import annotations
@@ -28,13 +42,14 @@ from .model import (
     Formulation,
     MarketInstance,
     Schedule,
+    StatusTable,
     ToleranceConfig,
     UnitParams,
     UnitSchedule,
     cost,
     feasible_set_samples,
-    feasible_status_vectors,
-    startup_flags,
+    startup_count,
+    status_table,
     status_vector_feasible,
     unchecked_cost,
     unit_key,
@@ -91,30 +106,45 @@ class ProfitMax:
     per_status: Mapping[tuple[int, ...], tuple[float, tuple[float, ...]]]
 
 
-def unit_profit_max(
-    unit: UnitParams,
-    p,
-    periods: int | None = None,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> ProfitMax:
-    """Closed-form profit maximization over all feasible status vectors.
+def _status_values(
+    unit: UnitParams, table: StatusTable, prices: Iterable[tuple[float, ...]]
+) -> list[list[float]]:
+    """Per normalized price, the best profit of each status vector of the
+    table, in table order: the margin of `_best_outputs_for_status` less
+    the startup cost.
 
-    The all-off vector is always feasible, so the value is never negative.
-    argmax_points lists the corner schedules whose profit is within opt_tol
-    of the maximum.
-    """
-    if periods is None:
-        periods = len(p) if not isinstance(p, (int, float)) else 1
-    p = as_price(p, periods)
-    per_status: dict[tuple[int, ...], tuple[float, tuple[float, ...]]] = {}
-    best = None
-    for u in feasible_status_vectors(unit, periods):
-        g = _best_outputs_for_status(unit, p, u)
-        margin = sum((pt - unit.marginal_cost) * gt for pt, gt in zip(p, g))
-        value = margin - unit.startup_cost * sum(startup_flags(unit, u))
-        per_status[u] = (value, g)
-        if best is None or value > best:
-            best = value
+    The startup costs are priced once.  At each price, each period has two
+    margin terms, (p_t - c) * 0.0 offline and (p_t - c) * g_max or g_min
+    online, computed once; a vector's margin is the `sum` of its terms in
+    period order."""
+    mc, g_min, g_max, sc = unit.marginal_cost, unit.g_min, unit.g_max, unit.startup_cost
+    startup_costs = [(u, sc * k) for u, k in zip(table.vectors, table.starts)]
+    pick = tuple.__getitem__
+    out = []
+    for p in prices:
+        # plain loops: a comprehension costs a frame per call here
+        terms = []
+        for pt in p:
+            margin = pt - mc
+            terms.append((margin * 0.0, margin * (g_max if pt >= mc else g_min)))
+        values = []
+        for u, c in startup_costs:
+            values.append(sum(map(pick, terms, u)) - c)
+        out.append(values)
+    return out
+
+
+def _profit_max(
+    unit: UnitParams, table: StatusTable, p: tuple[float, ...], tol: ToleranceConfig
+) -> ProfitMax:
+    # the value is the first largest status value (a later one must be
+    # strictly larger to replace it), as max() returns
+    values = _status_values(unit, table, (p,))[0]
+    best = max(values)
+    per_status = {
+        u: (value, _best_outputs_for_status(unit, p, u))
+        for u, value in zip(table.vectors, values)
+    }
     argmax = tuple(
         UnitSchedule(u, g)
         for u, (value, g) in per_status.items()
@@ -123,12 +153,33 @@ def unit_profit_max(
     return ProfitMax(value=best, argmax_points=argmax, per_status=per_status)
 
 
+def unit_profit_max(
+    unit: UnitParams,
+    p,
+    periods: int | None = None,
+    tol: ToleranceConfig = DEFAULT_TOLERANCES,
+) -> ProfitMax:
+    """Closed-form profit maximization over all feasible status vectors: the
+    unit's status table (`model.status_table`) priced at p.
+
+    The all-off vector is always feasible, so the value is never negative.
+    per_status maps each feasible status vector, in lexicographic order, to
+    its best profit and outputs; argmax_points lists the corner schedules
+    whose profit is within opt_tol of the maximum, in the same order.
+    """
+    if periods is None:
+        periods = len(p) if not isinstance(p, (int, float)) else 1
+    return _profit_max(unit, status_table(unit, periods), as_price(p, periods), tol)
+
+
 def profit_given_status(unit: UnitParams, p, u: Sequence[int]) -> float:
-    """Maximum standard profit achievable with the status vector fixed."""
+    """Maximum standard profit achievable with the status vector fixed: the
+    one vector's entry of `unit_profit_max(...).per_status`, in O(T)."""
     p = as_price(p, len(u))
     if not status_vector_feasible(unit, u):
         raise ValidationError(f"unit {unit.id}: status vector {tuple(u)} is infeasible")
-    return unit_profit_max(unit, p, len(u)).per_status[tuple(u)][0]
+    u = tuple(int(v) for v in u)
+    return _status_values(unit, StatusTable((u,), (startup_count(unit, u),)), (p,))[0][0]
 
 
 @dataclass(frozen=True)
@@ -217,32 +268,39 @@ def lattice_table(
     ).at_price(p)
 
 
-def _profit_maxima_at(instance: MarketInstance) -> Callable[[tuple[float, ...]], list[ProfitMax]]:
-    """Group the instance's identical units (`unit_key`) once; the returned
-    function is `profit_maxima` at a normalized price, so a price search
-    groups the units once for all its prices."""
+def _unit_groups(
+    instance: MarketInstance,
+) -> tuple[list[tuple[UnitParams, StatusTable]], list[int]]:
+    """Group the instance's identical units (`unit_key`) once: per group its
+    first unit and that unit's status table, and per unit in instance order
+    the index of its group.  A price search groups once for all its prices."""
     slots: dict[tuple, int] = {}
-    firsts: list[UnitParams] = []
+    groups: list[tuple[UnitParams, StatusTable]] = []
     group_of = []
     for unit in instance.units:
         key = unit_key(unit)
         if key not in slots:
-            slots[key] = len(firsts)
-            firsts.append(unit)
+            slots[key] = len(groups)
+            groups.append((unit, status_table(unit, instance.periods)))
         group_of.append(slots[key])
-    periods, tol = instance.periods, instance.tolerances
-
-    def at(q: tuple[float, ...]) -> list[ProfitMax]:
-        solved = [unit_profit_max(unit, q, periods, tol) for unit in firsts]
-        return [solved[g] for g in group_of]
-
-    return at
+    return groups, group_of
 
 
-def _dual_value(instance: MarketInstance, q: tuple[float, ...], maxima: list[ProfitMax]) -> float:
+def _max_profits(
+    instance: MarketInstance, prices: Sequence[tuple[float, ...]]
+) -> list[list[float]]:
+    """`max_profits` at each of the normalized prices, with the units
+    grouped once."""
+    groups, group_of = _unit_groups(instance)
+    by_group = [[max(values) for values in _status_values(unit, table, prices)]
+                for unit, table in groups]
+    return [[row[g] for g in group_of] for row in zip(*by_group)]
+
+
+def _dual_value(instance: MarketInstance, q: tuple[float, ...], values: Iterable[float]) -> float:
     # revenue minus the profit maxima, added unit by unit in instance order
     revenue = sum(qt * dt for qt, dt in zip(q, instance.demand))
-    return revenue - sum(pm.value for pm in maxima)
+    return revenue - sum(values)
 
 
 def profit_maxima(instance: MarketInstance, q) -> list[ProfitMax]:
@@ -254,14 +312,24 @@ def profit_maxima(instance: MarketInstance, q) -> list[ProfitMax]:
     share the ProfitMax of one with 0.0 (or 1.0).  Its value is still the
     unit's own, and its outputs differ from the unit's own at most in the
     sign of a zero or an int standing for a float, which sums do not show."""
-    return _profit_maxima_at(instance)(as_price(q, instance.periods))
+    q = as_price(q, instance.periods)
+    tol = instance.tolerances
+    groups, group_of = _unit_groups(instance)
+    solved = [_profit_max(unit, table, q, tol) for unit, table in groups]
+    return [solved[g] for g in group_of]
+
+
+def max_profits(instance: MarketInstance, q) -> list[float]:
+    """The values of `profit_maxima(instance, q)`, without building the
+    argmax schedules and per-status outputs."""
+    return _max_profits(instance, [as_price(q, instance.periods)])[0]
 
 
 def dual_function(instance: MarketInstance, q) -> float:
     """Lagrangian dual of the dispatch problem at price vector q: revenue
-    minus every unit's profit maximum (`profit_maxima`)."""
+    minus every unit's profit maximum (`max_profits`)."""
     q = as_price(q, instance.periods)
-    return _dual_value(instance, q, profit_maxima(instance, q))
+    return _dual_value(instance, q, max_profits(instance, q))
 
 
 @dataclass(frozen=True)
@@ -277,17 +345,18 @@ def _hull_price_single_period(instance: MarketInstance) -> PriceResult:
     # The dual is concave piecewise linear in the scalar price; its kinks lie
     # where some unit's best response changes, i.e. at marginal cost or at
     # the average cost of running flat out from cold.  Ties resolve to the
-    # smallest maximizing price.
+    # smallest maximizing price.  The dual is evaluated at every candidate
+    # from the units' profit maxima alone.
     candidates = {0.0}
     for u in instance.units:
         candidates.add(u.marginal_cost)
         if u.g_max > 0:
             candidates.add(u.marginal_cost + u.startup_cost / u.g_max)
-    maxima_at = _profit_maxima_at(instance)
+    candidates = sorted(candidates)
+    prices = [as_price((q,), 1) for q in candidates]
     best_q, best_val = None, None
-    for q in sorted(candidates):
-        price = as_price((q,), 1)
-        val = _dual_value(instance, price, maxima_at(price))
+    for q, price, maxima in zip(candidates, prices, _max_profits(instance, prices)):
+        val = _dual_value(instance, price, maxima)
         if best_val is None or val > best_val:
             best_q, best_val = q, val
     return PriceResult(
@@ -295,28 +364,51 @@ def _hull_price_single_period(instance: MarketInstance) -> PriceResult:
     )
 
 
+def _best_responses_at(
+    instance: MarketInstance,
+) -> Callable[[tuple[float, ...]], list[tuple[float, tuple[float, ...]]]]:
+    """Per unit in instance order, its profit maximum at a normalized price
+    and the outputs of `unit_profit_max(...).argmax_points[0]`: those of the
+    first status vector within opt_tol of the maximum.  Units are grouped
+    once."""
+    groups, group_of = _unit_groups(instance)
+    opt_tol = instance.tolerances.opt_tol
+
+    def respond(unit: UnitParams, table: StatusTable, q: tuple[float, ...]):
+        values = _status_values(unit, table, (q,))[0]
+        best = max(values)
+        for u, value in zip(table.vectors, values):
+            if value >= best - opt_tol:
+                return best, _best_outputs_for_status(unit, q, u)
+
+    def at(q: tuple[float, ...]) -> list[tuple[float, tuple[float, ...]]]:
+        solved = [respond(unit, table, q) for unit, table in groups]
+        return [solved[g] for g in group_of]
+
+    return at
+
+
 def _hull_price_subgradient(instance: MarketInstance) -> PriceResult:
     tol = instance.tolerances
     T = instance.periods
-    maxima_at = _profit_maxima_at(instance)
+    responses_at = _best_responses_at(instance)
     q = (0.0,) * T
-    maxima = maxima_at(q)
-    best_q, best_val = q, _dual_value(instance, q, maxima)
+    responses = responses_at(q)
+    best_q, best_val = q, _dual_value(instance, q, (value for value, _ in responses))
     last_improvement = 0
     k = 0
     for k in range(1, SUBGRADIENT_MAX_ITERS + 1):
         # supergradient of the dual: demand minus the aggregate best response
-        # at q, read off the profit maxima that gave the dual value at q
+        # at q, read off the responses that gave the dual value at q
         total = [0.0] * T
-        for pm in maxima:
-            g = pm.argmax_points[0].g
+        for _, g in responses:
             for t in range(T):
                 total[t] += g[t]
         step = SUBGRADIENT_STEP / k
         q = as_price([max(0.0, qt + step * (dt - gt))
                       for qt, dt, gt in zip(q, instance.demand, total)], T)
-        maxima = maxima_at(q)
-        val = _dual_value(instance, q, maxima)
+        responses = responses_at(q)
+        val = _dual_value(instance, q, (value for value, _ in responses))
         if val > best_val + tol.opt_tol:
             best_q, best_val, last_improvement = q, val, k
         elif val > best_val:

@@ -29,7 +29,7 @@ from .model import (
     UnitSchedule,
     validate_schedule,
 )
-from .pricing import as_price, lattice_table, profit_maxima, standard_profit
+from .pricing import as_price, lattice_table, max_profits, standard_profit
 from .redundant import constraint_cap
 
 COORDINATE_SWEEP_LIMIT = 50
@@ -71,7 +71,7 @@ class UpliftReport:
 def uplift_report(instance: MarketInstance, p, x_star: Schedule) -> UpliftReport:
     """Per-unit dispatched profit, best profit, and uplift at price p.  The
     best profit is solved once per group of identical units
-    (`pricing.profit_maxima`).
+    (`pricing.max_profits`).
 
     Uplift within opt_tol of zero is clamped to exactly zero.
     """
@@ -79,9 +79,8 @@ def uplift_report(instance: MarketInstance, p, x_star: Schedule) -> UpliftReport
     p = as_price(p, instance.periods)
     tol = instance.tolerances
     entries = []
-    for unit, pm in zip(instance.units, profit_maxima(instance, p)):
+    for unit, best in zip(instance.units, max_profits(instance, p)):
         dispatched = standard_profit(unit, p, x_star.unit(unit.id))
-        best = pm.value
         gap = best - dispatched
         if abs(gap) <= tol.opt_tol:
             gap = 0.0

@@ -9,6 +9,10 @@ former dispatch enumerator, kept verbatim so the current one can be held to
 it exactly.  The `reference_*` pricing, uplift and amendment functions are
 the package's former per-unit loops, kept verbatim: they solve every unit on
 its own, where the package now solves each group of identical units once.
+`reference_unit_profit_max` is the package's former profit maximum, kept
+verbatim: it enumerates and checks every status vector and builds every
+schedule on each call, where the package prices a status table built once
+per unit and price search.  The reference loops solve through it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ from uplift_zero.errors import (
     ValidationError,
 )
 from uplift_zero.model import (
+    DEFAULT_TOLERANCES,
     Formulation,
+    ToleranceConfig,
     cost,
     feasible_status_vectors,
     status_vector_feasible,
@@ -44,9 +50,9 @@ from uplift_zero.pricing import (
     SUBGRADIENT_PATIENCE,
     SUBGRADIENT_STEP,
     PriceResult,
+    ProfitMax,
     as_price,
     standard_profit,
-    unit_profit_max,
 )
 from uplift_zero.reporting import ConditionCheck
 from uplift_zero.uplift import UnitUplift, UpliftReport
@@ -246,12 +252,64 @@ def reference_dispatch(instance: MarketInstance):
 # the former per-unit loops, one computation per unit
 # ---------------------------------------------------------------------------
 
+def _reference_best_outputs_for_status(unit, p, u):
+    """Profit-maximizing outputs for a fixed status vector: g_max whenever the
+    price covers marginal cost (ties go to g_max), else g_min."""
+    return tuple(
+        (unit.g_max if pt >= unit.marginal_cost else unit.g_min) if u_t == 1 else 0.0
+        for pt, u_t in zip(p, u)
+    )
+
+
+def _reference_startup_flags(unit, u):
+    """Per-period startup indicators u_t (1 - u_{t-1}) with the initial status
+    supplying u_0."""
+    prev = unit.initial_status
+    flags = []
+    for u_t in u:
+        flags.append(int(u_t == 1 and prev == 0))
+        prev = u_t
+    return tuple(flags)
+
+
+def reference_unit_profit_max(
+    unit: UnitParams,
+    p,
+    periods: int | None = None,
+    tol: ToleranceConfig = DEFAULT_TOLERANCES,
+) -> ProfitMax:
+    """Closed-form profit maximization over all feasible status vectors.
+
+    The all-off vector is always feasible, so the value is never negative.
+    argmax_points lists the corner schedules whose profit is within opt_tol
+    of the maximum.
+    """
+    if periods is None:
+        periods = len(p) if not isinstance(p, (int, float)) else 1
+    p = as_price(p, periods)
+    per_status: dict[tuple[int, ...], tuple[float, tuple[float, ...]]] = {}
+    best = None
+    for u in feasible_status_vectors(unit, periods):
+        g = _reference_best_outputs_for_status(unit, p, u)
+        margin = sum((pt - unit.marginal_cost) * gt for pt, gt in zip(p, g))
+        value = margin - unit.startup_cost * sum(_reference_startup_flags(unit, u))
+        per_status[u] = (value, g)
+        if best is None or value > best:
+            best = value
+    argmax = tuple(
+        UnitSchedule(u, g)
+        for u, (value, g) in per_status.items()
+        if value >= best - tol.opt_tol
+    )
+    return ProfitMax(value=best, argmax_points=argmax, per_status=per_status)
+
+
 def reference_dual_function(instance: MarketInstance, q) -> float:
     """Lagrangian dual of the dispatch problem at price vector q."""
     q = as_price(q, instance.periods)
     revenue = sum(qt * dt for qt, dt in zip(q, instance.demand))
     return revenue - sum(
-        unit_profit_max(u, q, instance.periods, instance.tolerances).value
+        reference_unit_profit_max(u, q, instance.periods, instance.tolerances).value
         for u in instance.units
     )
 
@@ -283,7 +341,7 @@ def _reference_hull_price_subgradient(instance: MarketInstance) -> PriceResult:
         # supergradient of the dual: demand minus the aggregate best response
         total = [0.0] * T
         for unit in instance.units:
-            pm = unit_profit_max(unit, q, T, tol)
+            pm = reference_unit_profit_max(unit, q, T, tol)
             g = pm.argmax_points[0].g
             for t in range(T):
                 total[t] += g[t]
@@ -314,7 +372,7 @@ def reference_uplift_report(instance: MarketInstance, p, x_star: Schedule) -> Up
     entries = []
     for unit in instance.units:
         dispatched = standard_profit(unit, p, x_star.unit(unit.id))
-        best = unit_profit_max(unit, p, instance.periods, tol).value
+        best = reference_unit_profit_max(unit, p, instance.periods, tol).value
         gap = best - dispatched
         if abs(gap) <= tol.opt_tol:
             gap = 0.0

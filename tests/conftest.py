@@ -91,6 +91,52 @@ def random_instance(rng: random.Random, max_units: int = 5, periods: int = 1,
     return MarketInstance(periods=periods, demand=tuple(demand), units=tuple(units))
 
 
+def unshared_instance(seed: int, periods: int, n_units: int) -> MarketInstance:
+    """Instance shaped like the hetero-uplift workload: units that share no
+    parameters (`unit_key`), so every group of identical units is one unit.
+    Some units have g_min of 0.0 or -0.0, a negative marginal cost, a zero
+    startup cost or initial_status = 1, and at T > 1 some have min up/down
+    times of 2.  Demand is met by a random feasible commitment."""
+    from uplift_zero.model import feasible_status_vectors, unit_key
+
+    rng = random.Random(seed)
+    units, keys = [], set()
+    while len(units) < n_units:
+        g_min = rng.choice((0.0, -0.0, 0.0, 0.5, 1.25, 3.0))
+        slow = periods > 1 and rng.random() < 0.4
+        unit = UnitParams(
+            id=f"U{len(units) + 1:02d}",
+            g_min=g_min,
+            g_max=g_min + round(rng.uniform(2.0, 12.0), 2),
+            marginal_cost=rng.choice((-2.5, 0.0, round(rng.uniform(1.0, 10.0), 2))),
+            startup_cost=rng.choice((0.0, round(rng.uniform(1.0, 60.0), 2))),
+            initial_status=int(rng.random() < 0.3),
+            min_up=2 if slow else 0,
+            min_down=2 if slow else 0,
+        )
+        if unit_key(unit) not in keys:
+            keys.add(unit_key(unit))
+            units.append(unit)
+    demand = [0.0] * periods
+    for unit in units:
+        u = rng.choice(feasible_status_vectors(unit, periods))
+        for t in range(periods):
+            if u[t]:
+                demand[t] += rng.uniform(unit.g_min, unit.g_max)
+    return MarketInstance(periods, tuple(round(d, 3) for d in demand), tuple(units))
+
+
+def rebind(monkeypatch, original, replacement) -> None:
+    """Point every package module's name for `original` at `replacement`."""
+    import sys
+
+    for name, module in list(sys.modules.items()):
+        if name == "uplift_zero" or name.startswith("uplift_zero."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def random_price(rng: random.Random, periods: int = 1, max_param: float = 20.0):
     return tuple(round(rng.uniform(0.0, 1.5 * max_param), 3) for _ in range(periods))
 

@@ -2,7 +2,6 @@
 shared by every "for all feasible x" check and re-priced per query."""
 
 import math
-import sys
 from collections import Counter
 
 import pytest
@@ -14,17 +13,10 @@ from uplift_zero.errors import PreconditionError
 from uplift_zero.expr import Const, Output, Status, Sub, scale
 from uplift_zero.model import UnitParams, UnitSchedule
 
+from conftest import rebind
+
 MT = UnitParams("MT", 2.0, 6.0, 7.0, 0.0)
 HT = UnitParams("HT", 0.0, 7.0, 2.0, 30.0)
-
-
-def _rebind(monkeypatch, original, replacement) -> None:
-    """Point every package module's name for `original` at `replacement`."""
-    for name, module in list(sys.modules.items()):
-        if name == "uplift_zero" or name.startswith("uplift_zero."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, replacement)
 
 
 def test_report_builds_one_lattice_and_one_profit_max_per_table(monkeypatch, capsys):
@@ -46,14 +38,14 @@ def test_report_builds_one_lattice_and_one_profit_max_per_table(monkeypatch, cap
                 stages.pop()
         return wrapper
 
-    _rebind(monkeypatch, model.feasible_set_samples,
-            counted("lattice", model.feasible_set_samples))
-    _rebind(monkeypatch, pricing.unit_profit_max,
-            counted("profit_max", pricing.unit_profit_max))
-    _rebind(monkeypatch, amendments.verify_conditions,
-            staged("verify", amendments.verify_conditions))
-    _rebind(monkeypatch, amendments.check_zero_total_uplift,
-            staged("market", amendments.check_zero_total_uplift))
+    rebind(monkeypatch, model.feasible_set_samples,
+           counted("lattice", model.feasible_set_samples))
+    rebind(monkeypatch, pricing.unit_profit_max,
+           counted("profit_max", pricing.unit_profit_max))
+    rebind(monkeypatch, amendments.verify_conditions,
+           staged("verify", amendments.verify_conditions))
+    rebind(monkeypatch, amendments.check_zero_total_uplift,
+           staged("market", amendments.check_zero_total_uplift))
     assert cli.main(["report", "--scarf", "40", "--family", "convex-hull"]) == 0
     capsys.readouterr()
     # 16 units of 3 types, which dispatch leaves in 6 distinct (type,

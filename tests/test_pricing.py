@@ -2,6 +2,7 @@
 profit maxima, dual function."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,10 +22,16 @@ from uplift_zero import (
     unit_profit_max,
 )
 
-from uplift_zero.pricing import as_price
+from uplift_zero import model, pricing
+from uplift_zero.pricing import as_price, profit_given_status
 
-from _oracles import chp_scan, dual_value_oracle, unit_profit_max_oracle
-from conftest import random_instance, random_price, random_unit
+from _oracles import (
+    chp_scan,
+    dual_value_oracle,
+    reference_convex_hull_price,
+    unit_profit_max_oracle,
+)
+from conftest import random_instance, random_price, random_unit, rebind, unshared_instance
 
 
 class TestStandardProfit:
@@ -75,6 +82,73 @@ class TestProfitMax:
             got = unit_profit_max(u, p, periods).value
             want = unit_profit_max_oracle(u, p, periods)
             assert got == pytest.approx(want, abs=1e-8)
+
+
+class TestProfitGivenStatus:
+    def test_infeasible_vector_rejected(self):
+        u = UnitParams(id="x", g_min=0.0, g_max=7.0, marginal_cost=2.0, startup_cost=30.0,
+                       min_up=2)
+        message = r"unit x: status vector \(0, 1, 0\) is infeasible"
+        with pytest.raises(ValidationError, match=message):
+            profit_given_status(u, (5.0, 5.0, 5.0), [0, 1, 0])
+
+    def test_reads_the_one_vector_of_the_profit_max(self):
+        u = UnitParams(id="x", g_min=1.0, g_max=7.0, marginal_cost=2.0, startup_cost=30.0,
+                       initial_status=1, min_down=2)
+        p = (5.0, 1.5, 2.0)
+        for vector, (value, _) in unit_profit_max(u, p).per_status.items():
+            assert repr(profit_given_status(u, p, vector)) == repr(value)
+        # status entries that compare equal to 0 and 1 read the same entry
+        assert profit_given_status(u, p, (1.0, True, 1)) == profit_given_status(u, p, (1, 1, 1))
+
+
+class TestPriceSearchWork:
+    """The price search prices each unit's status table: it enumerates the
+    status vectors once per unit, and it builds no ProfitMax, schedule or
+    per-status outputs beyond the one best response per unit and price
+    that the subgradient reads."""
+
+    @staticmethod
+    def _counted(monkeypatch, instance):
+        counts: Counter = Counter()
+
+        def counted(kind, fn):
+            def wrapper(*args, **kwargs):
+                counts[kind] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        rebind(monkeypatch, model.feasible_status_vectors,
+               counted("vectors", model.feasible_status_vectors))
+        rebind(monkeypatch, pricing.unit_profit_max, counted("profit_max", pricing.unit_profit_max))
+        rebind(monkeypatch, pricing._best_outputs_for_status,
+               counted("outputs", pricing._best_outputs_for_status))
+        monkeypatch.setattr(UnitSchedule, "__post_init__",
+                            counted("schedule", UnitSchedule.__post_init__))
+        result = convex_hull_price(instance)
+        monkeypatch.undo()
+        return result, counts
+
+    def test_scan_enumerates_each_unit_once_and_builds_no_schedule(self, monkeypatch):
+        # 13 units that share no parameters and 22 candidate prices: solving
+        # every unit at every candidate would enumerate 286 times
+        instance = unshared_instance(901, 1, 13)
+        expected = reference_convex_hull_price(instance)
+        result, counts = self._counted(monkeypatch, instance)
+        assert repr(result) == repr(expected)
+        assert counts["vectors"] == 13
+        assert counts["profit_max"] == counts["schedule"] == counts["outputs"] == 0
+
+    def test_subgradient_enumerates_each_unit_once(self, monkeypatch):
+        instance = unshared_instance(903, 2, 7)
+        expected = reference_convex_hull_price(instance)
+        result, counts = self._counted(monkeypatch, instance)
+        assert repr(result) == repr(expected)
+        assert result.iterations > 200
+        assert counts["vectors"] == 7
+        assert counts["profit_max"] == counts["schedule"] == 0
+        # one best response per unit at q = 0 and at each iterate
+        assert counts["outputs"] == 7 * (result.iterations + 1)
 
 
 class TestHullPriceGoldens:

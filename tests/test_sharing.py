@@ -8,20 +8,32 @@ seeded instances with repeated unit types (some of them twins that differ
 only in the sign of a zero), min up/down times and initially online units,
 every value must match them in `repr` and every bundle and report in
 `to_json()`.
+
+Pricing also reads each unit's status table (`model.status_table`) instead
+of enumerating its status vectors per price, and the price search reads
+values and best responses only.  On instances whose units share nothing,
+where every group is one unit, the prices, duals and uplift reports must
+still match the references, which solve each unit with the former profit
+maximum (`reference_unit_profit_max`) at every price.
 """
 
+import math
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _oracles import (
     reference_build_family,
     reference_check_zero_total_uplift,
     reference_convex_hull_price,
     reference_dual_function,
+    reference_unit_profit_max,
     reference_uplift_report,
 )
+from conftest import unshared_instance
+from uplift_zero import pricing
 from uplift_zero.amendments import FAMILIES, build_family, check_zero_total_uplift
 from uplift_zero.dispatch import solve_centralized
 from uplift_zero.errors import UpliftZeroError
@@ -126,3 +138,70 @@ def test_shared_results_equal_per_unit_results(case):
                 checked += 1
     # every instance gets past the builders for several families
     assert checked >= 4
+
+
+# (seed, periods, units) of instances whose units share no parameters; the
+# two- and three-period ones are priced by the subgradient, which runs 100
+# to 400 iterations on them
+UNSHARED = ((901, 1, 13), (903, 1, 8), (901, 2, 6), (903, 2, 7), (900, 3, 5), (904, 3, 5))
+
+
+def test_unshared_cases_cover_the_edge_parameters():
+    units = [u for case in UNSHARED for u in unshared_instance(*case).units]
+    assert any(u.g_min == 0.0 and math.copysign(1.0, u.g_min) < 0 for u in units)
+    assert any(u.g_min == 0.0 and math.copysign(1.0, u.g_min) > 0 for u in units)
+    assert any(u.marginal_cost < 0 for u in units)
+    assert any(u.startup_cost == 0.0 for u in units)
+    assert any(u.initial_status == 1 for u in units)
+    assert any(u.min_up == u.min_down == 2 for u in units)
+
+
+@pytest.mark.parametrize("case", UNSHARED, ids=lambda case: f"seed{case[0]}-T{case[1]}-n{case[2]}")
+def test_unshared_units_price_as_the_references(case):
+    instance = unshared_instance(*case)
+    x_star = solve_centralized(instance).schedule
+
+    chp = convex_hull_price(instance)
+    assert repr(chp) == repr(reference_convex_hull_price(instance))
+    assert chp.method == ("breakpoint-scan" if instance.periods == 1 else "subgradient")
+    rng = random.Random(case[0])
+    prices = [chp.price, marginal_price(instance, x_star)]
+    for q in prices + [tuple(rng.uniform(-4.0, 12.0) for _ in range(instance.periods))
+                       for _ in range(5)]:
+        assert repr(dual_function(instance, q)) == repr(reference_dual_function(instance, q))
+    for p in prices:
+        assert repr(uplift_report(instance, p, x_star)) == repr(
+            reference_uplift_report(instance, p, x_star))
+
+
+@st.composite
+def _unit_and_price(draw):
+    g_min = draw(st.sampled_from((0.0, -0.0, 0.5, 2.0)))
+    unit = UnitParams(
+        "U", g_min, g_min + draw(st.sampled_from((0.0, 1.0, 6.5))),
+        marginal_cost=draw(st.sampled_from((-2.5, -0.0, 0.0, 3.0, 7.1))),
+        startup_cost=draw(st.sampled_from((0.0, -0.0, 4.0, 53.3))),
+        initial_status=draw(st.sampled_from((0, 1))),
+        min_up=draw(st.integers(0, 3)),
+        min_down=draw(st.integers(0, 3)),
+    )
+    periods = draw(st.integers(1, 4))
+    # prices on the marginal cost hit the tie that sends outputs to g_max
+    price = st.one_of(st.just(unit.marginal_cost), st.floats(-10.0, 20.0, allow_nan=False))
+    return unit, tuple(draw(price) for _ in range(periods))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unit_and_price())
+def test_value_only_kernel_equals_the_reference_profit_max(case):
+    unit, p = case
+    periods = len(p)
+    ref = reference_unit_profit_max(unit, p, periods)
+    instance = MarketInstance(periods, (0.0,) * periods, (unit,))
+    assert repr(pricing.max_profits(instance, p)) == repr([ref.value])
+    ((value, g),) = pricing._best_responses_at(instance)(p)
+    assert repr(value) == repr(ref.value)
+    assert repr(g) == repr(ref.argmax_points[0].g)
+    assert repr(pricing.unit_profit_max(unit, p, periods)) == repr(ref)
+    for u, (by_status, _) in ref.per_status.items():
+        assert repr(pricing.profit_given_status(unit, p, u)) == repr(by_status)
