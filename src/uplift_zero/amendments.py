@@ -64,10 +64,12 @@ from .model import (
 )
 from .pricing import (
     LatticeTable,
+    _max_profits,
+    _profit,
+    _unit_max_profit,
     as_price,
     lattice_table,
     profit_given_status,
-    profit_maxima,
     standard_profit,
     unit_profit_max,
 )
@@ -169,7 +171,7 @@ def _uplift_at(unit: UnitParams, p, x_i_star: UnitSchedule,
     p = as_price(p, x_i_star.periods)
     validate_unit_schedule(unit, x_i_star, x_i_star.periods, tol.eq_tol)
     star = standard_profit(unit, p, x_i_star)
-    best = unit_profit_max(unit, p, x_i_star.periods, tol).value
+    best = _unit_max_profit(unit, p)
     gap = best - star
     if gap < 0.0:
         # the maximum is computed in closed form per status vector, so the
@@ -221,7 +223,7 @@ def build_constant_profit(
 ) -> AmendmentBundle:
     """Pays every point the gap to the profit maximum (flat amended profit)."""
     p = as_price(p, periods)
-    best = unit_profit_max(unit, p, periods, tol).value
+    best = _unit_max_profit(unit, p)
     profit = profit_expr(unit, p, periods, formulation)
     return AmendmentBundle(
         unit_id=unit.id,
@@ -365,7 +367,7 @@ def _box_case_multipliers(
     """Case analysis for the single-period box family: multipliers on
     u*g_min - g <= 0, g - u*g_max <= 0, u - 1 <= 0."""
     star = standard_profit(unit, (p0,), x_i_star)
-    best = unit_profit_max(unit, (p0,), 1, tol).value
+    best = _unit_max_profit(unit, (p0,))
     threshold = unit.marginal_cost + unit.startup_cost / unit.g_max
     span = unit.g_max - unit.g_min
     u_star, g_star = x_i_star.u[0], x_i_star.g[0]
@@ -421,7 +423,7 @@ def _hull_status_output(
     unit: UnitParams, p0: float, x_i_star: UnitSchedule, tol: ToleranceConfig
 ) -> AmendmentBundle:
     star = standard_profit(unit, (p0,), x_i_star)
-    best = unit_profit_max(unit, (p0,), 1, tol).value
+    best = _unit_max_profit(unit, (p0,))
     u_star, g_star = x_i_star.u[0], x_i_star.g[0]
     interior = (
         u_star == 1
@@ -479,7 +481,7 @@ def _hull_output_only(
             "(g_min == 0 with positive startup cost)"
         )
     star = standard_profit(unit, (p0,), x_i_star)
-    best = unit_profit_max(unit, (p0,), 1, tol).value
+    best = _unit_max_profit(unit, (p0,))
     threshold = unit.marginal_cost + unit.startup_cost / unit.g_max
     profit_g = profit_expr(unit, (p0,), 1, Formulation.OUTPUT_ONLY)
     u_star, g_star = x_i_star.u[0], x_i_star.g[0]
@@ -838,13 +840,14 @@ def check_zero_total_uplift(
     Each unit's verify_conditions report is kept in `units`, by unit id in
     instance order; units with the same parameters, dispatched schedule and
     bundle apart from its unit id share one report, verified once for the
-    first of them (so its table is that unit's).  The
-    market checks read the lattice table of each distinct report, at the
-    market price and re-priced at every perturbed price, so the residual
-    and the amended profit maxima are computed once per table; the profit
-    maxima at a perturbed price are solved once per parameter group
-    (`profit_maxima`) and shared by that group's tables.  The totals still
-    add them unit by unit in instance order."""
+    first of them (so its table is that unit's).  The market checks read
+    values only.  At the market price, the residual and both profit maxima
+    come from the lattice table of each distinct report.  At the perturbed
+    prices, the standard maxima come from the units' status tables, once
+    per parameter group and for all prices together (`_max_profits`), and
+    the amended maximum of each distinct table is the best of its stored
+    points' profit plus amendment; no table or ProfitMax is re-priced.
+    The totals still add them unit by unit in instance order."""
     tol = instance.tolerances
     p = as_price(p, instance.periods)
     validate_schedule(instance, x_star)
@@ -860,14 +863,11 @@ def check_zero_total_uplift(
             firsts.append((i, rep.table))
         group_of.append(group)
 
-    def table_maxima(priced) -> list[tuple[float, float]]:
-        # per table: (standard, amended) profit maximum; the amendment is the last column
-        return [
-            (t.profit_max.value, max(profit + row[-1] for profit, row in zip(t.profits, t.values)))
-            for t in priced
-        ]
-
-    at_price = table_maxima(t for _, t in firsts)
+    # per table: (standard, amended) profit maximum; the amendment is the last column
+    at_price = [
+        (t.profit_max.value, max(profit + row[-1] for profit, row in zip(t.profits, t.values)))
+        for _, t in firsts
+    ]
     residuals = []
     for (i, _), (_, amended_max) in zip(firsts, at_price):
         unit = instance.units[i]
@@ -893,13 +893,16 @@ def check_zero_total_uplift(
         )
     )
 
-    for offset in (0.0,) + DUAL_PRICE_OFFSETS:
-        if offset == 0.0:
-            maxima = at_price
-        else:
-            q = tuple(pt + offset for pt in p)
-            solved = profit_maxima(instance, q)   # once per parameter group
-            maxima = table_maxima(t.at_price(q, solved[i]) for i, t in firsts)
+    maxima_at = [at_price]
+    prices = [as_price(tuple(pt + offset for pt in p), instance.periods)
+              for offset in DUAL_PRICE_OFFSETS]
+    for q, standard in zip(prices, _max_profits(instance, prices)):
+        maxima_at.append([
+            (standard[i], max(_profit(q, s.g, c) + row[-1]
+                              for s, c, row in zip(t.points, t.costs, t.values)))
+            for i, t in firsts
+        ])
+    for offset, maxima in zip((0.0,) + DUAL_PRICE_OFFSETS, maxima_at):
         unamended_total = 0.0
         amended_total = 0.0
         for group in group_of:

@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .amendments import (
     FAMILIES,
@@ -105,6 +107,79 @@ def _load(args) -> MarketInstance:
     return load_instance(args.instance)
 
 
+def _write_json(o, out: list[str], nl: str) -> None:
+    """Append the text of o, as json.dumps(o, indent=2, sort_keys=True)
+    writes it, to out; nl is a newline and the indent o starts at."""
+    t = type(o)
+    if t is str:
+        out.append(encode_basestring_ascii(o))
+    elif t is float:
+        out.append(float.__repr__(o) if math.isfinite(o) else _float_text(o))
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif t is dict:
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif t is list or t is tuple:
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for value in o:
+            out.append(sep)
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    # subclasses, in the order json tests them: an str enum writes its value
+    elif isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        _write_json(list(o), out, nl)
+    elif isinstance(o, dict):
+        _write_json(dict(o.items()), out, nl)
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _float_text(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
+def _json_text(obj) -> str:
+    """Exactly json.dumps(obj, indent=2, sort_keys=True), for keys that
+    are strings; any other key raises TypeError.
+
+    An indent makes json fall back to its pure-Python encoder, which is
+    several times slower than this writer and leaves cyclic garbage (its
+    closures refer to each other) on every call."""
+    out: list[str] = []
+    _write_json(obj, out, "\n")
+    return "".join(out)
+
+
 def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}f}"
 
@@ -119,14 +194,13 @@ def cmd_dispatch(args) -> int:
     digits = instance.tolerances.report_digits
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(result.schedule.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_json_text(result.schedule.to_json()) + "\n")
     if args.json:
-        print(json.dumps({
+        print(_json_text({
             "objective": result.total_cost,
             "profiles_enumerated": result.profiles_enumerated,
             "schedule": result.schedule.to_json(),
-        }, indent=2, sort_keys=True))
+        }))
         return 0
     print(f"f* = {_fmt(result.total_cost, digits)}")
     for unit in instance.units:
@@ -149,7 +223,7 @@ def cmd_price(args) -> int:
     if args.method == "chp":
         payload.update(converged=pr.converged, iterations=pr.iterations)
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
         return 0
     print(f"price ({args.method}) = " + ", ".join(_fmt(q, digits) for q in p))
     print(f"dual value = {_fmt(dual, digits)}")
@@ -163,7 +237,7 @@ def cmd_uplift(args) -> int:
     report = uplift_report(instance, p, result.schedule)
     digits = instance.tolerances.report_digits
     if args.json:
-        print(json.dumps({
+        print(_json_text({
             "price": list(p),
             "units": [
                 {"unit_id": e.unit_id, "pi_star": e.dispatch_profit,
@@ -171,7 +245,7 @@ def cmd_uplift(args) -> int:
                 for e in report.entries
             ],
             "total": report.total,
-        }, indent=2, sort_keys=True))
+        }))
         return 0
     if args.csv:
         print(report.to_csv(), end="")
@@ -211,10 +285,9 @@ def cmd_amend(args) -> int:
     }
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_json_text(payload) + "\n")
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     else:
         print(f"family {args.family} ({args.formulation}) at price "
               + ", ".join(_fmt(q, digits) for q in p))
@@ -254,10 +327,10 @@ def cmd_verify(args) -> int:
     market = check_zero_total_uplift(instance, p, bundles, result.schedule)
     reports = market.units
     if args.json:
-        print(json.dumps({
+        print(_json_text({
             "units": {uid: rep.to_json() for uid, rep in reports.items()},
             "market": market.to_json(),
-        }, indent=2, sort_keys=True))
+        }))
     else:
         for uid in sorted(reports):
             rep = reports[uid]
@@ -283,7 +356,7 @@ def cmd_report(args) -> int:
     verified = market.passed and all(rep.passed for rep in reports.values())
 
     if args.json:
-        print(json.dumps({
+        print(_json_text({
             "objective": result.total_cost,
             "price": list(p),
             "dual_value": dual,
@@ -294,7 +367,7 @@ def cmd_report(args) -> int:
             "verified": verified,
             "bundles": bundles_to_json(bundles),
             "schedule": result.schedule.to_json(),
-        }, indent=2, sort_keys=True))
+        }))
         return 0 if verified else 1
 
     # units-online table grouped by parameter type

@@ -415,6 +415,14 @@ def feasible_set_samples(
 # instance I/O
 # ---------------------------------------------------------------------------
 
+def _integer(value) -> int:
+    """An instance field that counts something: an int, or a float with an
+    integral value such as 1.0.  Raises ValueError otherwise."""
+    if isinstance(value, float) and not value.is_integer():   # also NaN and inf
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _expand_unit_type(spec: Mapping) -> list[UnitParams]:
     """One entry of "unit_types": either a counted type ("name", "count")
     expanded to ids name-1..name-count, or a single unit with explicit "id"."""
@@ -424,16 +432,16 @@ def _expand_unit_type(spec: Mapping) -> list[UnitParams]:
             g_max=float(spec["g_max"]),
             marginal_cost=float(spec["marginal_cost"]),
             startup_cost=float(spec["startup_cost"]),
-            initial_status=int(spec.get("initial_status", 0)),
-            min_up=int(spec.get("min_up", 0)),
-            min_down=int(spec.get("min_down", 0)),
+            initial_status=_integer(spec.get("initial_status", 0)),
+            min_up=_integer(spec.get("min_up", 0)),
+            min_down=_integer(spec.get("min_down", 0)),
         )
         if "id" in spec:
             return [UnitParams(id=str(spec["id"]), **base)]
         name = spec["name"]
-        count = int(spec.get("count", 1))
+        count = _integer(spec.get("count", 1))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad unit type entry: {spec!r}") from exc
+        raise ValidationError(f"bad unit type entry: {spec!r} ({exc})") from exc
     if count < 1:
         raise ValidationError(f"unit type {name!r}: count must be >= 1")
     return [UnitParams(id=f"{name}-{k}", **base) for k in range(1, count + 1)]
@@ -443,22 +451,26 @@ def instance_from_dict(obj: Mapping) -> MarketInstance:
     if not isinstance(obj, Mapping):
         raise ValidationError("instance document must be a JSON object")
     try:
-        periods = int(obj["periods"])
+        periods = _integer(obj["periods"])
         demand = [float(d) for d in obj["demand"]]
         type_specs = obj["unit_types"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"instance document missing or malformed field: {exc}") from exc
+    if not isinstance(type_specs, (list, tuple)):
+        raise ValidationError("unit_types must be a list")
     units: list[UnitParams] = []
     for spec in type_specs:
         units.extend(_expand_unit_type(spec))
     tol_obj = obj.get("tolerances", {})
     if not isinstance(tol_obj, Mapping):
         raise ValidationError("tolerances must be an object")
-    tolerances = ToleranceConfig(
-        eq_tol=float(tol_obj.get("eq_tol", DEFAULT_TOLERANCES.eq_tol)),
-        opt_tol=float(tol_obj.get("opt_tol", DEFAULT_TOLERANCES.opt_tol)),
-        report_digits=int(tol_obj.get("report_digits", DEFAULT_TOLERANCES.report_digits)),
-    )
+    try:
+        eq_tol = float(tol_obj.get("eq_tol", DEFAULT_TOLERANCES.eq_tol))
+        opt_tol = float(tol_obj.get("opt_tol", DEFAULT_TOLERANCES.opt_tol))
+        report_digits = _integer(tol_obj.get("report_digits", DEFAULT_TOLERANCES.report_digits))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed tolerances: {exc}") from exc
+    tolerances = ToleranceConfig(eq_tol=eq_tol, opt_tol=opt_tol, report_digits=report_digits)
     return MarketInstance(periods=periods, demand=tuple(demand), units=tuple(units), tolerances=tolerances)
 
 

@@ -25,13 +25,17 @@ The price search reads values only.  The breakpoint scan evaluates the dual
 at every candidate price from the units' maxima alone, and the subgradient
 reads each unit's maximum and the outputs of its first status vector within
 opt_tol of it.  Neither builds a ProfitMax, a schedule or a dict per unit
-and price.  Every float is computed by the same expression, in the same
-order, as when each unit is solved alone at each price.
+and price.  Neither do the amendment builders, which read one unit's
+maximum (`_unit_max_profit`), nor the market check at its perturbed
+prices, which reads every unit's maxima at all of them from one
+`_max_profits` call.  Every float is computed by the same expression, in
+the same order, as when each unit is solved alone at each price.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -76,8 +80,9 @@ def as_price(p, periods: int) -> tuple[float, ...]:
 
 
 def _profit(p: Sequence[float], g: Sequence[float], c: float) -> float:
-    # the one per-point profit formula: revenue at p minus the cost c
-    return sum(pt * gt for pt, gt in zip(p, g)) - c
+    # the one per-point profit formula: revenue at p minus the cost c; the
+    # sum starts at int 0 and adds p_t * g_t in period order
+    return sum(map(operator.mul, p, g)) - c
 
 
 def standard_profit(unit: UnitParams, p: Sequence[float], sched: UnitSchedule) -> float:
@@ -153,6 +158,12 @@ def _profit_max(
     return ProfitMax(value=best, argmax_points=argmax, per_status=per_status)
 
 
+def _unit_max_profit(unit: UnitParams, p: tuple[float, ...]) -> float:
+    """`unit_profit_max(unit, p).value` at a normalized price, from the
+    status values alone."""
+    return max(_status_values(unit, status_table(unit, len(p)), (p,))[0])
+
+
 def unit_profit_max(
     unit: UnitParams,
     p,
@@ -203,13 +214,11 @@ class LatticeTable:
     gaps: tuple[float, ...] = ()
     profit_max: ProfitMax | None = None
 
-    def at_price(self, q, profit_max: ProfitMax | None = None) -> "LatticeTable":
+    def at_price(self, q) -> "LatticeTable":
         """The same points, costs and rows priced at q, with the unit's
-        profit maximum at q: `profit_max` when the caller has solved it (a
-        unit of the same `unit_key` gives the same value), else solved here."""
+        profit maximum at q."""
         q = as_price(q, self.points[0].periods)
-        pm = profit_max if profit_max is not None else unit_profit_max(
-            self.unit, q, len(q), self.tol)
+        pm = unit_profit_max(self.unit, q, len(q), self.tol)
         profits = tuple(_profit(q, s.g, c) for s, c in zip(self.points, self.costs))
         return replace(
             self, profits=profits, gaps=tuple(pi - pm.value for pi in profits), profit_max=pm
@@ -303,25 +312,14 @@ def _dual_value(instance: MarketInstance, q: tuple[float, ...], values: Iterable
     return revenue - sum(values)
 
 
-def profit_maxima(instance: MarketInstance, q) -> list[ProfitMax]:
-    """Every unit's profit maximum at q, in instance order, solved once per
-    group of identical units (`unit_key`) for the group's first unit; the
-    units of a group share that ProfitMax.
-
-    The key compares with ==, so a unit with a parameter of -0.0 (or 1) can
-    share the ProfitMax of one with 0.0 (or 1.0).  Its value is still the
-    unit's own, and its outputs differ from the unit's own at most in the
-    sign of a zero or an int standing for a float, which sums do not show."""
-    q = as_price(q, instance.periods)
-    tol = instance.tolerances
-    groups, group_of = _unit_groups(instance)
-    solved = [_profit_max(unit, table, q, tol) for unit, table in groups]
-    return [solved[g] for g in group_of]
-
-
 def max_profits(instance: MarketInstance, q) -> list[float]:
-    """The values of `profit_maxima(instance, q)`, without building the
-    argmax schedules and per-status outputs."""
+    """Every unit's profit maximum at q, in instance order: the value of
+    `unit_profit_max`, solved once per group of identical units
+    (`unit_key`) for the group's first unit, without building the argmax
+    schedules and per-status outputs.
+
+    The key compares with ==, so a unit with a parameter of -0.0 (or 1)
+    can share the maximum of one with 0.0 (or 1.0)."""
     return _max_profits(instance, [as_price(q, instance.periods)])[0]
 
 

@@ -1,11 +1,16 @@
 """Command-line interface: output goldens, JSON modes, file round trips,
 and exit codes."""
 
+import gc
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from uplift_zero import cli
 from uplift_zero.cli import main
+from uplift_zero.model import Formulation
 
 
 def run(capsys, *argv):
@@ -285,6 +290,56 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    _INSTANCE = (
+        '{"periods": %(periods)s, "demand": [5.0], "unit_types": [{"name": "a", '
+        '"count": %(count)s, "g_min": 0.0, "g_max": 10.0, "marginal_cost": 1.0, '
+        '"startup_cost": 3.0, "min_up": %(min_up)s, "min_down": %(min_down)s, '
+        '"initial_status": %(initial_status)s}], '
+        '"tolerances": {"eq_tol": %(eq_tol)s, "report_digits": %(report_digits)s}}'
+    )
+    _FIELDS = {
+        "periods": "1", "count": "2", "min_up": "0", "min_down": "0",
+        "initial_status": "0", "eq_tol": "1e-7", "report_digits": "4",
+    }
+
+    @pytest.mark.parametrize(
+        "field,value",
+        (
+            # 1e400 reads as infinity
+            ("periods", "1e400"), ("min_up", "1e400"), ("report_digits", "1e400"),
+            ("eq_tol", '"x"'), ("report_digits", '"x"'),
+            # a count must not be truncated: 1.5 used to make one unit
+            ("count", "1.5"), ("periods", "1.5"), ("min_up", "1.5"),
+            ("min_down", "0.5"), ("initial_status", "0.5"), ("report_digits", "2.5"),
+            ("eq_tol", "null"),
+        ),
+    )
+    def test_malformed_integer_or_tolerance_is_two(self, capsys, tmp_path, field, value):
+        path = tmp_path / "malformed.json"
+        path.write_text(self._INSTANCE % {**self._FIELDS, field: value})
+        code, out, err = run(capsys, "report", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unit_types_not_a_list_is_two(self, capsys, tmp_path):
+        path = tmp_path / "malformed.json"
+        path.write_text('{"periods": 1, "demand": [5.0], "unit_types": 5}')
+        code, out, err = run(capsys, "report", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: unit_types must be a list\n"
+
+    def test_integral_floats_are_integers(self, capsys, tmp_path):
+        outputs = []
+        for fields in (self._FIELDS, {**self._FIELDS, "periods": "1.0", "count": "2.0",
+                                      "min_up": "0.0", "report_digits": "4.0"}):
+            path = tmp_path / "instance.json"
+            path.write_text(self._INSTANCE % fields)
+            outputs.append(run(capsys, "report", str(path)))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+
     def _bundle_file(self, capsys, tmp_path, edit):
         path = tmp_path / "bundles.json"
         code, _, _ = run(capsys, "amend", "--scarf", "10", "--out", str(path))
@@ -353,3 +408,48 @@ class TestExitCodes:
         path = self._bundle_file(capsys, tmp_path, edit)
         code, out, err = run(capsys, "verify", "--scarf", "10", "--amendments", str(path))
         self._assert_one_error_line(code, out, err)
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from((-0.0, 5e-324, 1e16, 1e300, math.nan, math.inf, -math.inf)),
+)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FLOATS, st.text(), st.sampled_from(Formulation),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    """--json output is json.dumps(obj, indent=2, sort_keys=True), written
+    by the CLI's own writer."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_TREES)
+    def test_equals_json_dumps(self, tree):
+        assert cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("bad", (object(), [1, {1, 2}], {1: 2}))
+    def test_unserializable_is_type_error(self, bad):
+        with pytest.raises(TypeError):
+            cli._json_text(bad)
+
+
+def test_report_json_leaves_no_cyclic_garbage(capsys):
+    # cycles wait for the collector, and a long run of reports piles them up
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["report", "--scarf", "40", "--family", "general-form", "--json"]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()

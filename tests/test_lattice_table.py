@@ -42,6 +42,8 @@ def test_report_builds_one_lattice_and_one_profit_max_per_table(monkeypatch, cap
            counted("lattice", model.feasible_set_samples))
     rebind(monkeypatch, pricing.unit_profit_max,
            counted("profit_max", pricing.unit_profit_max))
+    monkeypatch.setattr(pricing.LatticeTable, "at_price",
+                        counted("at_price", pricing.LatticeTable.at_price))
     rebind(monkeypatch, amendments.verify_conditions,
            staged("verify", amendments.verify_conditions))
     rebind(monkeypatch, amendments.check_zero_total_uplift,
@@ -51,14 +53,18 @@ def test_report_builds_one_lattice_and_one_profit_max_per_table(monkeypatch, cap
     # 16 units of 3 types, which dispatch leaves in 6 distinct (type,
     # schedule) pairs with 6 distinct bundles; verify_conditions builds one
     # table per pair at the market price, and the market check builds none
-    # of its own: it reads those tables at the market price and re-prices
-    # each at the five perturbed prices, solving the profit maximum once
-    # per type and price
+    # of its own: it reads those tables at the market price, and at the
+    # five perturbed prices it reads values only, from the status tables
+    # and each table's stored costs and rows, re-pricing no table
     assert counts[(None, "lattice")] == 0
+    # pricing, uplift and the builders read profit maxima as values only
+    assert counts[(None, "profit_max")] == 0
     assert counts[("verify", "lattice")] == 6
     assert counts[("verify", "profit_max")] == 6
+    assert counts[("verify", "at_price")] == 6
     assert counts[("market", "lattice")] == 0
-    assert counts[("market", "profit_max")] <= 15
+    assert counts[("market", "profit_max")] == 0
+    assert counts[("market", "at_price")] == 0
 
 
 def test_rows_hold_each_expression_once_per_point():
