@@ -58,6 +58,7 @@ from .model import (
     UnitParams,
     UnitSchedule,
     exact_key,
+    unchecked_cost,
     unit_key,
     validate_schedule,
     validate_unit_schedule,
@@ -166,11 +167,17 @@ def profit_expr(unit: UnitParams, p, periods: int = 1,
     return add(*terms)
 
 
+def _dispatch_profit(unit: UnitParams, p: tuple[float, ...], x_i_star: UnitSchedule,
+                     tol: ToleranceConfig) -> float:
+    # validate the dispatched schedule once, at tol, and price it as is
+    validate_unit_schedule(unit, x_i_star, x_i_star.periods, tol.eq_tol)
+    return _profit(p, x_i_star.g, unchecked_cost(unit, x_i_star))
+
+
 def _uplift_at(unit: UnitParams, p, x_i_star: UnitSchedule,
                tol: ToleranceConfig) -> tuple[float, float, float]:
     p = as_price(p, x_i_star.periods)
-    validate_unit_schedule(unit, x_i_star, x_i_star.periods, tol.eq_tol)
-    star = standard_profit(unit, p, x_i_star)
+    star = _dispatch_profit(unit, p, x_i_star, tol)
     best = _unit_max_profit(unit, p)
     gap = best - star
     if gap < 0.0:
@@ -366,7 +373,7 @@ def _box_case_multipliers(
 ) -> tuple[float, float, float, str]:
     """Case analysis for the single-period box family: multipliers on
     u*g_min - g <= 0, g - u*g_max <= 0, u - 1 <= 0."""
-    star = standard_profit(unit, (p0,), x_i_star)
+    star = _dispatch_profit(unit, (p0,), x_i_star, tol)
     best = _unit_max_profit(unit, (p0,))
     threshold = unit.marginal_cost + unit.startup_cost / unit.g_max
     span = unit.g_max - unit.g_min
@@ -422,8 +429,6 @@ def build_linear_unit(
 def _hull_status_output(
     unit: UnitParams, p0: float, x_i_star: UnitSchedule, tol: ToleranceConfig
 ) -> AmendmentBundle:
-    star = standard_profit(unit, (p0,), x_i_star)
-    best = _unit_max_profit(unit, (p0,))
     u_star, g_star = x_i_star.u[0], x_i_star.g[0]
     interior = (
         u_star == 1
@@ -431,19 +436,10 @@ def _hull_status_output(
     )
     if not interior:
         # outside the interior case the hull amendment coincides with the
-        # dominant box constraint
-        mu1, mu2, mu3, _ = _box_case_multipliers(unit, p0, x_i_star, tol)
-        if mu3 > 0:
-            rho = Sub(Status(0), Const(1.0))
-            mu = mu3
-        elif mu2 > 0:
-            rho = Sub(Output(0), scale(unit.g_max, Status(0)))
-            mu = mu2
-        elif mu1 > 0:
-            rho = Sub(scale(unit.g_min, Status(0)), Output(0))
-            mu = mu1
-        else:
-            rho, mu = ZERO, 0.0
+        # dominant box constraint: the first positive of mu3, mu2, mu1
+        mus = _box_case_multipliers(unit, p0, x_i_star, tol)
+        l = next((k for k in (2, 1, 0) if mus[k] > 0), None)
+        rho, mu = (ZERO, 0.0) if l is None else (_BOX_CONSTRAINTS[l](unit), mus[l])
         return AmendmentBundle(
             unit_id=unit.id,
             family="convex-hull",
@@ -452,7 +448,8 @@ def _hull_status_output(
             constraints=(rho,),
             multipliers=(mu,),
         )
-    gap = best - star
+    star = _dispatch_profit(unit, (p0,), x_i_star, tol)
+    gap = _unit_max_profit(unit, (p0,)) - star
     up = scale(
         1.0 / (g_star - unit.g_min),
         Sub(Output(0), scale(unit.g_min, Status(0))),
@@ -480,7 +477,7 @@ def _hull_output_only(
             f"unit {unit.id}: output-only amendment is ambiguous "
             "(g_min == 0 with positive startup cost)"
         )
-    star = standard_profit(unit, (p0,), x_i_star)
+    star = _dispatch_profit(unit, (p0,), x_i_star, tol)
     best = _unit_max_profit(unit, (p0,))
     threshold = unit.marginal_cost + unit.startup_cost / unit.g_max
     profit_g = profit_expr(unit, (p0,), 1, Formulation.OUTPUT_ONLY)
@@ -659,7 +656,7 @@ def verify_conditions(
     )
     pm = table.profit_max
     best = pm.value
-    star = standard_profit(unit, p, x_i_star)
+    star = _profit(p, x_i_star.g, unchecked_cost(unit, x_i_star))
     gap = best - star
     scale_tol = tol.opt_tol * max(1.0, abs(best), abs(star))
 
@@ -873,7 +870,7 @@ def check_zero_total_uplift(
         unit = instance.units[i]
         sched_star = x_star.unit(unit.id)
         residuals.append(amended_max - (
-            standard_profit(unit, p, sched_star)
+            _profit(p, sched_star.g, unchecked_cost(unit, sched_star))
             + bundles[unit.id].amendment.evaluate(sched_star, tol.eq_tol)
         ))
     total_residual = 0.0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
-from .model import DEFAULT_TOLERANCES, Formulation, UnitSchedule
+from .model import DEFAULT_TOLERANCES, Formulation, UnitSchedule, _integer
 
 
 class Expr:
@@ -252,10 +252,17 @@ def status_delta_of(u: Sequence[int]) -> Delta:
 # ---------------------------------------------------------------------------
 
 def _period(obj: Mapping) -> int:
-    t = int(obj.get("t", 0))
+    t = _integer(obj.get("t", 0))
     if t < 0:
         raise ValidationError(f"expression period must be non-negative: {obj!r}")
     return t
+
+
+def _status(value) -> int:
+    u = _integer(value)
+    if u not in (0, 1):
+        raise ValueError(f"expected a status of 0 or 1, got {value!r}")
+    return u
 
 
 def _finite(values: Iterable, obj: Mapping) -> tuple[float, ...]:
@@ -267,7 +274,8 @@ def _finite(values: Iterable, obj: Mapping) -> tuple[float, ...]:
 
 def expr_from_dict(obj: Mapping) -> Expr:
     """Read an expression tree from its JSON form; periods must be
-    non-negative and constants and references finite."""
+    non-negative integers, status references 0 or 1, and constants and
+    references finite."""
     if not isinstance(obj, Mapping) or "op" not in obj:
         raise ValidationError(f"bad expression node: {obj!r}")
     op = obj["op"]
@@ -288,7 +296,7 @@ def expr_from_dict(obj: Mapping) -> Expr:
         if op == "delta":
             ref = obj["ref"]
             return Delta(
-                u_ref=tuple(ref["u"]) if "u" in ref else None,
+                u_ref=tuple(map(_status, ref["u"])) if "u" in ref else None,
                 g_ref=_finite(ref["g"], obj) if "g" in ref else None,
             )
         if op == "theta":

@@ -416,9 +416,10 @@ def feasible_set_samples(
 # ---------------------------------------------------------------------------
 
 def _integer(value) -> int:
-    """An instance field that counts something: an int, or a float with an
-    integral value such as 1.0.  Raises ValueError otherwise."""
-    if isinstance(value, float) and not value.is_integer():   # also NaN and inf
+    """A field that counts or indexes something: an int, or a float with an
+    integral value such as 1.0.  Raises ValueError otherwise, for a JSON
+    boolean too."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():  # NaN, inf too
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 

@@ -1,20 +1,28 @@
-"""Analysis of redundant constraints and their multiplier sets.
+"""Redundant constraints and the multiplier sets that price them.
 
 A constraint rho(p, x) <= 0 that holds on the unit's whole feasible set can
 be priced into revenue with any multiplier mu >= 0 without cutting feasible
-points.  The set of multipliers that leave the unit's profit maximum
-unchanged is an interval per constraint; this module classifies constraints,
-computes the interval caps, and provides the structural checks used by the
-verification suite: duality of the multiplier search, the box geometry of
-the multi-constraint membership set, a necessary condition for zero residual
-uplift, and the support-based optimality test for multiplier vectors, plus a
-repair transform that restores exact uplift absorption at the dispatch
-point.
+points.  The multipliers that leave the unit's profit maximum unchanged
+form the set M+; per constraint it is an interval [0, cap].  This module
+classifies constraints and computes their caps, tests membership in M+,
+measures the uplift left after amending revenue by -mu' rho, searches M+
+for the multipliers that leave the least, and provides the structural
+checks used by the verification suite: duality of that search, the box
+geometry of M+, a necessary condition for zero residual uplift, the
+support-based optimality test for multiplier vectors, and a repair
+transform that restores exact uplift absorption at the dispatch point.
 
-All quantifiers run over the unit's lattice table (`pricing.lattice_table`):
-the verification lattice with standard profit, the gap to the profit
-maximum and every constraint evaluated once per point.  The checks are
-therefore sampled, not exact, between lattice points.
+Every analysis reads one table, built the same way: the unit's lattice
+table (`pricing.lattice_table`) over the constraints, anchored at the
+dispatched point x* when there is one, and rejected unless every
+constraint is non-positive on it (`_table`).  The terms at x* come from
+`_at_dispatch`, the multiplier vector is checked by `_check_multipliers`,
+and every single-axis cap, conditional or not, comes from one loop
+(`_cap_scan`).  All quantifiers therefore run over the sampled lattice,
+not the whole feasible set, and every check here is sampled between
+lattice points.  Two are approximate on top of that: `min_uplift`'s
+coordinate sweep may stop short of the optimum (it says so in `stalled`),
+and `strong_duality_scan` minimizes over a multiplier grid.
 """
 
 from __future__ import annotations
@@ -31,11 +39,68 @@ from .model import (
     ToleranceConfig,
     UnitParams,
     UnitSchedule,
+    unchecked_cost,
 )
-from .pricing import LatticeTable, as_price, lattice_table, standard_profit
+from .pricing import LatticeTable, _profit, as_price, lattice_table
 from .reporting import ConditionCheck, VerificationReport
 
 SCAN_POINTS_PER_AXIS = 11
+COORDINATE_SWEEP_LIMIT = 50
+
+
+def _table(unit: UnitParams, p, constraints: Sequence[Expr], formulation: Formulation,
+           tol: ToleranceConfig, periods: Optional[int] = None,
+           x_i_star: Optional[UnitSchedule] = None) -> LatticeTable:
+    """The unit's lattice table over the constraints, anchored at x_i_star
+    (which it validates at tol) when one is given; PreconditionError unless
+    every constraint is redundant on it."""
+    anchors = () if x_i_star is None else (x_i_star,)
+    table = lattice_table(unit, p, constraints, formulation, anchors, periods, tol)
+    table.require_redundant()
+    return table
+
+
+def _at_dispatch(table: LatticeTable, p, constraints: Sequence[Expr],
+                 x_i_star: UnitSchedule) -> tuple[float, list[float]]:
+    """pi(x_star) and rho(x_star).  The table was anchored at x_star, so the
+    schedule is already validated and is priced without a second check."""
+    star = _profit(as_price(p, x_i_star.periods), x_i_star.g, unchecked_cost(table.unit, x_i_star))
+    return star, [rho.evaluate(x_i_star, table.tol.eq_tol) for rho in constraints]
+
+
+def _check_multipliers(multipliers: Sequence[float], constraints: Sequence[Expr],
+                       negative_ok: bool = False, what: str = "vector") -> bool:
+    """Whether no multiplier is negative.  Raises ValidationError unless
+    there is one per constraint, and on a negative one unless negative_ok."""
+    if len(multipliers) != len(constraints):
+        raise ValidationError(f"multiplier {what} length must match constraint count")
+    nonnegative = not any(m < 0 for m in multipliers)
+    if not (nonnegative or negative_ok):
+        raise ValidationError("multipliers must be non-negative")
+    return nonnegative
+
+
+def _cap_scan(gaps: Sequence[float], slacks: Sequence[float], tol: ToleranceConfig,
+              rests: Optional[Sequence[float]] = None) -> tuple:
+    """The single-axis cap loop.  The support is the points k with
+    slacks[k] < -eq_tol; the cap is the least (gaps[k] - rests[k]) /
+    slacks[k] over it, where rests[k] is the other multipliers' term at the
+    point (0 when rests is None).  Returns the cap (None on an empty
+    support), the support points within opt_tol of the running minimum,
+    and the first point on and the first point off the support."""
+    cap, near, first_on, first_off = None, [], None, None
+    for k, (gap, slack, rest) in enumerate(zip(gaps, slacks, rests or itertools.repeat(0.0))):
+        if not slack < -tol.eq_tol:
+            first_off = k if first_off is None else first_off
+            continue
+        first_on = k if first_on is None else first_on
+        ratio = (gap - rest) / slack
+        if cap is None or ratio < cap - tol.opt_tol:
+            cap, near = ratio, [k]
+        elif ratio <= cap + tol.opt_tol:
+            cap = min(cap, ratio)
+            near.append(k)
+    return cap, near, first_on, first_off
 
 
 def constraint_cap(
@@ -49,13 +114,7 @@ def constraint_cap(
     the cap is the minimum of gap/slack over the support, None when the
     support is empty (multiplier unbounded).
     """
-    best = None
-    for gap, slack in zip(gaps, slacks):
-        if slack < -tol.eq_tol:
-            ratio = gap / slack
-            if best is None or ratio < best:
-                best = ratio
-    return best
+    return _cap_scan(gaps, slacks, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -69,19 +128,12 @@ class ConstraintClass:
 
 
 def _classify(table: LatticeTable, l: int, tol: ToleranceConfig) -> ConstraintClass:
-    support_witness = None
-    zero_witness = None
-    for point, slack in zip(table.points, table.values):
-        if slack[l] < -tol.eq_tol:
-            if support_witness is None:
-                support_witness = point.to_json()
-        elif zero_witness is None:
-            zero_witness = point.to_json()
-    if support_witness is None:
+    cap, _, on, off = _cap_scan(table.gaps, [s[l] for s in table.values], tol)
+    zero_witness = None if off is None else table.points[off].to_json()
+    if on is None:
         return ConstraintClass("identically_zero", None, None, zero_witness)
-    kind = "strictly_negative" if zero_witness is None else "mixed"
-    cap = constraint_cap(table.gaps, [s[l] for s in table.values], tol)
-    return ConstraintClass(kind, cap, support_witness, zero_witness)
+    kind = "strictly_negative" if off is None else "mixed"
+    return ConstraintClass(kind, cap, table.points[on].to_json(), zero_witness)
 
 
 def classify_constraint(
@@ -97,9 +149,7 @@ def classify_constraint(
     identically_zero: any multiplier keeps the profit maximum (interval
     unbounded).  strictly_negative: only 0 does.  mixed: interval [0, upper].
     """
-    table = lattice_table(unit, p, (rho,), formulation, periods=periods, tol=tol)
-    table.require_redundant()
-    return _classify(table, 0, tol)
+    return _classify(_table(unit, p, (rho,), formulation, tol, periods), 0, tol)
 
 
 def mu_max(
@@ -140,8 +190,7 @@ def strong_duality_scan(
     """Numeric check that pricing redundant constraints cannot lower the
     unit's profit maximum: over a multiplier grid covering twice each axis
     cap, the minimum of max_x [pi - mu' rho] equals pi_max, attained at 0."""
-    table = lattice_table(unit, p, constraints, formulation, periods=periods, tol=tol)
-    table.require_redundant()
+    table = _table(unit, p, constraints, formulation, tol, periods)
     caps = _axis_caps(table, tol)
     probe = _unbounded_probe(table)
     axes = []
@@ -196,16 +245,14 @@ def box_structure(
     disjoint the membership set is exactly the product box, so every box
     corner must be a member.
     """
-    table = lattice_table(unit, p, constraints, formulation, periods=periods, tol=tol)
-    table.require_redundant()
+    table = _table(unit, p, constraints, formulation, tol, periods)
     caps = _axis_caps(table, tol)
     report = VerificationReport()
     contained = True
     witness = None
     for mu in mu_samples:
-        if len(mu) != len(constraints):
-            raise ValidationError("multiplier sample length must match constraint count")
-        if any(m < 0 for m in mu) or not table.is_member(mu, tol.opt_tol):
+        nonnegative = _check_multipliers(mu, constraints, True, "sample")
+        if not nonnegative or not table.is_member(mu, tol.opt_tol):
             continue
         for l, cap in enumerate(caps):
             if cap is not None and mu[l] > cap + tol.opt_tol:
@@ -268,14 +315,10 @@ def zero_uplift_necessary(
     """Necessary condition for some member to absorb all uplift: the box
     corner of bounded axis caps must reach pi_star - pi_max at the dispatch
     point.  Failure proves the residual uplift is positive."""
-    table = lattice_table(
-        unit, p, constraints, formulation, (x_i_star,), x_i_star.periods, tol
-    )
-    table.require_redundant()
+    table = _table(unit, p, constraints, formulation, tol, x_i_star=x_i_star)
     caps = _axis_caps(table, tol)
-    p_vec = as_price(p, x_i_star.periods)
-    star_gap = standard_profit(unit, p_vec, x_i_star) - table.profit_max.value
-    star_slack = [rho.evaluate(x_i_star, tol.eq_tol) for rho in constraints]
+    star, star_slack = _at_dispatch(table, p, constraints, x_i_star)
+    star_gap = star - table.profit_max.value
     lhs = sum(
         cap * s for cap, s in zip(caps, star_slack) if cap is not None
     )
@@ -310,21 +353,14 @@ def multiplier_optimality(
     and the dispatch point is among the minimizers defining it.  The report
     carries both verdicts plus an agreement check.
     """
-    if len(multipliers) != len(constraints):
-        raise ValidationError("multiplier vector length must match constraint count")
-    if any(m < 0 for m in multipliers):
-        raise ValidationError("multipliers must be non-negative")
-    table = lattice_table(
-        unit, p, constraints, formulation, (x_i_star,), x_i_star.periods, tol
-    )
-    table.require_redundant()
-    p_vec = as_price(p, x_i_star.periods)
-    star_gap = standard_profit(unit, p_vec, x_i_star) - table.profit_max.value
+    _check_multipliers(multipliers, constraints)
+    table = _table(unit, p, constraints, formulation, tol, x_i_star=x_i_star)
+    star, star_slack = _at_dispatch(table, p, constraints, x_i_star)
+    star_gap = star - table.profit_max.value
     if star_gap > -tol.opt_tol:
         raise PreconditionError(
             f"unit {unit.id}: the dispatch point has no uplift to absorb"
         )
-    star_slack = [rho.evaluate(x_i_star, tol.eq_tol) for rho in constraints]
     active = [l for l, s in enumerate(star_slack) if s < -tol.eq_tol]
 
     report = VerificationReport()
@@ -343,19 +379,9 @@ def multiplier_optimality(
     witness_below = witness_cap = witness_star = None
     cap_witnesses = []
     for l in range(len(constraints)):
-        bound, bound_points = None, []
-        for point, gap, slack in zip(table.points, table.gaps, table.values):
-            if slack[l] >= -tol.eq_tol:
-                continue
-            rest = sum(
-                m * s for j, (m, s) in enumerate(zip(multipliers, slack)) if j != l
-            )
-            ratio = (gap - rest) / slack[l]
-            if bound is None or ratio < bound - tol.opt_tol:
-                bound, bound_points = ratio, [point]
-            elif ratio <= bound + tol.opt_tol:
-                bound = min(bound, ratio)
-                bound_points.append(point)
+        rests = [sum(m * s for j, (m, s) in enumerate(zip(multipliers, row)) if j != l)
+                 for row in table.values]
+        bound, near, _, _ = _cap_scan(table.gaps, [s[l] for s in table.values], tol, rests)
         if bound is None:
             continue  # empty support: no restriction on this coordinate
         if l in active:
@@ -364,6 +390,7 @@ def multiplier_optimality(
                 witness_cap = {"axis": l, "multiplier": multipliers[l], "cap": bound}
             else:
                 cap_witnesses.append(l)
+            bound_points = [table.points[k] for k in near]
             if not any(pt == x_i_star for pt in bound_points):
                 star_attains = False
                 witness_star = {"axis": l, "minimizers": [pt.to_json() for pt in bound_points]}
@@ -422,26 +449,19 @@ def repair(
     under the preconditions, so redundancy is preserved and the repaired
     family satisfies both membership and exact absorption.
     """
-    if len(multipliers) != len(constraints):
-        raise ValidationError("multiplier vector length must match constraint count")
-    if any(m < 0 for m in multipliers):
-        raise ValidationError("multipliers must be non-negative")
+    _check_multipliers(multipliers, constraints)
     norm_sq = sum(m * m for m in multipliers)
     if norm_sq <= 0.0:
         raise PreconditionError("repair needs a non-zero multiplier vector")
-    table = lattice_table(
-        unit, p, constraints, formulation, (x_i_star,), x_i_star.periods, tol
-    )
-    table.require_redundant()
+    table = _table(unit, p, constraints, formulation, tol, x_i_star=x_i_star)
     violation = next(table.gap_violations(multipliers, tol.opt_tol), None)
     if violation is not None:
         raise PreconditionError(
             f"unit {unit.id}: family does not dominate the profit gap at "
             f"{table.points[violation].to_json()}; repair would not restore membership"
         )
-    p_vec = as_price(p, x_i_star.periods)
-    star_gap = standard_profit(unit, p_vec, x_i_star) - table.profit_max.value
-    star_slack = [rho.evaluate(x_i_star, tol.eq_tol) for rho in constraints]
+    star, star_slack = _at_dispatch(table, p, constraints, x_i_star)
+    star_gap = star - table.profit_max.value
     c = (star_gap - sum(m * s for m, s in zip(multipliers, star_slack))) / norm_sq
     marker = Delta(u_ref=x_i_star.u, g_ref=x_i_star.g)
     repaired = tuple(
@@ -453,3 +473,130 @@ def repair(
     )
     assert abs(absorbed - star_gap) <= tol.opt_tol * max(1.0, abs(star_gap))
     return repaired
+
+
+def amended_uplift(
+    unit: UnitParams,
+    p,
+    constraints: Sequence[Expr],
+    multipliers: Sequence[float],
+    x_i_star: UnitSchedule,
+    formulation: Formulation = Formulation.STATUS_OUTPUT,
+    tol: ToleranceConfig = DEFAULT_TOLERANCES,
+) -> float:
+    """Residual uplift of the unit once revenue is amended by
+    -mu' rho(p, x): max over the lattice of amended profit minus amended
+    profit at the dispatched point."""
+    _check_multipliers(multipliers, constraints)
+    table = _table(unit, p, constraints, formulation, tol, x_i_star=x_i_star)
+    star, star_slack = _at_dispatch(table, p, constraints, x_i_star)
+    at_star = star - sum(m * s for m, s in zip(multipliers, star_slack))
+    return max(
+        profit - sum(m * s for m, s in zip(multipliers, row))
+        for profit, row in zip(table.profits, table.values)
+    ) - at_star
+
+
+def in_m_plus(
+    unit: UnitParams,
+    p,
+    constraints: Sequence[Expr],
+    multipliers: Sequence[float],
+    periods: int = 1,
+    formulation: Formulation = Formulation.STATUS_OUTPUT,
+    tol: ToleranceConfig = DEFAULT_TOLERANCES,
+) -> bool:
+    """Membership test: mu keeps the unit's profit maximum unchanged, i.e.
+    mu' rho(p, x) >= pi(p, x) - pi_max(p) on the lattice table."""
+    if not _check_multipliers(multipliers, constraints, negative_ok=True):
+        return False
+    table = _table(unit, p, constraints, formulation, tol, periods)
+    return table.is_member(multipliers, tol.opt_tol)
+
+
+@dataclass(frozen=True)
+class MinUpliftResult:
+    value: float
+    multipliers: tuple[float, ...]
+    stalled: bool = False
+
+
+def _max_feasible_coordinate(
+    l: int,
+    multipliers: list[float],
+    gaps: list[float],
+    slacks: list[list[float]],
+    opt_tol: float,
+) -> float:
+    """Largest mu_l keeping membership with the other coordinates fixed.
+
+    gaps[k] = pi(x_k) - pi_max, slacks[k][l] = rho_l(x_k) over the lattice.
+    Returns +inf when no lattice point has rho_l != 0.  Unlike `_cap_scan`
+    it counts every rho_l < 0 as support, not only rho_l < -eq_tol.
+    """
+    bound = float("inf")
+    for gap, slack in zip(gaps, slacks):
+        if slack[l] >= 0:
+            continue
+        rest = sum(m * s for j, (m, s) in enumerate(zip(multipliers, slack)) if j != l)
+        bound = min(bound, (gap - rest) / slack[l])
+    return bound
+
+
+def min_uplift(
+    unit: UnitParams,
+    p,
+    constraints: Sequence[Expr],
+    x_i_star: UnitSchedule,
+    formulation: Formulation = Formulation.STATUS_OUTPUT,
+    tol: ToleranceConfig = DEFAULT_TOLERANCES,
+) -> MinUpliftResult:
+    """Multipliers minimizing residual uplift over the membership set.
+
+    The objective uplift + mu' rho(x_star) is linear with rho(x_star) <= 0,
+    so the per-coordinate caps are pushed as high as membership allows:
+    start at the box corner of per-constraint maxima and, if that corner is
+    not a member, run monotone coordinate sweeps.  With one constraint the
+    corner is exactly the optimum.  `stalled` is set when the sweeps had to
+    back off the corner, in which case the result is feasible but may be
+    conservative.
+    """
+    table = _table(unit, p, constraints, formulation, tol, x_i_star=x_i_star)
+    star, star_slack = _at_dispatch(table, p, constraints, x_i_star)
+    base_uplift = table.profit_max.value - star
+    gaps, slacks = table.gaps, table.values
+
+    # per-constraint caps; coordinates that cannot lower the objective stay 0
+    caps = []
+    for l, rho in enumerate(constraints):
+        if star_slack[l] >= -tol.eq_tol:
+            caps.append(0.0)
+        else:
+            cap = constraint_cap(gaps, [s[l] for s in slacks], tol)
+            caps.append(0.0 if cap is None else max(0.0, cap))
+    multipliers = list(caps)
+
+    stalled = False
+    if not table.is_member(multipliers, tol.opt_tol):
+        stalled = True
+        for _ in range(COORDINATE_SWEEP_LIMIT):
+            changed = False
+            for l in range(len(constraints)):
+                if caps[l] == 0.0:
+                    continue
+                limit = _max_feasible_coordinate(l, multipliers, gaps, slacks, tol.opt_tol)
+                new = min(caps[l], max(0.0, limit))
+                if new < multipliers[l] - tol.eq_tol:
+                    multipliers[l] = new
+                    changed = True
+            if table.is_member(multipliers, tol.opt_tol) or not changed:
+                break
+        if not table.is_member(multipliers, tol.opt_tol):
+            multipliers = [0.0] * len(constraints)
+
+    value = base_uplift + sum(m * s for m, s in zip(multipliers, star_slack))
+    if abs(value) <= tol.opt_tol:
+        value = 0.0
+    return MinUpliftResult(
+        value=value, multipliers=tuple(multipliers), stalled=stalled
+    )

@@ -463,3 +463,30 @@ class TestVerifyDetectsBreakage:
         assert not rep.passed
         failed = {c.condition for c in rep.failures()}
         assert "nonnegative" in failed
+
+
+class TestCallerTolerance:
+    """A schedule accepted at the instance's eq_tol is priced as it is, not
+    validated again at the default eq_tol."""
+
+    UNIT = UnitParams("U", 1.0, 10.0, 2.0, 5.0)
+
+    def market(self):
+        from uplift_zero import Schedule, ToleranceConfig
+        from uplift_zero.model import validate_schedule
+
+        x_star = Schedule({"U": UnitSchedule((1,), (10.005,))})   # 0.005 above g_max
+        instance = MarketInstance(1, (10.005,), (self.UNIT,), ToleranceConfig(eq_tol=0.01))
+        validate_schedule(instance, x_star)
+        return instance, x_star
+
+    @pytest.mark.parametrize("family", ("uplift-delta", "general-form", "linear-unit",
+                                        "convex-hull"))
+    def test_schedule_within_instance_tolerance(self, family):
+        instance, x_star = self.market()
+        price = (1.5,)
+        report = uplift_report(instance, price, x_star)
+        assert report.entry("U").dispatch_profit == 1.5 * 10.005 - (2.0 * 10.005 + 5.0)
+        bundles = build_family(family, instance, price, x_star)
+        market = check_zero_total_uplift(instance, price, bundles, x_star)
+        assert set(market.units) == {"U"}

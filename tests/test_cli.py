@@ -312,6 +312,8 @@ class TestExitCodes:
             ("count", "1.5"), ("periods", "1.5"), ("min_up", "1.5"),
             ("min_down", "0.5"), ("initial_status", "0.5"), ("report_digits", "2.5"),
             ("eq_tol", "null"),
+            # a JSON boolean is not a count: true used to make one unit
+            ("count", "true"),
         ),
     )
     def test_malformed_integer_or_tolerance_is_two(self, capsys, tmp_path, field, value):
@@ -382,6 +384,10 @@ class TestExitCodes:
         '{"op": "const", "value": 1e400}',
         '{"op": "mul", "args": [{"op": "const", "value": Infinity}, {"op": "u"}]}',
         '{"op": "delta", "ref": {"u": [1], "g": [NaN]}}',
+        # a fractional period or status used to be truncated
+        '{"op": "u", "t": 0.5}',
+        '{"op": "delta", "ref": {"u": [0.5]}}',
+        '{"op": "delta", "ref": {"u": [2]}}',
     ))
     def test_malformed_amendment_expression_is_two(self, capsys, tmp_path, amendment):
         # a negative period used to read the last period and exit 1; a NaN
@@ -392,6 +398,27 @@ class TestExitCodes:
         path = self._bundle_file(capsys, tmp_path, edit)
         path.write_text(path.read_text().replace('"__N__"', amendment))
         code, out, err = run(capsys, "verify", "--scarf", "10", "--amendments", str(path))
+        self._assert_one_error_line(code, out, err)
+
+    @pytest.mark.parametrize("family,old,new", (
+        ("linear-unit", '"t": 0', '"t": 0.5'),
+        ("status-delta", '"u": [1]', '"u": [0.5]'),
+        ("status-delta", '"u": [1]', '"u": [1.5]'),
+    ))
+    def test_fractional_period_or_status_in_bundle_file_is_two(
+        self, capsys, tmp_path, family, old, new
+    ):
+        # "t": 0.5 used to read as period 0 and "u": [1.5] as status 1, and
+        # the rewritten file verified with exit 0
+        path = tmp_path / "bundles.json"
+        code, _, _ = run(capsys, "amend", "--scarf", "10", "--family", family,
+                         "--price-method", "marginal", "--out", str(path))
+        assert code == 0
+        text = json.dumps(json.loads(path.read_text()))   # one line, lists inline
+        assert old in text
+        path.write_text(text.replace(old, new))
+        code, out, err = run(capsys, "verify", "--scarf", "10", "--price-method", "marginal",
+                             "--amendments", str(path))
         self._assert_one_error_line(code, out, err)
 
     def test_bundle_file_that_is_not_an_object_is_two(self, capsys, tmp_path):
