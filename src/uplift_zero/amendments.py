@@ -22,6 +22,15 @@ convex-hull       exact convex-hull price amendment (tightest closed form)
 
 The last four require single-period horizons or marginal-pricing style
 preconditions; builders raise PreconditionError when their setting fails.
+
+Identical units share work by the package's one rule (`model._groups`),
+under an exact key (`exact_key(unit_key(unit), ...)`) because a bundle and
+a report carry the unit's own numbers, down to the sign of a zero.
+`build_family` runs the builder once per group of units with the same
+parameters, dispatched schedule and formulation; verification runs
+`verify_conditions` once per group that also shares its bundle.  Each
+UnitReport keeps what the market check reads at the market price: the
+lattice table, the amended profit maximum and the residual uplift.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ from .model import (
     ToleranceConfig,
     UnitParams,
     UnitSchedule,
+    _groups,
     exact_key,
     unchecked_cost,
     unit_key,
@@ -259,7 +269,7 @@ def build_general_form(
         periods=x_i_star.periods, tol=tol,
     )
     for point, (val,) in zip(table.points, table.values):
-        if val < -tol.eq_tol:
+        if not val >= -tol.eq_tol:
             raise PreconditionError(
                 f"unit {unit.id}: gamma is negative ({val:.3g}) at {point.to_json()}"
             )
@@ -602,22 +612,16 @@ def build_family(
         "status-delta", "status-profile", "linear-unit"
     ):
         raise PreconditionError(f"family {family} is defined on status and output")
-    bundles = {}
-    built: dict[str, AmendmentBundle] = {}
-    for unit in instance.units:
-        form = formulation
-        # units whose status cannot be read off the output keep status terms
-        if form is Formulation.OUTPUT_ONLY and not unit.output_determines_status():
-            form = Formulation.STATUS_OUTPUT
-        sched = x_star.unit(unit.id)
-        key = exact_key(unit_key(unit), sched, form)
-        bundle = built.get(key)
-        if bundle is None:
-            bundle = built[key] = builder(unit, p, sched, form, instance.tolerances)
-        else:
-            bundle = replace(bundle, unit_id=unit.id)
-        bundles[unit.id] = bundle
-    return bundles
+    units = instance.units
+    scheds = [x_star.unit(unit.id) for unit in units]
+    # units whose status cannot be read off the output keep status terms
+    forms = [Formulation.STATUS_OUTPUT
+             if formulation is Formulation.OUTPUT_ONLY and not unit.output_determines_status()
+             else formulation for unit in units]
+    firsts, group_of = _groups(map(exact_key, map(unit_key, units), scheds, forms))
+    built = [builder(units[i], p, scheds[i], forms[i], instance.tolerances) for i in firsts]
+    return {unit.id: built[g] if i == firsts[g] else replace(built[g], unit_id=unit.id)
+            for i, (unit, g) in enumerate(zip(units, group_of))}
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +630,13 @@ def build_family(
 
 @dataclass
 class UnitReport(VerificationReport):
-    """One unit's contract checks and the lattice table they read."""
+    """One unit's contract checks and the lattice table they read, with the
+    amended profit maximum on it at the price and the residual uplift
+    amended_max - (pi(x*) + N(x*)), which the market check sums."""
 
     table: LatticeTable | None = field(default=None, repr=False, compare=False)
+    amended_max: float | None = field(default=None, repr=False, compare=False)
+    residual: float | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -671,29 +679,29 @@ def verify_conditions(
         amended = profit + n_val
         if amended_best is None or amended > amended_best:
             amended_best_k, amended_best = k, amended
-        if n_val < -scale_tol and nonneg:
+        if not n_val >= -scale_tol and nonneg:
             nonneg, nonneg_witness = False, point.to_json()
         if n_val < best - profit - scale_tol:
             strictly_below = True
         if redundant_ok:
             for l, val in enumerate(row[:-1]):
-                if val > tol.eq_tol:
+                if not val <= tol.eq_tol:
                     redundant_ok = False
                     redundant_witness = {"axis": l, "point": point.to_json()}
                     break
         weighted = sum(m * s for m, s in zip(multipliers, row))
-        if weighted < profit - best - scale_tol:
+        if not weighted >= profit - best - scale_tol:
             dominates, dominates_witness = False, point.to_json()
-        if abs(n_val + weighted) > scale_tol:
+        if not abs(n_val + weighted) <= scale_tol:
             matches, match_witness = False, point.to_json()
 
     argmax_ok, argmax_witness = True, None
     slack_ok, slack_witness = True, None
     for point in pm.argmax_points:
-        if abs(bundle.amendment.evaluate(point, tol.eq_tol)) > scale_tol:
+        if not abs(bundle.amendment.evaluate(point, tol.eq_tol)) <= scale_tol:
             argmax_ok, argmax_witness = False, point.to_json()
         for l, (m, rho) in enumerate(zip(multipliers, constraints)):
-            if abs(m * rho.evaluate(point, tol.eq_tol)) > scale_tol:
+            if not abs(m * rho.evaluate(point, tol.eq_tol)) <= scale_tol:
                 slack_ok = False
                 slack_witness = {"axis": l, "point": point.to_json()}
 
@@ -702,7 +710,9 @@ def verify_conditions(
         m * rho.evaluate(x_i_star, tol.eq_tol) for m, rho in zip(multipliers, constraints)
     )
 
-    report = UnitReport(table=table)
+    report = UnitReport(
+        table=table, amended_max=amended_best, residual=amended_best - (star + n_star)
+    )
     report.add(
         ConditionCheck(
             "max-profit-unchanged",
@@ -775,31 +785,38 @@ def _unit_reports(
     p,
     bundles: Mapping[str, AmendmentBundle],
     x_star: Schedule,
-) -> Iterator[tuple[UnitParams, UnitReport, int]]:
-    """Each unit with its verify_conditions report and the index of its
-    group, in instance order and lazily, so a caller that stops at a bad
-    unit has verified none after it.
+) -> tuple[list[int], list[int], Iterator[UnitReport]]:
+    """Group the units (`model._groups`) and verify each group once.
+    Returns per group the index of its first unit, per unit the index of
+    its group, and an iterator over the groups' verify_conditions reports
+    in group order.  The iterator verifies lazily, so a caller that stops
+    at a bad group has verified no unit after it.
 
     A group is the units with the same parameters, dispatched schedule and
     bundle apart from its unit id, under an exact key (`exact_key`): the
     report carries the unit's own numbers, down to the sign of a zero.  The
-    group's first unit is verified and the others share its report; groups
-    are numbered in order of their first unit."""
-    reports: dict[str, tuple[UnitReport, int]] = {}
-    for unit in instance.units:
-        bundle = bundles.get(unit.id)
+    group's first unit is verified, and a missing bundle or schedule raises
+    only when its unit is reached."""
+    units = instance.units
+
+    def key(unit: UnitParams) -> str:
+        bundle, sched = bundles.get(unit.id), x_star.units.get(unit.id)
         if bundle is None:
-            raise ValidationError(f"no bundle for unit {unit.id}")
-        sched = x_star.unit(unit.id)
-        key = exact_key(
-            unit_key(unit), sched, bundle.family, bundle.formulation,
-            bundle.amendment, bundle.constraints, bundle.multipliers,
-        )
-        hit = reports.get(key)
-        if hit is None:
-            report = verify_conditions(unit, p, bundle, sched, instance.tolerances)
-            hit = reports[key] = (report, len(reports))
-        yield unit, *hit
+            return exact_key(unit_key(unit), sched)
+        return exact_key(unit_key(unit), sched, bundle.family, bundle.formulation,
+                         bundle.amendment, bundle.constraints, bundle.multipliers)
+
+    firsts, group_of = _groups(map(key, units))
+
+    def reports() -> Iterator[UnitReport]:
+        for i in firsts:
+            unit = units[i]
+            bundle = bundles.get(unit.id)
+            if bundle is None:
+                raise ValidationError(f"no bundle for unit {unit.id}")
+            yield verify_conditions(unit, p, bundle, x_star.unit(unit.id), instance.tolerances)
+
+    return firsts, group_of, reports()
 
 
 def aggregate_constraint(
@@ -812,12 +829,13 @@ def aggregate_constraint(
     redundant constraint whose pricing removes all uplift.  Units are
     verified in instance order, once per group of identical units as in
     check_zero_total_uplift; the first unit whose bundle fails raises."""
-    for unit, report, _ in _unit_reports(instance, p, bundles, x_star):
+    firsts, _, reports = _unit_reports(instance, p, bundles, x_star)
+    for i, report in zip(firsts, reports):
         needed = ("max-profit-unchanged", "zero-uplift-at-dispatch", "nonnegative")
         bad = [c for c in needed if not report.check_named(c).passed]
         if bad:
             raise PreconditionError(
-                f"unit {unit.id}: bundle fails verification ({', '.join(bad)})"
+                f"unit {instance.units[i].id}: bundle fails verification ({', '.join(bad)})"
             )
     return AggregateConstraint(
         amendments={uid: b.amendment for uid, b in bundles.items()}
@@ -839,74 +857,56 @@ def check_zero_total_uplift(
     bundle apart from its unit id share one report, verified once for the
     first of them (so its table is that unit's).  The market checks read
     values only.  At the market price, the residual and both profit maxima
-    come from the lattice table of each distinct report.  At the perturbed
-    prices, the standard maxima come from the units' status tables, once
-    per parameter group and for all prices together (`_max_profits`), and
-    the amended maximum of each distinct table is the best of its stored
-    points' profit plus amendment; no table or ProfitMax is re-priced.
-    The totals still add them unit by unit in instance order."""
+    are read off each distinct report, which computed them.  At the
+    perturbed prices, the standard maxima come from the units' status
+    tables, once per parameter group and for all prices together
+    (`_max_profits`), and the amended maximum of each distinct table is the
+    best of its stored points' profit plus amendment; no table or ProfitMax
+    is re-priced.  The totals still add them unit by unit in instance
+    order."""
     tol = instance.tolerances
     p = as_price(p, instance.periods)
     validate_schedule(instance, x_star)
     for unit in instance.units:
         if unit.id not in bundles:
             raise ValidationError(f"no bundle for unit {unit.id}")
-    report = MarketReport()
-    firsts: list[tuple[int, LatticeTable]] = []   # per group: first unit's index, table
-    group_of: list[int] = []                      # per unit
-    for i, (unit, rep, group) in enumerate(_unit_reports(instance, p, bundles, x_star)):
-        report.units[unit.id] = rep
-        if group == len(firsts):
-            firsts.append((i, rep.table))
-        group_of.append(group)
+    firsts, group_of, reports = _unit_reports(instance, p, bundles, x_star)
+    reports = list(reports)
 
-    # per table: (standard, amended) profit maximum; the amendment is the last column
-    at_price = [
-        (t.profit_max.value, max(profit + row[-1] for profit, row in zip(t.profits, t.values)))
-        for _, t in firsts
-    ]
-    residuals = []
-    for (i, _), (_, amended_max) in zip(firsts, at_price):
-        unit = instance.units[i]
-        sched_star = x_star.unit(unit.id)
-        residuals.append(amended_max - (
-            _profit(p, sched_star.g, unchecked_cost(unit, sched_star))
-            + bundles[unit.id].amendment.evaluate(sched_star, tol.eq_tol)
-        ))
-    total_residual = 0.0
-    worst = None
-    for unit, group in zip(instance.units, group_of):
-        residual = residuals[group]
-        total_residual += residual
-        if worst is None or residual > worst[1]:
-            worst = (unit.id, residual)
-    report.add(
-        ConditionCheck(
-            "zero-total-uplift",
-            total_residual <= tol.opt_tol * len(instance.units),
-            lhs=total_residual,
-            rhs=0.0,
-            witness={"worst_unit": worst[0], "residual": worst[1]} if worst else None,
-        )
-    )
-
-    maxima_at = [at_price]
+    # per price, per group: (standard, amended) profit maximum; the
+    # amendment is the table's last column
+    maxima_at = [[(r.table.profit_max.value, r.amended_max) for r in reports]]
     prices = [as_price(tuple(pt + offset for pt in p), instance.periods)
               for offset in DUAL_PRICE_OFFSETS]
     for q, standard in zip(prices, _max_profits(instance, prices)):
         maxima_at.append([
             (standard[i], max(_profit(q, s.g, c) + row[-1]
-                              for s, c, row in zip(t.points, t.costs, t.values)))
-            for i, t in firsts
+                              for s, c, row in zip(r.table.points, r.table.costs, r.table.values)))
+            for i, r in zip(firsts, reports)
         ])
-    for offset, maxima in zip((0.0,) + DUAL_PRICE_OFFSETS, maxima_at):
-        unamended_total = 0.0
-        amended_total = 0.0
-        for group in group_of:
-            unamended, amended = maxima[group]
-            unamended_total += unamended
-            amended_total += amended
-        band = tol.opt_tol * len(instance.units)
+    report = MarketReport()
+    total_residual = 0.0
+    worst = None
+    totals = [[0.0, 0.0] for _ in maxima_at]   # per price: unamended, amended
+    for unit, group in zip(instance.units, group_of):
+        rep = report.units[unit.id] = reports[group]
+        total_residual += rep.residual
+        if worst is None or rep.residual > worst[1]:
+            worst = (unit.id, rep.residual)
+        for total, maxima in zip(totals, maxima_at):
+            total[0] += maxima[group][0]
+            total[1] += maxima[group][1]
+    band = tol.opt_tol * len(instance.units)
+    report.add(
+        ConditionCheck(
+            "zero-total-uplift",
+            total_residual <= band,
+            lhs=total_residual,
+            rhs=0.0,
+            witness={"worst_unit": worst[0], "residual": worst[1]} if worst else None,
+        )
+    )
+    for offset, (unamended_total, amended_total) in zip((0.0,) + DUAL_PRICE_OFFSETS, totals):
         if offset == 0.0:
             # at the market price the amended and unamended duals coincide
             report.add(

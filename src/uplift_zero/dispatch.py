@@ -83,6 +83,7 @@ from .model import (
     Schedule,
     UnitParams,
     UnitSchedule,
+    _groups,
     cost,
     startup_count,
     status_table,
@@ -251,14 +252,6 @@ class DispatchResult:
     profiles_dispatched: int
 
 
-def _group_units(instance: MarketInstance) -> list[list[int]]:
-    """Indices of interchangeable units, grouped by identical parameters."""
-    groups: dict[tuple, list[int]] = {}
-    for i, u in enumerate(instance.units):
-        groups.setdefault(unit_key(u), []).append(i)
-    return list(groups.values())
-
-
 def solve_centralized(instance: MarketInstance) -> DispatchResult:
     """Globally optimal commitment and dispatch.
 
@@ -266,7 +259,11 @@ def solve_centralized(instance: MarketInstance) -> DispatchResult:
     EnumerationLimitError when the symmetry-reduced profile count exceeds
     PROFILE_LIMIT.
     """
-    groups = _group_units(instance)
+    # the indices of each group of interchangeable units (`unit_key`)
+    firsts, group_of = _groups(map(unit_key, instance.units))
+    groups = [[] for _ in firsts]
+    for i, g in enumerate(group_of):
+        groups[g].append(i)
     tables = [status_table(instance.units[g[0]], instance.periods) for g in groups]
     count = 1
     for g, table in zip(groups, tables):

@@ -122,6 +122,27 @@ def exact_key(*parts) -> str:
     return repr(parts)
 
 
+def _groups(keys: Iterable) -> tuple[list[int], list[int]]:
+    """The one rule by which items with equal keys share a result: per
+    group the index of its first item, and per item the index of its group,
+    groups numbered in order of their first item.  The result is computed
+    once, for the group's first item, and every item reads it back through
+    its group index.
+
+    Dispatch and pricing group units on `unit_key`; the amendment builders
+    and verification, whose output carries the unit's own numbers, group on
+    `exact_key(unit_key(unit), ...)`."""
+    firsts: list[int] = []
+    group_of: list[int] = []
+    slots: dict = {}
+    for i, key in enumerate(keys):
+        group = slots.setdefault(key, len(firsts))
+        if group == len(firsts):
+            firsts.append(i)
+        group_of.append(group)
+    return firsts, group_of
+
+
 @dataclass(frozen=True)
 class UnitSchedule:
     """Commitment statuses and outputs of one unit over the horizon."""

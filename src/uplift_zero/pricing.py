@@ -15,7 +15,9 @@ feasible status vector the optimal output sits at a box corner per period,
 so the maximum is a finite scan over status vectors.  The vectors and their
 startup counts do not depend on the price.  They form the unit's status
 table (`model.status_table`), which is built once per call, or once per
-price search for each group of identical units (`unit_key`).
+price search for each group of identical units (`unit_key`, grouped by
+`model._groups`, the package's one sharing rule); every unit of a group
+reads its group's values back.
 `_status_values` prices a table: two margin terms per period, then one sum
 per vector, less its startup cost.  `unit_profit_max` is the table at one
 price, with its argmax schedules and per-status outputs, and
@@ -28,8 +30,10 @@ opt_tol of it.  Neither builds a ProfitMax, a schedule or a dict per unit
 and price.  Neither do the amendment builders, which read one unit's
 maximum (`_unit_max_profit`), nor the market check at its perturbed
 prices, which reads every unit's maxima at all of them from one
-`_max_profits` call.  Every float is computed by the same expression, in
-the same order, as when each unit is solved alone at each price.
+`_max_profits` call; at the market price it reads both maxima off the
+unit reports of verification.  Every float is computed by the same
+expression, in the same order, as when each unit is solved alone at each
+price.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .model import (
     ToleranceConfig,
     UnitParams,
     UnitSchedule,
+    _groups,
     cost,
     feasible_set_samples,
     startup_count,
@@ -230,7 +235,7 @@ class LatticeTable:
         width = len(self.values[0]) if self.values else 0
         for l in range(width):
             for point, row in zip(self.points, self.values):
-                if row[l] > self.tol.eq_tol:
+                if not row[l] <= self.tol.eq_tol:
                     raise PreconditionError(
                         f"unit {self.unit.id}: constraint {l} is positive ({row[l]:.3g}) "
                         f"at {point.to_json()}, not redundant"
@@ -283,16 +288,9 @@ def _unit_groups(
     """Group the instance's identical units (`unit_key`) once: per group its
     first unit and that unit's status table, and per unit in instance order
     the index of its group.  A price search groups once for all its prices."""
-    slots: dict[tuple, int] = {}
-    groups: list[tuple[UnitParams, StatusTable]] = []
-    group_of = []
-    for unit in instance.units:
-        key = unit_key(unit)
-        if key not in slots:
-            slots[key] = len(groups)
-            groups.append((unit, status_table(unit, instance.periods)))
-        group_of.append(slots[key])
-    return groups, group_of
+    firsts, group_of = _groups(map(unit_key, instance.units))
+    units = [instance.units[i] for i in firsts]
+    return [(unit, status_table(unit, instance.periods)) for unit in units], group_of
 
 
 def _max_profits(

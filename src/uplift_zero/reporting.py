@@ -44,9 +44,6 @@ class VerificationReport:
     def add(self, check: ConditionCheck) -> None:
         self.checks.append(check)
 
-    def extend(self, other: "VerificationReport") -> None:
-        self.checks.extend(other.checks)
-
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks if c.required)
@@ -62,17 +59,3 @@ class VerificationReport:
 
     def to_json(self) -> list[dict]:
         return [c.to_json() for c in self.checks]
-
-    def summary(self) -> str:
-        lines = []
-        for c in self.checks:
-            tag = "PASS" if c.passed else "FAIL"
-            if not c.required:
-                tag += " (info)"
-            detail = ""
-            if not c.passed and c.lhs is not None and c.rhs is not None:
-                detail = f"  lhs={c.lhs:.6g} rhs={c.rhs:.6g}"
-            if not c.passed and c.witness is not None:
-                detail += f"  witness={c.witness}"
-            lines.append(f"{tag:12s} {c.condition}{detail}")
-        return "\n".join(lines)

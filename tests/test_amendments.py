@@ -12,6 +12,7 @@ from uplift_zero import (
     Const,
     Formulation,
     MarketInstance,
+    Output,
     PreconditionError,
     UnitParams,
     UnitSchedule,
@@ -267,6 +268,12 @@ class TestGeneralForm:
         with pytest.raises(PreconditionError, match="gamma"):
             build_general_form(unit, scarf10.price, star, gamma=Const(-0.2))
 
+    def test_nan_shift_rejected(self, scarf10):
+        unit = mt_unit(scarf10.instance)
+        star = scarf10.result.schedule.unit(unit.id)
+        with pytest.raises(PreconditionError, match="gamma"):
+            build_general_form(unit, scarf10.price, star, gamma=Const(float("nan")))
+
     def test_zero_shift_matches_uplift_delta_at_dispatch(self, scarf10):
         unit = mt_unit(scarf10.instance)
         star = scarf10.result.schedule.unit(unit.id)
@@ -348,6 +355,26 @@ class TestAggregate:
             constraints=tuple(scale(3.0, r) for r in bad.constraints),
         )
         with pytest.raises(PreconditionError):
+            aggregate_constraint(sc.instance, sc.price, bundles, sc.result.schedule)
+
+    def test_first_bad_unit_raises_before_later_units_are_verified(self, scarf10):
+        sc = scarf10
+        bundles = dict(
+            build_family("uplift-delta", sc.instance, sc.price, sc.result.schedule)
+        )
+        bad = bundles["Med Tech-1"]
+        bundles["Med Tech-1"] = dataclasses.replace(
+            bad,
+            amendment=scale(3.0, bad.amendment),
+            constraints=tuple(scale(3.0, r) for r in bad.constraints),
+        )
+        # verifying Med Tech-5 would raise: its amendment reads period 2 of
+        # a one-period schedule
+        bundles["Med Tech-5"] = dataclasses.replace(bundles["Med Tech-5"], amendment=Output(1))
+        with pytest.raises(ValidationError, match="period 2"):
+            unit = next(u for u in sc.instance.units if u.id == "Med Tech-5")
+            verify_conditions(unit, sc.price, bundles[unit.id], sc.result.schedule.unit(unit.id))
+        with pytest.raises(PreconditionError, match="unit Med Tech-1:"):
             aggregate_constraint(sc.instance, sc.price, bundles, sc.result.schedule)
 
     def test_json_shape(self, scarf10):
@@ -463,6 +490,14 @@ class TestVerifyDetectsBreakage:
         assert not rep.passed
         failed = {c.condition for c in rep.failures()}
         assert "nonnegative" in failed
+
+    def test_nan_constraint_detected(self, scarf10):
+        unit = mt_unit(scarf10.instance)
+        star = scarf10.result.schedule.unit(unit.id)
+        b = build_uplift_delta(unit, scarf10.price, star)
+        broken = dataclasses.replace(b, constraints=(Const(float("nan")),))
+        rep = verify_conditions(unit, scarf10.price, broken, star)
+        assert not rep.check_named("constraint-nonpositive").passed
 
 
 class TestCallerTolerance:

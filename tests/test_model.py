@@ -19,11 +19,14 @@ from uplift_zero import (
     scarf_instance,
 )
 from uplift_zero.model import (
+    _groups,
     cost,
+    exact_key,
     feasible_set_samples,
     feasible_status_vectors,
     schedule_cost,
     status_vector_feasible,
+    unit_key,
     validate_schedule,
     validate_unit_schedule,
 )
@@ -97,6 +100,17 @@ class TestValidation:
         sched = Schedule(units={"High Tech-1": UnitSchedule((1,), (7.0,))})
         with pytest.raises(ValidationError):
             validate_schedule(inst, sched)
+
+
+class TestGroups:
+    def test_groups_are_numbered_by_first_appearance(self):
+        assert _groups("babca") == ([0, 1, 3], [0, 1, 0, 2, 1])
+        assert _groups([]) == ([], [])
+
+    def test_unit_key_joins_a_signed_zero_twin_and_exact_key_does_not(self):
+        units = (unit(id="A", g_min=0.0), unit(id="B", g_min=-0.0), unit(id="C", g_min=1.0))
+        assert _groups(map(unit_key, units)) == ([0, 2], [0, 0, 1])
+        assert _groups(exact_key(unit_key(u)) for u in units) == ([0, 1, 2], [0, 1, 2])
 
 
 class TestStatusVectors:

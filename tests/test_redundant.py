@@ -20,6 +20,7 @@ from uplift_zero import (
     build_uplift_delta,
     classify_constraint,
     delta_of,
+    in_m_plus,
     min_uplift,
     mu_max,
     multiplier_optimality,
@@ -83,6 +84,14 @@ class TestClassification:
     def test_positive_constraint_rejected(self):
         with pytest.raises(PreconditionError, match="not redundant"):
             classify_constraint(MT, CHP10, Const(0.5))
+
+    def test_nan_constraint_rejected(self):
+        # NaN is not <= eq_tol: it must not pass as a constraint that is 0
+        unit, nan = UnitParams("X", 0, 1, 1, 0), Const(float("nan"))
+        with pytest.raises(PreconditionError, match=r"positive \(nan\).* not redundant"):
+            classify_constraint(unit, 2.0, nan)
+        with pytest.raises(PreconditionError, match="not redundant"):
+            in_m_plus(unit, 2.0, [nan], [1.0])
 
 
 class TestMuMaxClosedForms:
