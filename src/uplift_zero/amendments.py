@@ -36,8 +36,10 @@ lattice table, the amended profit maximum and the residual uplift.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Mapping
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import PreconditionError, ValidationError
 from .expr import (
@@ -53,6 +55,7 @@ from .expr import (
     ZERO,
     add,
     delta_of,
+    evaluate_columns,
     expr_from_dict,
     neg,
     scale,
@@ -68,6 +71,7 @@ from .model import (
     UnitSchedule,
     _groups,
     exact_key,
+    feasible_set_samples,
     unchecked_cost,
     unit_key,
     validate_schedule,
@@ -264,11 +268,10 @@ def build_general_form(
     delta payment shifted by any non-negative expression gamma."""
     star, best, gap = _uplift_at(unit, p, x_i_star, tol)
     p_vec = as_price(p, x_i_star.periods)
-    table = lattice_table(
-        unit, p_vec, (gamma,), formulation, anchors=(x_i_star,),
-        periods=x_i_star.periods, tol=tol,
-    )
-    for point, (val,) in zip(table.points, table.values):
+    # gamma is read on the verification lattice, which needs no price here
+    points = feasible_set_samples(unit, formulation, (x_i_star,), x_i_star.periods, tol.eq_tol)
+    (gammas,) = evaluate_columns((gamma,), points, tol.eq_tol)
+    for point, val in zip(points, gammas):
         if not val >= -tol.eq_tol:
             raise PreconditionError(
                 f"unit {unit.id}: gamma is negative ({val:.3g}) at {point.to_json()}"
@@ -646,6 +649,16 @@ class MarketReport(VerificationReport):
     units: dict[str, UnitReport] = field(default_factory=dict)
 
 
+def _witness(flags: Callable[[], Iterable], last: bool = False) -> int | None:
+    """The first (or last) point at which a check fails, None when it
+    holds at every point; `flags` gives the check's per-point flags, and is
+    read a second time only when one fails."""
+    if all(flags()):
+        return None
+    failing = [k for k, ok in enumerate(flags()) if not ok]
+    return failing[-1] if last else failing[0]
+
+
 def verify_conditions(
     unit: UnitParams,
     p,
@@ -653,8 +666,15 @@ def verify_conditions(
     x_i_star: UnitSchedule,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> UnitReport:
-    """Full check of the amendment contract on the unit's lattice table, in
-    one pass over its points; the report keeps the table for the market check."""
+    """Full check of the amendment contract on the unit's lattice table; the
+    report keeps the table for the market check.
+
+    Each "for every lattice point" check is a reduction over the table's
+    columns, and a witness is searched for only when a check fails:
+    `nonnegative` and `constraint-nonpositive` name the first failing
+    point, `dominates-profit-gap` and `amendment-matches-constraints` the
+    last, and `max-profit-unchanged` the first point with the largest
+    amended profit."""
     p = as_price(p, x_i_star.periods)
     constraints, multipliers = bundle.constraints, bundle.multipliers
     # the amendment is the last column, after the constraints
@@ -667,33 +687,27 @@ def verify_conditions(
     star = _profit(p, x_i_star.g, unchecked_cost(unit, x_i_star))
     gap = best - star
     scale_tol = tol.opt_tol * max(1.0, abs(best), abs(star))
+    points, profits, n_col = table.points, table.profits, table.columns[-1]
 
-    amended_best_k, amended_best = None, None
-    nonneg, nonneg_witness = True, None
-    strictly_below = False
-    redundant_ok, redundant_witness = True, None
-    dominates, dominates_witness = True, None
-    matches, match_witness = True, None
-    for k, (point, profit, row) in enumerate(zip(table.points, table.profits, table.values)):
-        n_val = row[-1]
-        amended = profit + n_val
-        if amended_best is None or amended > amended_best:
-            amended_best_k, amended_best = k, amended
-        if not n_val >= -scale_tol and nonneg:
-            nonneg, nonneg_witness = False, point.to_json()
-        if n_val < best - profit - scale_tol:
-            strictly_below = True
-        if redundant_ok:
-            for l, val in enumerate(row[:-1]):
-                if not val <= tol.eq_tol:
-                    redundant_ok = False
-                    redundant_witness = {"axis": l, "point": point.to_json()}
-                    break
-        weighted = sum(m * s for m, s in zip(multipliers, row))
-        if not weighted >= profit - best - scale_tol:
-            dominates, dominates_witness = False, point.to_json()
-        if not abs(n_val + weighted) <= scale_tol:
-            matches, match_witness = False, point.to_json()
+    amended = list(map(operator.add, profits, n_col))
+    amended_best = max(amended)
+    amended_best_k = amended.index(amended_best)   # the first maximiser
+    nonneg_k = _witness(lambda: map(operator.ge, n_col, repeat(-scale_tol)))
+    strictly_below = any(n < best - pi - scale_tol for n, pi in zip(n_col, profits))
+    redundant_witness = None
+    first_bad = [_witness(lambda col=col: map(operator.le, col, repeat(tol.eq_tol)))
+              for col in table.columns[:-1]]
+    if any(k is not None for k in first_bad):
+        # the first failing point, and the first constraint failing there
+        k = min(k for k in first_bad if k is not None)
+        l = next(l for l, col in enumerate(table.columns[:-1]) if not col[k] <= tol.eq_tol)
+        redundant_witness = {"axis": l, "point": points[k].to_json()}
+    weighted = table.weighted(multipliers)
+    dominates_k = _witness(lambda: map(
+        operator.ge, weighted,
+        map(operator.sub, map(operator.sub, profits, repeat(best)), repeat(scale_tol))), last=True)
+    matches_k = _witness(lambda: map(
+        operator.le, map(abs, map(operator.add, n_col, weighted)), repeat(scale_tol)), last=True)
 
     argmax_ok, argmax_witness = True, None
     slack_ok, slack_witness = True, None
@@ -710,6 +724,9 @@ def verify_conditions(
         m * rho.evaluate(x_i_star, tol.eq_tol) for m, rho in zip(multipliers, constraints)
     )
 
+    def witness(k: int | None) -> dict | None:
+        return None if k is None else points[k].to_json()
+
     report = UnitReport(
         table=table, amended_max=amended_best, residual=amended_best - (star + n_star)
     )
@@ -719,7 +736,7 @@ def verify_conditions(
             abs(amended_best - best) <= scale_tol,
             lhs=amended_best,
             rhs=best,
-            witness=table.points[amended_best_k].to_json(),
+            witness=witness(amended_best_k),
         )
     )
     report.add(
@@ -730,7 +747,7 @@ def verify_conditions(
             rhs=gap,
         )
     )
-    report.add(ConditionCheck("nonnegative", nonneg, witness=nonneg_witness))
+    report.add(ConditionCheck("nonnegative", nonneg_k is None, witness=witness(nonneg_k)))
     report.add(
         ConditionCheck(
             "strictly-below-profit-cap-somewhere",
@@ -741,7 +758,8 @@ def verify_conditions(
     )
     report.add(ConditionCheck("zero-at-profit-argmax", argmax_ok, witness=argmax_witness))
     report.add(
-        ConditionCheck("constraint-nonpositive", redundant_ok, witness=redundant_witness)
+        ConditionCheck("constraint-nonpositive", redundant_witness is None,
+                       witness=redundant_witness)
     )
     report.add(
         ConditionCheck(
@@ -751,10 +769,12 @@ def verify_conditions(
             rhs=star - best,
         )
     )
-    report.add(ConditionCheck("dominates-profit-gap", dominates, witness=dominates_witness))
+    report.add(ConditionCheck("dominates-profit-gap", dominates_k is None,
+                              witness=witness(dominates_k)))
     report.add(ConditionCheck("complementary-slackness", slack_ok, witness=slack_witness))
     report.add(
-        ConditionCheck("amendment-matches-constraints", matches, witness=match_witness)
+        ConditionCheck("amendment-matches-constraints", matches_k is None,
+                       witness=witness(matches_k))
     )
     return report
 
@@ -796,15 +816,28 @@ def _unit_reports(
     bundle apart from its unit id, under an exact key (`exact_key`): the
     report carries the unit's own numbers, down to the sign of a zero.  The
     group's first unit is verified, and a missing bundle or schedule raises
-    only when its unit is reached."""
-    units = instance.units
+    only when its unit is reached.
 
-    def key(unit: UnitParams) -> str:
+    The copies `build_family` makes share their amendment, constraints and
+    multipliers, so each such object's `repr` is computed once per call.
+    Bundles read from JSON are equal objects, not the same ones; they get
+    a `repr` each and group as before."""
+    units = instance.units
+    # id -> (object, repr); holding the object keeps its id from being reused
+    reprs: dict[int, tuple[object, str]] = {}
+
+    def once(obj) -> str:
+        hit = reprs.get(id(obj))
+        if hit is None:
+            hit = reprs[id(obj)] = (obj, exact_key(obj))
+        return hit[1]
+
+    def key(unit: UnitParams) -> tuple[str, ...]:
         bundle, sched = bundles.get(unit.id), x_star.units.get(unit.id)
         if bundle is None:
-            return exact_key(unit_key(unit), sched)
-        return exact_key(unit_key(unit), sched, bundle.family, bundle.formulation,
-                         bundle.amendment, bundle.constraints, bundle.multipliers)
+            return (exact_key(unit_key(unit), sched),)
+        return (exact_key(unit_key(unit), sched, bundle.family, bundle.formulation),
+                once(bundle.amendment), once(bundle.constraints), once(bundle.multipliers))
 
     firsts, group_of = _groups(map(key, units))
 
@@ -880,8 +913,7 @@ def check_zero_total_uplift(
               for offset in DUAL_PRICE_OFFSETS]
     for q, standard in zip(prices, _max_profits(instance, prices)):
         maxima_at.append([
-            (standard[i], max(_profit(q, s.g, c) + row[-1]
-                              for s, c, row in zip(r.table.points, r.table.costs, r.table.values)))
+            (standard[i], max(map(operator.add, r.table.profits_at(q), r.table.columns[-1])))
             for i, r in zip(firsts, reports)
         ])
     report = MarketReport()

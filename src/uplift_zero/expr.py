@@ -10,13 +10,20 @@ Status ("u"), Output ("g"), Add ("add"), Sub ("sub"), Mul ("mul"),
 Min ("min"), Max ("max"), Delta ("delta", indicator of equality with a
 reference point), Step ("theta", 1 for strictly positive argument, 0 at 0),
 Abs ("abs").
+
+`Expr.evaluate` walks a tree at one point.  `evaluate_columns` evaluates
+trees at many points that share a horizon, such as a verification
+lattice: it visits each distinct node once and gives its values at every
+point, bit for bit the values `evaluate` gives point by point.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
@@ -197,6 +204,153 @@ class Abs(Expr):
 
     def to_dict(self):
         return {"op": "abs", "args": [self.arg.to_dict()]}
+
+
+# ---------------------------------------------------------------------------
+# column evaluation
+# ---------------------------------------------------------------------------
+
+_SHARED, _PER_STATUS, _PER_POINT = 0, 1, 2
+
+
+class _Columns:
+    """Node values at every point of a sequence of schedules with one
+    horizon.
+
+    A node's column is a pair (kind, values).  A node over constants has
+    one value that every point shares (_SHARED); a node over constants,
+    status variables and status-only Deltas has one value per distinct
+    status vector of the points (_PER_STATUS), in order of first
+    appearance; any other node has one value per point (_PER_POINT).  An
+    operation is computed at the widest kind of its arguments, the others
+    repeated or expanded to it, with the operations `evaluate` applies at
+    one point, in the same order.  Each node is computed once."""
+
+    def __init__(self, points: Sequence[UnitSchedule], eq_tol: float,
+                 outputs: Optional[Sequence[Sequence[float]]] = None):
+        self.points = points
+        self.eq_tol = eq_tol
+        slot: dict[tuple[int, ...], int] = {}
+        self.u_index = [slot.setdefault(s.u, len(slot)) for s in points]
+        self.statuses = list(slot)
+        if len(set(map(len, self.statuses))) != 1:
+            raise ValueError("the points do not share one horizon")
+        self.periods = len(self.statuses[0])
+        self.sizes = (1, len(self.statuses), len(points))
+        self._outputs = outputs
+        self._memo: dict[int, tuple] = {}   # by node identity; the caller holds the trees
+
+    def outputs(self) -> Sequence[Sequence[float]]:
+        if self._outputs is None:
+            self._outputs = list(zip(*(s.g for s in self.points)))
+        return self._outputs
+
+    def spread(self, col: tuple, kind: int):
+        """The column's values at the given kind."""
+        have, values = col
+        if have == kind:
+            return values
+        if have == _SHARED:
+            return repeat(values[0], self.sizes[kind])
+        return map(values.__getitem__, self.u_index)
+
+    def column(self, node: Expr) -> tuple:
+        col = self._memo.get(id(node))
+        if col is None:
+            col = self._memo[id(node)] = self._compute(node)
+        return col
+
+    def _apply(self, fn, cols: list) -> tuple:
+        kind = max(have for have, _ in cols)
+        return kind, fn(*(self.spread(col, kind) for col in cols))
+
+    def _compute(self, node: Expr) -> tuple:
+        kind = type(node)
+        if kind is Const:
+            return _SHARED, [node.value]
+        if kind is Status or kind is Output:
+            if node.t >= self.periods:
+                raise ValidationError(
+                    f"expression refers to period {node.t + 1} of a {self.periods}-period schedule"
+                )
+            if kind is Status:
+                return _PER_STATUS, [float(u[node.t]) for u in self.statuses]
+            return _PER_POINT, list(map(float, self.outputs()[node.t]))
+        if kind is Add:
+            return self._apply(lambda *cols: list(map(sum, zip(*cols))),
+                               [self.column(a) for a in node.args])
+        if kind is Min or kind is Max:
+            fold = min if kind is Min else max
+            return self._apply(lambda *cols: list(map(fold, *cols)),
+                               [self.column(a) for a in node.args])
+        if kind is Mul:
+            out = (_SHARED, [1.0])
+            for a in node.args:
+                out = self._apply(lambda x, y: list(map(operator.mul, x, y)),
+                                  [out, self.column(a)])
+            return out
+        if kind is Sub:
+            return self._apply(lambda x, y: list(map(operator.sub, x, y)),
+                               [self.column(node.left), self.column(node.right)])
+        if kind is Step:
+            return self._apply(lambda x: [1.0 if v > 0.0 else 0.0 for v in x],
+                               [self.column(node.arg)])
+        if kind is Abs:
+            return self._apply(lambda x: list(map(abs, x)), [self.column(node.arg)])
+        if kind is Delta:
+            return self._delta(node)
+        # any other node type is walked point by point
+        return _PER_POINT, [node.evaluate(s, self.eq_tol) for s in self.points]
+
+    def _delta(self, node: Delta) -> tuple:
+        # a point whose status differs returns 0.0 before the outputs are read
+        hit = [True] * len(self.statuses)
+        if node.u_ref is not None:
+            if len(node.u_ref) != self.periods:
+                raise ValidationError("Delta reference has wrong horizon length")
+            hit = [u == node.u_ref for u in self.statuses]
+        if node.g_ref is None:
+            return _PER_STATUS, [1.0 if h else 0.0 for h in hit]
+        if len(node.g_ref) != self.periods:
+            if any(hit):
+                raise ValidationError("Delta reference has wrong horizon length")
+            return _SHARED, [0.0]
+        hit = list(self.spread((_PER_STATUS, hit), _PER_POINT))
+        eq_tol = self.eq_tol
+        for r, col in zip(node.g_ref, self.outputs()):
+            hit = [h and not abs(r - g) > eq_tol for h, g in zip(hit, col)]
+        return _PER_POINT, [1.0 if h else 0.0 for h in hit]
+
+
+def evaluate_columns(
+    exprs: Sequence[Expr],
+    points: Sequence[UnitSchedule],
+    eq_tol: float = DEFAULT_TOLERANCES.eq_tol,
+    outputs: Optional[Sequence[Sequence[float]]] = None,
+) -> tuple[tuple, ...]:
+    """Each expression's values at every point, one tuple per expression:
+    bit for bit `tuple(e.evaluate(s, eq_tol) for s in points)`.
+
+    When the points share one horizon, each distinct node is visited once
+    and computed for all points together (or once per status vector, when
+    it reads no output): Add sums its arguments' values with the builtin
+    `sum`, Mul multiplies them into 1.0 in order, Min and Max are the
+    builtins over the arguments in order, Step is strictly > 0.0, and Delta
+    compares within eq_tol.  `outputs`, when given, is the points' outputs
+    a period at a time, outputs[t][k] = points[k].g[t].  If any tree fails,
+    the points are walked one by one, expression by expression, with
+    `evaluate`, so the error raised is the one that walk meets first."""
+    points = tuple(points)
+    if not points:
+        return tuple(() for _ in exprs)
+    try:
+        cols = _Columns(points, eq_tol, outputs)
+        return tuple(tuple(cols.spread(cols.column(e), _PER_POINT)) for e in exprs)
+    except Exception:
+        # nothing is swallowed: the walk below raises again, and raises
+        # what it meets first, where the kernel may have failed elsewhere
+        rows = [tuple(e.evaluate(s, eq_tol) for e in exprs) for s in points]
+        return tuple(zip(*rows))
 
 
 # ---------------------------------------------------------------------------

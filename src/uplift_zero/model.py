@@ -10,8 +10,9 @@ The module also provides the verification lattice (`feasible_set_samples`),
 a deterministic finite sample of a unit's feasible set; it does not depend
 on the price.  Every "for every feasible point" check in the rest of the
 package reads it through one lattice table (`pricing.lattice_table`), which
-holds the points, their costs (`unchecked_cost`), the checked expressions'
-values and the standard profits at one price.
+holds it a column at a time: the points' outputs by period, their costs
+(`unchecked_cost`, a period at a time), the checked expressions' values
+(`expr.evaluate_columns`) and the standard profits at one price.
 """
 
 from __future__ import annotations
@@ -389,6 +390,14 @@ def feasible_set_samples(
     cross product over periods is taken per status vector and the result is
     deduplicated.  Anchor schedules must themselves be feasible and always
     appear among the samples.
+
+    The deduplication works on the sorted online values, once: values that
+    round to the same 12 decimals are one value, the first of them, except
+    that g_min and g_max are never merged with another.  The cross product
+    of the distinct values then holds no two equal points, and the points
+    are built without re-checking them (`UnitSchedule.__post_init__`
+    would only copy their tuples).  An anchor that the cross product does
+    not hold under these rules is appended after it.
     """
     anchors = tuple(anchors)
     if periods is None:
@@ -407,29 +416,55 @@ def feasible_set_samples(
         step = (unit.g_max - unit.g_min) / (SAMPLE_GRID_POINTS - 1)
         grid = [unit.g_min + k * step for k in range(SAMPLE_GRID_POINTS)]
         grid[-1] = unit.g_max
-    anchor_outputs = sorted(
-        {g for a in anchors for g, u_t in zip(a.g, a.u) if u_t == 1}
-    )
-    online_values = sorted(set(grid) | set(anchor_outputs))
+    anchor_outputs = {g for a in anchors for g, u_t in zip(a.g, a.u) if u_t == 1}
 
-    seen: set[tuple] = set()
+    def key(g: float):
+        # outputs within rounding of each other are one sample, but an anchor
+        # output within rounding of g_min or g_max must not displace that box
+        # end: the profit-maximizing outputs are box ends
+        return (g,) if g in (unit.g_min, unit.g_max) else round(g, 12)
+
+    # two points with one status vector coincide when their outputs do
+    # period by period, so the online values are deduplicated once: the
+    # first of each key in sorted order is the one the cross product meets
+    # first
+    online_values: list[float] = []
+    online_keys: set = set()
+    for g in sorted(set(grid) | anchor_outputs):
+        k = key(g)
+        if k not in online_keys:
+            online_keys.add(k)
+            online_values.append(float(g))
+
+    vectors = feasible_status_vectors(unit, periods)
     samples: list[UnitSchedule] = []
-
-    def add(u_vec: tuple[int, ...], g_vec: tuple[float, ...]) -> None:
-        # an anchor output within rounding of g_min or g_max must not displace
-        # that box end: the profit-maximizing outputs are box ends
-        key = (u_vec, tuple((g,) if g in (unit.g_min, unit.g_max) else round(g, 12) for g in g_vec))
-        if key not in seen:
-            seen.add(key)
-            samples.append(UnitSchedule(u_vec, g_vec))
-
-    for u_vec in feasible_status_vectors(unit, periods):
-        per_period = [online_values if u_t == 1 else [0.0] for u_t in u_vec]
-        for g_vec in itertools.product(*per_period):
-            add(u_vec, tuple(g_vec))
+    for u_vec in vectors:
+        outputs = itertools.product(*[online_values if u_t == 1 else (0.0,) for u_t in u_vec])
+        samples.extend(map(_lattice_point, itertools.repeat(u_vec), outputs))
+    # safety net: an anchor (whose status vector is feasible, as validated
+    # above) that the cross product does not hold under its key, such as
+    # one with an offline output of 1e-9, is added after it, once
+    offline_key = key(0.0)
+    seen: set[tuple] = set()
     for a in anchors:
-        add(a.u, a.g)  # safety net; the cross product already contains it
+        a_key = (a.u, tuple(map(key, a.g)))
+        on_grid = all(
+            k in online_keys if u_t == 1 else k == offline_key for u_t, k in zip(a.u, a_key[1])
+        )
+        if not on_grid and a_key not in seen:
+            seen.add(a_key)
+            samples.append(_lattice_point(a.u, a.g))
     return tuple(samples)
+
+
+def _lattice_point(u: tuple[int, ...], g: tuple[float, ...]) -> UnitSchedule:
+    # a UnitSchedule from an int status tuple and a float output tuple of
+    # one length, which __post_init__ would only copy
+    point = object.__new__(UnitSchedule)
+    fields = point.__dict__
+    fields["u"] = u
+    fields["g"] = g
+    return point
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,13 @@ prices, which reads every unit's maxima at all of them from one
 unit reports of verification.  Every float is computed by the same
 expression, in the same order, as when each unit is solved alone at each
 price.
+
+The verification lattice table (`LatticeTable`, built by `lattice_table`)
+is held a column at a time.  Its costs, its expression columns and its
+profits at a price are computed a period or a node at a time for every
+point together, by the per-point formulas (`unchecked_cost`, `_profit`,
+`Expr.evaluate`) with the same operations in the same order, so every
+value is bit for bit the one a point-by-point walk gives.
 """
 
 from __future__ import annotations
@@ -41,10 +48,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import PreconditionError, ValidationError
-from .expr import Expr
+from .expr import Expr, evaluate_columns
 from .model import (
     DEFAULT_TOLERANCES,
     Formulation,
@@ -60,7 +68,6 @@ from .model import (
     startup_count,
     status_table,
     status_vector_feasible,
-    unchecked_cost,
     unit_key,
     validate_schedule,
 )
@@ -198,54 +205,86 @@ def profit_given_status(unit: UnitParams, p, u: Sequence[int]) -> float:
     return _status_values(unit, StatusTable((u,), (startup_count(unit, u),)), (p,))[0][0]
 
 
+def _column_sums(columns: list, n: int) -> Iterator:
+    """Per point, the builtin `sum`, from int 0, of the columns' values in
+    column order; int 0 at each of the n points when there is no column."""
+    return map(sum, zip(*columns)) if columns else repeat(0, n)
+
+
 @dataclass(frozen=True)
 class LatticeTable:
     """One unit's verification lattice, with everything the "for every
-    feasible point" checks read off it.
+    feasible point" checks read off it, held a column at a time.
 
-    The points, their costs and the expression rows do not depend on the
-    price: values[k][j] is the j-th expression the table was built with,
-    evaluated at points[k].  The rest is the table priced at one price p:
-    profits[k] = p' g_k - costs[k] and gaps[k] = profits[k] -
-    profit_max.value <= 0.  `at_price` re-prices the same table.
+    The points, their outputs and costs and the expression columns do not
+    depend on the price: outputs[t][k] is points[k].g[t], and columns[j][k]
+    is the j-th expression the table was built with, evaluated at
+    points[k].  The rest is the table priced at one price p: profits[k] =
+    p' g_k - costs[k] and gaps[k] = profits[k] - profit_max.value <= 0.
+    `at_price` re-prices the same table.
     """
 
     unit: UnitParams
     points: tuple[UnitSchedule, ...]
+    outputs: tuple[tuple[float, ...], ...]
     costs: tuple[float, ...]
-    values: tuple[tuple[float, ...], ...]
+    columns: tuple[tuple[float, ...], ...]
     tol: ToleranceConfig
     profits: tuple[float, ...] = ()
     gaps: tuple[float, ...] = ()
     profit_max: ProfitMax | None = None
 
+    @property
+    def values(self) -> tuple[tuple[float, ...], ...]:
+        """The expression values a point at a time: values[k][j] =
+        columns[j][k]."""
+        return tuple(zip(*self.columns)) if self.columns else ((),) * len(self.points)
+
+    def profits_at(self, q: tuple[float, ...]) -> Iterator[float]:
+        """Every point's profit at a normalized price q, in point order:
+        `_profit`, with each period's products taken for all points at
+        once."""
+        revenue = _column_sums([map(operator.mul, repeat(qt), col)
+                                for qt, col in zip(q, self.outputs)], len(self.points))
+        return map(operator.sub, revenue, self.costs)
+
     def at_price(self, q) -> "LatticeTable":
-        """The same points, costs and rows priced at q, with the unit's
+        """The same points, costs and columns priced at q, with the unit's
         profit maximum at q."""
         q = as_price(q, self.points[0].periods)
         pm = unit_profit_max(self.unit, q, len(q), self.tol)
-        profits = tuple(_profit(q, s.g, c) for s, c in zip(self.points, self.costs))
+        profits = tuple(self.profits_at(q))
         return replace(
-            self, profits=profits, gaps=tuple(pi - pm.value for pi in profits), profit_max=pm
+            self, profits=profits,
+            gaps=tuple(map(operator.sub, profits, repeat(pm.value))), profit_max=pm,
         )
+
+    def weighted(self, multipliers: Sequence[float], skip: int | None = None) -> list[float]:
+        """mu' rho at every point: the sum, from int 0, of m * value over
+        the multipliers and the leading columns, in column order, leaving
+        out column `skip`."""
+        terms = [[m * v for v in col]
+                 for l, (m, col) in enumerate(zip(multipliers, self.columns)) if l != skip]
+        return list(_column_sums(terms, len(self.points)))
 
     def require_redundant(self) -> None:
         """Raise PreconditionError unless every column is a constraint
-        rho <= 0 at every point."""
-        width = len(self.values[0]) if self.values else 0
-        for l in range(width):
-            for point, row in zip(self.points, self.values):
-                if not row[l] <= self.tol.eq_tol:
+        rho <= 0 with a finite value at every point."""
+        eq_tol = self.tol.eq_tol
+        for l, col in enumerate(self.columns):
+            for point, v in zip(self.points, col):
+                if not -math.inf < v <= eq_tol:
+                    what = "not finite" if v == -math.inf else "positive"
                     raise PreconditionError(
-                        f"unit {self.unit.id}: constraint {l} is positive ({row[l]:.3g}) "
+                        f"unit {self.unit.id}: constraint {l} is {what} ({v:.3g}) "
                         f"at {point.to_json()}, not redundant"
                     )
 
     def gap_violations(self, multipliers: Sequence[float], tol: float) -> Iterator[int]:
         """Indices of the points where mu' rho(x) >= pi(x) - pi_max - tol
         fails; the multipliers weight the leading columns."""
-        for k, (gap, row) in enumerate(zip(self.gaps, self.values)):
-            if not sum(m * s for m, s in zip(multipliers, row)) >= gap - tol:
+        for k, (weighted, gap) in enumerate(zip(self.weighted(multipliers), self.gaps)):
+            if not weighted >= gap - tol:
                 yield k
 
     def is_member(self, multipliers: Sequence[float], tol: float) -> bool:
@@ -263,21 +302,30 @@ def lattice_table(
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> LatticeTable:
     """Build the unit's verification lattice anchored at `anchors`, evaluate
-    its cost and each of `exprs` once per point, and price it at p.
+    its costs and each of `exprs` a column at a time
+    (`expr.evaluate_columns`), and price it at p.
 
-    The lattice does not depend on p: the profit-maximizing schedules at
-    any price have outputs g_min, g_max or 0 per period, and those are on
-    the grid of every feasible status vector already."""
+    A point's cost is `unchecked_cost`: the energy sum over its periods,
+    plus the startup cost of its status vector, which is computed once per
+    vector.  The lattice does not depend on p: the profit-maximizing
+    schedules at any price have outputs g_min, g_max or 0 per period, and
+    those are on the grid of every feasible status vector already."""
     anchors = tuple(anchors)
     if periods is None:
         periods = anchors[0].periods if anchors else (len(p) if not isinstance(p, (int, float)) else 1)
     p = as_price(p, periods)
     points = feasible_set_samples(unit, formulation, anchors, periods, tol.eq_tol)
+    outputs = tuple(zip(*map(operator.attrgetter("g"), points)))
+    statuses = list(map(operator.attrgetter("u"), points))
+    startups = {u: unit.startup_cost * startup_count(unit, u) for u in dict.fromkeys(statuses)}
+    energy = _column_sums([map(operator.mul, repeat(unit.marginal_cost), col) for col in outputs],
+                          len(points))
     return LatticeTable(
         unit=unit,
         points=points,
-        costs=tuple(unchecked_cost(unit, s) for s in points),
-        values=tuple(tuple(e.evaluate(s, tol.eq_tol) for e in exprs) for s in points),
+        outputs=outputs,
+        costs=tuple(map(operator.add, energy, map(startups.__getitem__, statuses))),
+        columns=evaluate_columns(exprs, points, tol.eq_tol, outputs),
         tol=tol,
     ).at_price(p)
 

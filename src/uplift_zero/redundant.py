@@ -15,7 +15,9 @@ transform that restores exact uplift absorption at the dispatch point.
 Every analysis reads one table, built the same way: the unit's lattice
 table (`pricing.lattice_table`) over the constraints, anchored at the
 dispatched point x* when there is one, and rejected unless every
-constraint is non-positive on it (`_table`).  The terms at x* come from
+constraint is finite and non-positive on it (`_table`).  The analyses read
+the table's columns: one per constraint, and the weighted sum mu' rho at
+every point (`LatticeTable.weighted`).  The terms at x* come from
 `_at_dispatch`, the multiplier vector is checked by `_check_multipliers`,
 and every single-axis cap, conditional or not, comes from one loop
 (`_cap_scan`).  All quantifiers therefore run over the sampled lattice,
@@ -28,6 +30,7 @@ and `strong_duality_scan` minimizes over a multiplier grid.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -128,7 +131,7 @@ class ConstraintClass:
 
 
 def _classify(table: LatticeTable, l: int, tol: ToleranceConfig) -> ConstraintClass:
-    cap, _, on, off = _cap_scan(table.gaps, [s[l] for s in table.values], tol)
+    cap, _, on, off = _cap_scan(table.gaps, table.columns[l], tol)
     zero_witness = None if off is None else table.points[off].to_json()
     if on is None:
         return ConstraintClass("identically_zero", None, None, zero_witness)
@@ -170,7 +173,7 @@ def mu_max(
 
 
 def _axis_caps(table: LatticeTable, tol: ToleranceConfig) -> list[Optional[float]]:
-    return [_classify(table, l, tol).upper for l in range(len(table.values[0]) if table.values else 0)]
+    return [_classify(table, l, tol).upper for l in range(len(table.columns))]
 
 
 def _unbounded_probe(table: LatticeTable) -> float:
@@ -201,10 +204,7 @@ def strong_duality_scan(
         )
     best_val, best_mu = None, None
     for mu in itertools.product(*axes):
-        val = max(
-            gap - sum(m * s for m, s in zip(mu, slack))
-            for gap, slack in zip(table.gaps, table.values)
-        )
+        val = max(map(operator.sub, table.gaps, table.weighted(mu)))
         if best_val is None or val < best_val:
             best_val, best_mu = val, mu
     report = VerificationReport()
@@ -273,7 +273,8 @@ def box_structure(
     for l1 in range(len(constraints)):
         for l2 in range(l1 + 1, len(constraints)):
             if any(
-                s[l1] < -tol.eq_tol and s[l2] < -tol.eq_tol for s in table.values
+                a < -tol.eq_tol and b < -tol.eq_tol
+                for a, b in zip(table.columns[l1], table.columns[l2])
             ):
                 disjoint = False
     report.add(
@@ -379,9 +380,8 @@ def multiplier_optimality(
     witness_below = witness_cap = witness_star = None
     cap_witnesses = []
     for l in range(len(constraints)):
-        rests = [sum(m * s for j, (m, s) in enumerate(zip(multipliers, row)) if j != l)
-                 for row in table.values]
-        bound, near, _, _ = _cap_scan(table.gaps, [s[l] for s in table.values], tol, rests)
+        rests = table.weighted(multipliers, skip=l)
+        bound, near, _, _ = _cap_scan(table.gaps, table.columns[l], tol, rests)
         if bound is None:
             continue  # empty support: no restriction on this coordinate
         if l in active:
@@ -491,10 +491,7 @@ def amended_uplift(
     table = _table(unit, p, constraints, formulation, tol, x_i_star=x_i_star)
     star, star_slack = _at_dispatch(table, p, constraints, x_i_star)
     at_star = star - sum(m * s for m, s in zip(multipliers, star_slack))
-    return max(
-        profit - sum(m * s for m, s in zip(multipliers, row))
-        for profit, row in zip(table.profits, table.values)
-    ) - at_star
+    return max(map(operator.sub, table.profits, table.weighted(multipliers))) - at_star
 
 
 def in_m_plus(
@@ -521,25 +518,18 @@ class MinUpliftResult:
     stalled: bool = False
 
 
-def _max_feasible_coordinate(
-    l: int,
-    multipliers: list[float],
-    gaps: list[float],
-    slacks: list[list[float]],
-    opt_tol: float,
-) -> float:
-    """Largest mu_l keeping membership with the other coordinates fixed.
+def _max_feasible_coordinate(l: int, multipliers: list[float], table: LatticeTable) -> float:
+    """Largest mu_l keeping membership with the other coordinates fixed,
+    from the table's gaps and its column l.
 
-    gaps[k] = pi(x_k) - pi_max, slacks[k][l] = rho_l(x_k) over the lattice.
     Returns +inf when no lattice point has rho_l != 0.  Unlike `_cap_scan`
     it counts every rho_l < 0 as support, not only rho_l < -eq_tol.
     """
     bound = float("inf")
-    for gap, slack in zip(gaps, slacks):
-        if slack[l] >= 0:
+    for gap, slack, rest in zip(table.gaps, table.columns[l], table.weighted(multipliers, skip=l)):
+        if slack >= 0:
             continue
-        rest = sum(m * s for j, (m, s) in enumerate(zip(multipliers, slack)) if j != l)
-        bound = min(bound, (gap - rest) / slack[l])
+        bound = min(bound, (gap - rest) / slack)
     return bound
 
 
@@ -564,7 +554,7 @@ def min_uplift(
     table = _table(unit, p, constraints, formulation, tol, x_i_star=x_i_star)
     star, star_slack = _at_dispatch(table, p, constraints, x_i_star)
     base_uplift = table.profit_max.value - star
-    gaps, slacks = table.gaps, table.values
+    gaps = table.gaps
 
     # per-constraint caps; coordinates that cannot lower the objective stay 0
     caps = []
@@ -572,7 +562,7 @@ def min_uplift(
         if star_slack[l] >= -tol.eq_tol:
             caps.append(0.0)
         else:
-            cap = constraint_cap(gaps, [s[l] for s in slacks], tol)
+            cap = constraint_cap(gaps, table.columns[l], tol)
             caps.append(0.0 if cap is None else max(0.0, cap))
     multipliers = list(caps)
 
@@ -584,7 +574,7 @@ def min_uplift(
             for l in range(len(constraints)):
                 if caps[l] == 0.0:
                     continue
-                limit = _max_feasible_coordinate(l, multipliers, gaps, slacks, tol.opt_tol)
+                limit = _max_feasible_coordinate(l, multipliers, table)
                 new = min(caps[l], max(0.0, limit))
                 if new < multipliers[l] - tol.eq_tol:
                     multipliers[l] = new

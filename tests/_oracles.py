@@ -13,6 +13,10 @@ its own, where the package now solves each group of identical units once.
 verbatim: it enumerates and checks every status vector and builds every
 schedule on each call, where the package prices a status table built once
 per unit and price search.  The reference loops solve through it.
+`reference_feasible_set_samples` is the package's former verification
+lattice, kept verbatim: it builds every point of the cross product as a
+UnitSchedule and deduplicates the points one by one, where the package
+deduplicates the one-dimensional output list once.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 
 import numpy as np
 
-from uplift_zero import MarketInstance, Schedule, UnitParams, UnitSchedule
+from uplift_zero import MarketInstance, Schedule, UnitParams, UnitSchedule, model
 from uplift_zero.amendments import (
     DUAL_PRICE_OFFSETS,
     FAMILIES,
@@ -44,6 +48,7 @@ from uplift_zero.model import (
     feasible_status_vectors,
     status_vector_feasible,
     validate_schedule,
+    validate_unit_schedule,
 )
 from uplift_zero.pricing import (
     SUBGRADIENT_MAX_ITERS,
@@ -631,3 +636,54 @@ def hull_amendment_oracle_online(unit: UnitParams, gap: float, g_star: float):
         return cost(g) - envelope_eval(hull, g)
 
     return amendment
+
+
+def reference_feasible_set_samples(
+    unit: UnitParams,
+    formulation: Formulation = Formulation.STATUS_OUTPUT,
+    anchors=(),
+    periods: int | None = None,
+    eq_tol: float = DEFAULT_TOLERANCES.eq_tol,
+) -> tuple[UnitSchedule, ...]:
+    """The former `model.feasible_set_samples`, kept verbatim (it reads the
+    grid size from the model module, as the package does)."""
+    anchors = tuple(anchors)
+    if periods is None:
+        periods = anchors[0].periods if anchors else 1
+    for a in anchors:
+        validate_unit_schedule(unit, a, periods, eq_tol)
+    if formulation is Formulation.OUTPUT_ONLY and not unit.output_determines_status():
+        raise ValidationError(
+            f"unit {unit.id}: output-only formulation is ambiguous "
+            "(g_min == 0 with positive startup cost)"
+        )
+
+    if unit.g_max == unit.g_min:
+        grid = [unit.g_min]
+    else:
+        step = (unit.g_max - unit.g_min) / (model.SAMPLE_GRID_POINTS - 1)
+        grid = [unit.g_min + k * step for k in range(model.SAMPLE_GRID_POINTS)]
+        grid[-1] = unit.g_max
+    anchor_outputs = sorted(
+        {g for a in anchors for g, u_t in zip(a.g, a.u) if u_t == 1}
+    )
+    online_values = sorted(set(grid) | set(anchor_outputs))
+
+    seen: set[tuple] = set()
+    samples: list[UnitSchedule] = []
+
+    def add(u_vec: tuple[int, ...], g_vec: tuple[float, ...]) -> None:
+        # an anchor output within rounding of g_min or g_max must not displace
+        # that box end: the profit-maximizing outputs are box ends
+        key = (u_vec, tuple((g,) if g in (unit.g_min, unit.g_max) else round(g, 12) for g in g_vec))
+        if key not in seen:
+            seen.add(key)
+            samples.append(UnitSchedule(u_vec, g_vec))
+
+    for u_vec in feasible_status_vectors(unit, periods):
+        per_period = [online_values if u_t == 1 else [0.0] for u_t in u_vec]
+        for g_vec in itertools.product(*per_period):
+            add(u_vec, tuple(g_vec))
+    for a in anchors:
+        add(a.u, a.g)  # safety net; the cross product already contains it
+    return tuple(samples)
