@@ -22,6 +22,15 @@ convex-hull       exact convex-hull price amendment (tightest closed form)
 
 The last four require single-period horizons or marginal-pricing style
 preconditions; builders raise PreconditionError when their setting fails.
+So does every builder asked for the output-only formulation on a unit
+whose status its output does not determine.
+
+linear-unit and convex-hull share one single-period case analysis
+(`_box_case`): one period, an initially offline unit and g_min < g_max,
+then pi(x*) and the profit maximum, where x* sits in the unit's box
+(offline, at g_min or at g_max within eq_tol, or interior), and whether the
+price covers a cold start at full output, p >= c + w / g_max.  Each closed
+form branches on that result alone.
 
 Identical units share work by the package's one rule (`model._groups`),
 under an exact key (`exact_key(unit_key(unit), ...)`) because a bundle and
@@ -152,6 +161,16 @@ def bundles_from_json(obj: Mapping) -> dict[str, AmendmentBundle]:
 # profit expressions
 # ---------------------------------------------------------------------------
 
+def _require_status_readable(unit: UnitParams, formulation: Formulation) -> None:
+    """The output-only formulation reads the status off the output, which a
+    unit allows when g_min > 0 or it has no startup cost."""
+    if formulation is Formulation.OUTPUT_ONLY and not unit.output_determines_status():
+        raise PreconditionError(
+            f"unit {unit.id}: output-only formulation is ambiguous "
+            "(g_min == 0 with positive startup cost)"
+        )
+
+
 def _status_term(unit: UnitParams, t: int, formulation: Formulation) -> Expr:
     if formulation is Formulation.OUTPUT_ONLY:
         return Step(Output(t))
@@ -161,11 +180,7 @@ def _status_term(unit: UnitParams, t: int, formulation: Formulation) -> Expr:
 def profit_expr(unit: UnitParams, p, periods: int = 1,
                 formulation: Formulation = Formulation.STATUS_OUTPUT) -> Expr:
     """Standard profit p'g - C(x) as an expression tree."""
-    if formulation is Formulation.OUTPUT_ONLY and not unit.output_determines_status():
-        raise PreconditionError(
-            f"unit {unit.id}: output-only profit is ambiguous "
-            "(g_min == 0 with positive startup cost)"
-        )
+    _require_status_readable(unit, formulation)
     p = as_price(p, periods)
     terms: list[Expr] = []
     for t in range(periods):
@@ -218,11 +233,7 @@ def build_uplift_delta(
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> AmendmentBundle:
     """Lump payment of the lost profit, at the dispatched point only."""
-    if formulation is Formulation.OUTPUT_ONLY and not unit.output_determines_status():
-        raise PreconditionError(
-            f"unit {unit.id}: output-only formulation is ambiguous "
-            "(g_min == 0 with positive startup cost)"
-        )
+    _require_status_readable(unit, formulation)
     star, best, gap = _uplift_at(unit, p, x_i_star, tol)
     marker = delta_of(x_i_star, formulation)
     return AmendmentBundle(
@@ -266,16 +277,22 @@ def build_general_form(
 ) -> AmendmentBundle:
     """Canonical valid amendment: min of the constant-profit cap and a
     delta payment shifted by any non-negative expression gamma."""
+    _require_status_readable(unit, formulation)
     star, best, gap = _uplift_at(unit, p, x_i_star, tol)
     p_vec = as_price(p, x_i_star.periods)
-    # gamma is read on the verification lattice, which needs no price here
-    points = feasible_set_samples(unit, formulation, (x_i_star,), x_i_star.periods, tol.eq_tol)
-    (gammas,) = evaluate_columns((gamma,), points, tol.eq_tol)
-    for point, val in zip(points, gammas):
-        if not val >= -tol.eq_tol:
-            raise PreconditionError(
-                f"unit {unit.id}: gamma is negative ({val:.3g}) at {point.to_json()}"
-            )
+    if isinstance(gamma, Const):
+        if not gamma.value >= -tol.eq_tol:
+            raise PreconditionError(f"unit {unit.id}: gamma is negative ({gamma.value:.3g})")
+    else:
+        # gamma is read on the verification lattice, which needs no price here
+        points = feasible_set_samples(unit, formulation, (x_i_star,), x_i_star.periods,
+                                      tol.eq_tol)
+        (gammas,) = evaluate_columns((gamma,), points, tol.eq_tol)
+        for point, val in zip(points, gammas):
+            if not val >= -tol.eq_tol:
+                raise PreconditionError(
+                    f"unit {unit.id}: gamma is negative ({val:.3g}) at {point.to_json()}"
+                )
     profit = profit_expr(unit, p_vec, x_i_star.periods, formulation)
     amendment = Min(
         (
@@ -368,9 +385,14 @@ def build_status_profile(
     )
 
 
-def _single_period_box_setting(
-    unit: UnitParams, p, x_i_star: UnitSchedule, family: str
-) -> float:
+def _box_case(
+    unit: UnitParams, p, x_i_star: UnitSchedule, formulation: Formulation,
+    tol: ToleranceConfig, family: str,
+) -> tuple[float, float, float, float, str, bool]:
+    """The single-period box setting, checked and read once: returns
+    (p0, g*, pi(x*), pi_max, where x* sits, whether p0 >= c + w / g_max).
+    x* sits "offline", at the "min" or "max" of its box (within eq_tol) or
+    in its "interior"."""
     if x_i_star.periods != 1:
         raise PreconditionError(f"{family} family needs a single-period horizon")
     if unit.initial_status != 0:
@@ -378,34 +400,36 @@ def _single_period_box_setting(
     if not unit.g_min < unit.g_max:
         raise PreconditionError(f"{family} family needs g_min < g_max")
     (p0,) = as_price(p, 1)
-    return p0
-
-
-def _box_case_multipliers(
-    unit: UnitParams, p0: float, x_i_star: UnitSchedule, tol: ToleranceConfig
-) -> tuple[float, float, float, str]:
-    """Case analysis for the single-period box family: multipliers on
-    u*g_min - g <= 0, g - u*g_max <= 0, u - 1 <= 0."""
+    _require_status_readable(unit, formulation)
     star = _dispatch_profit(unit, (p0,), x_i_star, tol)
     best = _unit_max_profit(unit, (p0,))
-    threshold = unit.marginal_cost + unit.startup_cost / unit.g_max
+    g_star = x_i_star.g[0]
+    if x_i_star.u[0] == 0:
+        at = "offline"
+    elif g_star <= unit.g_min + tol.eq_tol:
+        at = "min"
+    elif g_star >= unit.g_max - tol.eq_tol:
+        at = "max"
+    else:
+        at = "interior"
+    return p0, g_star, star, best, at, p0 >= unit.marginal_cost + unit.startup_cost / unit.g_max
+
+
+def _box_case_multipliers(unit: UnitParams, case: tuple) -> tuple[float, float, float]:
+    """Multipliers on u*g_min - g <= 0, g - u*g_max <= 0, u - 1 <= 0."""
+    p0, g_star, star, best, at, covered = case
     span = unit.g_max - unit.g_min
-    u_star, g_star = x_i_star.u[0], x_i_star.g[0]
-    if u_star == 0:
-        if p0 >= threshold:
-            return 0.0, 0.0, best, "offline-profitable-price"
-        return 0.0, 0.0, 0.0, "offline-unprofitable-price"
-    if g_star <= unit.g_min + tol.eq_tol:
-        return 0.0, (best - star) / (unit.g_max - g_star), 0.0, "at-minimum"
-    if g_star >= unit.g_max - tol.eq_tol:
-        if p0 >= threshold:
-            return 0.0, 0.0, 0.0, "at-maximum-profitable-price"
-        return -star / span, 0.0, 0.0, "at-maximum-unprofitable-price"
-    if p0 >= threshold:
-        return 0.0, p0 - unit.marginal_cost, 0.0, "interior-profitable-price"
+    if at == "offline":
+        return 0.0, 0.0, best if covered else 0.0
+    if at == "min":
+        return 0.0, (best - star) / (unit.g_max - g_star), 0.0
+    if at == "max":
+        return (0.0, 0.0, 0.0) if covered else (-star / span, 0.0, 0.0)
+    if covered:
+        return 0.0, p0 - unit.marginal_cost, 0.0
     online_max = standard_profit(unit, (p0,), UnitSchedule((1,), (unit.g_max,)))
     online_min = standard_profit(unit, (p0,), UnitSchedule((1,), (unit.g_min,)))
-    return -online_max / span, -online_min / span, 0.0, "interior-unprofitable-price"
+    return -online_max / span, -online_min / span, 0.0
 
 
 _BOX_CONSTRAINTS = (
@@ -425,8 +449,8 @@ def build_linear_unit(
     initially offline): N = mu1 (g - u g_min) + mu2 (u g_max - g)
     + mu3 (1 - u), with the closed-form case analysis on the dispatch
     point's position and the price."""
-    p0 = _single_period_box_setting(unit, p, x_i_star, "linear-unit")
-    mu = _box_case_multipliers(unit, p0, x_i_star, tol)[:3]
+    case = _box_case(unit, p, x_i_star, Formulation.STATUS_OUTPUT, tol, "linear-unit")
+    mu = _box_case_multipliers(unit, case)
     constraints = tuple(build(unit) for build in _BOX_CONSTRAINTS)
     amendment = add(*(scale(m, neg(rho)) for m, rho in zip(mu, constraints)))
     return AmendmentBundle(
@@ -439,30 +463,15 @@ def build_linear_unit(
     )
 
 
-def _hull_status_output(
-    unit: UnitParams, p0: float, x_i_star: UnitSchedule, tol: ToleranceConfig
-) -> AmendmentBundle:
-    u_star, g_star = x_i_star.u[0], x_i_star.g[0]
-    interior = (
-        u_star == 1
-        and unit.g_min + tol.eq_tol < g_star < unit.g_max - tol.eq_tol
-    )
-    if not interior:
+def _hull_status_output(unit: UnitParams, case: tuple) -> tuple[Expr, Expr, float]:
+    _, g_star, star, best, at, _ = case
+    if at != "interior":
         # outside the interior case the hull amendment coincides with the
         # dominant box constraint: the first positive of mu3, mu2, mu1
-        mus = _box_case_multipliers(unit, p0, x_i_star, tol)
+        mus = _box_case_multipliers(unit, case)
         l = next((k for k in (2, 1, 0) if mus[k] > 0), None)
         rho, mu = (ZERO, 0.0) if l is None else (_BOX_CONSTRAINTS[l](unit), mus[l])
-        return AmendmentBundle(
-            unit_id=unit.id,
-            family="convex-hull",
-            formulation=Formulation.STATUS_OUTPUT,
-            amendment=scale(mu, neg(rho)),
-            constraints=(rho,),
-            multipliers=(mu,),
-        )
-    star = _dispatch_profit(unit, (p0,), x_i_star, tol)
-    gap = _unit_max_profit(unit, (p0,)) - star
+        return scale(mu, neg(rho)), rho, mu
     up = scale(
         1.0 / (g_star - unit.g_min),
         Sub(Output(0), scale(unit.g_min, Status(0))),
@@ -471,60 +480,31 @@ def _hull_status_output(
         1.0 / (unit.g_max - g_star),
         Sub(scale(unit.g_max, Status(0)), Output(0)),
     )
-    rho = Max((neg(up), neg(down)))
-    return AmendmentBundle(
-        unit_id=unit.id,
-        family="convex-hull",
-        formulation=Formulation.STATUS_OUTPUT,
-        amendment=scale(gap, Min((up, down))),
-        constraints=(rho,),
-        multipliers=(gap,),
-    )
+    gap = best - star
+    return scale(gap, Min((up, down))), Max((neg(up), neg(down))), gap
 
 
-def _hull_output_only(
-    unit: UnitParams, p0: float, x_i_star: UnitSchedule, tol: ToleranceConfig
-) -> AmendmentBundle:
-    if not unit.output_determines_status():
-        raise PreconditionError(
-            f"unit {unit.id}: output-only amendment is ambiguous "
-            "(g_min == 0 with positive startup cost)"
-        )
-    star = _dispatch_profit(unit, (p0,), x_i_star, tol)
-    best = _unit_max_profit(unit, (p0,))
-    threshold = unit.marginal_cost + unit.startup_cost / unit.g_max
+def _hull_output_only(unit: UnitParams, case: tuple) -> tuple[Expr, Expr, float]:
+    p0, g_star, star, best, at, covered = case
     profit_g = profit_expr(unit, (p0,), 1, Formulation.OUTPUT_ONLY)
-    u_star, g_star = x_i_star.u[0], x_i_star.g[0]
     w = unit.startup_cost
-
-    def bundle(amendment: Expr, rho: Expr, mu: float) -> AmendmentBundle:
-        return AmendmentBundle(
-            unit_id=unit.id,
-            family="convex-hull",
-            formulation=Formulation.OUTPUT_ONLY,
-            amendment=amendment,
-            constraints=(rho,),
-            multipliers=(mu,),
-        )
-
-    if u_star == 0:
-        if p0 < threshold:
-            return bundle(ZERO, ZERO, 0.0)
-        return bundle(Sub(Const(best), profit_g), Sub(profit_g, Const(best)), 1.0)
-    if g_star <= unit.g_min + tol.eq_tol:
-        if p0 >= threshold:
+    if covered and (at == "offline" or (at == "min" and g_star == 0.0)):
+        # a zero output reads as offline: cap the profit at its maximum
+        return Sub(Const(best), profit_g), Sub(profit_g, Const(best)), 1.0
+    if at == "offline" or (at == "max" and covered):
+        return ZERO, ZERO, 0.0
+    if at == "min":
+        if covered:
             cap = scale(best, Step(Output(0)))
-            return bundle(Sub(cap, profit_g), Sub(profit_g, cap), 1.0)
+            return Sub(cap, profit_g), Sub(profit_g, cap), 1.0
         online_min = standard_profit(unit, (p0,), UnitSchedule((1,), (unit.g_min,)))
         mu = -online_min / (unit.g_max - unit.g_min)
         rho = Sub(Output(0), scale(unit.g_max, Step(Output(0))))
-        return bundle(scale(mu, neg(rho)), rho, mu)
-    if g_star >= unit.g_max - tol.eq_tol:
-        if p0 >= threshold:
-            return bundle(ZERO, ZERO, 0.0)
-        return bundle(neg(profit_g), profit_g, 1.0)
+        return scale(mu, neg(rho)), rho, mu
+    if at == "max":
+        return neg(profit_g), profit_g, 1.0
     # interior dispatch
-    if p0 >= threshold:
+    if covered:
         first = scale(
             1.0 / g_star,
             add(
@@ -533,7 +513,7 @@ def _hull_output_only(
             ),
         )
         amendment = Min((first, Sub(Const(best), profit_g)))
-        return bundle(amendment, neg(amendment), 1.0)
+        return amendment, neg(amendment), 1.0
     online_max = standard_profit(unit, (p0,), UnitSchedule((1,), (unit.g_max,)))
     second = scale(
         1.0 / (unit.g_max - g_star),
@@ -543,7 +523,7 @@ def _hull_output_only(
         ),
     )
     amendment = Min((neg(profit_g), second))
-    return bundle(amendment, neg(amendment), 1.0)
+    return amendment, neg(amendment), 1.0
 
 
 def build_convex_hull_amendment(
@@ -555,10 +535,17 @@ def build_convex_hull_amendment(
 ) -> AmendmentBundle:
     """Amendment induced by convex-hull pricing of the single unit: the
     tightest closed form, piecewise linear around the dispatch point."""
-    p0 = _single_period_box_setting(unit, p, x_i_star, "convex-hull")
-    if formulation is Formulation.OUTPUT_ONLY:
-        return _hull_output_only(unit, p0, x_i_star, tol)
-    return _hull_status_output(unit, p0, x_i_star, tol)
+    case = _box_case(unit, p, x_i_star, formulation, tol, "convex-hull")
+    hull = _hull_output_only if formulation is Formulation.OUTPUT_ONLY else _hull_status_output
+    amendment, rho, mu = hull(unit, case)
+    return AmendmentBundle(
+        unit_id=unit.id,
+        family="convex-hull",
+        formulation=formulation,
+        amendment=amendment,
+        constraints=(rho,),
+        multipliers=(mu,),
+    )
 
 
 Builder = Callable[..., AmendmentBundle]

@@ -272,6 +272,13 @@ def _build_and_verify(instance: MarketInstance, args):
     return result, p, dual, bundles, market.units, market
 
 
+def _print_amendments(instance: MarketInstance, bundles, digits: int) -> None:
+    for unit in instance.units:
+        text = expr_to_text(bundles[unit.id].amendment, digits)
+        if text != "0":
+            print(f"  N[{unit.id}] = {text}")
+
+
 def cmd_amend(args) -> int:
     instance = _load(args)
     result, p, _, bundles, reports, market = _build_and_verify(instance, args)
@@ -291,10 +298,7 @@ def cmd_amend(args) -> int:
     else:
         print(f"family {args.family} ({args.formulation}) at price "
               + ", ".join(_fmt(q, digits) for q in p))
-        for unit in instance.units:
-            text = expr_to_text(bundles[unit.id].amendment)
-            if text != "0":
-                print(f"  N[{unit.id}] = {text}")
+        _print_amendments(instance, bundles, digits)
         status = "all conditions passed" if not failed and market.passed else "FAILED"
         print(f"verification: {status}")
         if args.out:
@@ -397,10 +401,7 @@ def cmd_report(args) -> int:
     print(f"dual value = {_fmt(dual, digits)}")
     print(f"total uplift before amendment = {_fmt_sig(before.total, digits)}")
     print(f"amendments (family {args.family}, formulation {args.formulation}):")
-    for unit in instance.units:
-        text = expr_to_text(bundles[unit.id].amendment)
-        if text != "0":
-            print(f"  N[{unit.id}] = {text}")
+    _print_amendments(instance, bundles, digits)
     print(f"verification: {'all conditions passed' if verified else 'FAILED'}")
     if not verified:
         for uid in sorted(reports):

@@ -239,6 +239,8 @@ class TestPreconditions:
             )
         with pytest.raises(PreconditionError):
             build_uplift_delta(u, (3.0,), OFFLINE, formulation=Formulation.OUTPUT_ONLY)
+        with pytest.raises(PreconditionError):
+            build_general_form(u, (3.0,), OFFLINE, formulation=Formulation.OUTPUT_ONLY)
 
     def test_status_families_rejected_for_output_only(self, scarf10):
         p = marginal_price(scarf10.instance, scarf10.result.schedule)
@@ -377,6 +379,14 @@ class TestAggregate:
         with pytest.raises(PreconditionError, match="unit Med Tech-1:"):
             aggregate_constraint(sc.instance, sc.price, bundles, sc.result.schedule)
 
+    def test_missing_bundle_raises(self, scarf10):
+        sc = scarf10
+        bundles = build_family("convex-hull", sc.instance, sc.price, sc.result.schedule)
+        del bundles["High Tech-2"]
+        for check in (aggregate_constraint, check_zero_total_uplift):
+            with pytest.raises(ValidationError, match="no bundle for unit High Tech-2"):
+                check(sc.instance, sc.price, bundles, sc.result.schedule)
+
     def test_json_shape(self, scarf10):
         sc = scarf10
         bundles = build_family("convex-hull", sc.instance, sc.price, sc.result.schedule)
@@ -416,6 +426,26 @@ class TestEnvelopeOracles:
                     oracle(g), abs=1e-7
                 ), (u, p, g_star, g)
             done += 1
+
+    @pytest.mark.parametrize("unit,price,star", (
+        # offline at a price that covers the cold start at full output
+        (UnitParams("O", 2.0, 6.0, 3.0, 6.0), 5.0, OFFLINE),
+        # at g_min, price covers the cold start
+        (UnitParams("M", 2.0, 6.0, 3.0, 6.0), 5.0, UnitSchedule((1,), (2.0,))),
+        # at g_max, price does not cover the cold start
+        (UnitParams("X", 2.0, 6.0, 3.0, 12.0), 4.0, UnitSchedule((1,), (6.0,))),
+        # online at a zero g_min, which the output reads as offline
+        (UnitParams("C", 0.0, 1.0, 3.0, 0.0), 6.0, UnitSchedule((1,), (0.0,))),
+    ), ids=("offline-covered", "min-covered", "max-uncovered", "zero-min-covered"))
+    def test_output_form_box_ends_match_envelope(self, unit, price, star):
+        b = build_convex_hull_amendment(unit, (price,), star, formulation=Formulation.OUTPUT_ONLY)
+        gap = unit_profit_max(unit, (price,), 1).value - standard_profit(unit, (price,), star)
+        oracle = hull_amendment_oracle_output_only(unit, gap, star.g[0])
+        for g in self.grid(unit):
+            sched = UnitSchedule((1 if g > 0 else 0,), (g,))
+            assert b.amendment.evaluate(sched) == pytest.approx(oracle(g), abs=1e-9), g
+        rep = verify_conditions(unit, (price,), b, star)
+        assert rep.passed, rep.failures()
 
     def test_online_branch_matches_envelope(self):
         rng = random.Random(67)

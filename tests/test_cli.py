@@ -1,6 +1,7 @@
 """Command-line interface: output goldens, JSON modes, file round trips,
 and exit codes."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -8,15 +9,37 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uplift_zero import cli
+from uplift_zero import amendments, cli
 from uplift_zero.cli import main
-from uplift_zero.model import Formulation
+from uplift_zero.expr import scale
+from uplift_zero.model import Formulation, instance_to_dict, scarf_instance
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture
+def doubled_hull(monkeypatch):
+    """The convex-hull builder, with its amendment and multipliers doubled."""
+    build = amendments.FAMILIES["convex-hull"]
+
+    def doubled(*args):
+        b = build(*args)
+        return dataclasses.replace(b, amendment=scale(2.0, b.amendment),
+                                   multipliers=tuple(2.0 * m for m in b.multipliers))
+
+    monkeypatch.setitem(amendments.FAMILIES, "convex-hull", doubled)
+
+
+def scarf10_file(tmp_path, report_digits):
+    doc = instance_to_dict(scarf_instance(10.0))
+    doc["tolerances"]["report_digits"] = report_digits
+    path = tmp_path / "scarf10.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 class TestDispatch:
@@ -151,6 +174,20 @@ class TestAmend:
         assert "  market: ok" in lines
         assert all(": ok" in l for l in lines if l.startswith("  "))
 
+    def test_failed_verification_exits_one(self, capsys, doubled_hull):
+        code, out, _ = run(capsys, "amend", "--scarf", "10")
+        assert code == 1
+        assert "  N[Med Tech-1] = 4.286*min[g - 2*u, 0.3333*(6*u - g)]" in out.splitlines()
+        assert out.splitlines()[-1] == "verification: FAILED"
+
+    def test_amendment_text_uses_report_digits(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "amend", scarf10_file(tmp_path, 6))
+        assert code == 0
+        assert out.splitlines()[:2] == [
+            "family convex-hull (xu) at price 6.285714",
+            "  N[Med Tech-1] = 2.14286*min[g - 2*u, 0.333333*(6*u - g)]",
+        ]
+
     def test_json_bundles_parse(self, capsys):
         code, out, _ = run(
             capsys, "amend", "--scarf", "10", "--family", "uplift-delta", "--json"
@@ -180,6 +217,41 @@ class TestReport:
             "verification: all conditions passed",
             "total uplift after amendment = 0.0000",
         ]
+
+    def test_failed_verification_lists_failures(self, capsys, doubled_hull):
+        code, out, _ = run(capsys, "report", "--scarf", "10")
+        assert code == 1
+        lines = out.splitlines()
+        at = lines.index("verification: FAILED")
+        fails = lines[at + 1:-1]
+        assert fails and all(l.startswith("  FAIL ") for l in fails)
+        assert "  FAIL Med Tech-1: zero-uplift-at-dispatch" in fails
+        assert "  FAIL market: amended-dual-at-price" in fails
+        assert lines[-1].startswith("total uplift after amendment = ")
+
+    def test_amendment_text_uses_report_digits(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "report", scarf10_file(tmp_path, 6))
+        assert code == 0
+        lines = out.splitlines()
+        assert "  N[Med Tech-1] = 2.14286*min[g - 2*u, 0.333333*(6*u - g)]" in lines
+        assert "total uplift after amendment = 0.000000" in lines
+
+    def test_idle_zero_minimum_unit_output_only(self, capsys, tmp_path):
+        # a unit with g_min = 0 and no startup cost, committed at zero output
+        # at a price above its marginal cost: its output-only hull amendment
+        # pays its lost profit at that zero output
+        path = tmp_path / "idle.json"
+        path.write_text(json.dumps({"periods": 1, "demand": [5.0], "unit_types": [
+            {"id": "B", "g_min": 0.0, "g_max": 10.0, "marginal_cost": 1.0, "startup_cost": 50.0},
+            {"id": "C", "g_min": 0.0, "g_max": 1.0, "marginal_cost": 3.0, "startup_cost": 0.0},
+        ]}))
+        code, out, _ = run(capsys, "report", str(path), "--family", "convex-hull",
+                           "--formulation", "g")
+        assert code == 0
+        lines = out.splitlines()
+        assert "  N[C] = 3 - 3*g" in lines
+        assert "verification: all conditions passed" in lines
+        assert lines[-1] == "total uplift after amendment = 0.0000"
 
     def test_byte_determinism(self, capsys):
         _, first, _ = run(capsys, "report", "--scarf", "40", "--family", "linear-unit")
@@ -420,6 +492,15 @@ class TestExitCodes:
         code, out, err = run(capsys, "verify", "--scarf", "10", "--price-method", "marginal",
                              "--amendments", str(path))
         self._assert_one_error_line(code, out, err)
+
+    def test_bundle_file_missing_a_unit_is_two(self, capsys, tmp_path):
+        def edit(payload):
+            del payload["bundles"]["High Tech-3"]
+
+        path = self._bundle_file(capsys, tmp_path, edit)
+        code, out, err = run(capsys, "verify", "--scarf", "10", "--amendments", str(path))
+        self._assert_one_error_line(code, out, err)
+        assert "no bundle for units: High Tech-3" in err
 
     def test_bundle_file_that_is_not_an_object_is_two(self, capsys, tmp_path):
         path = tmp_path / "bundles.json"

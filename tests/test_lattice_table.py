@@ -67,6 +67,22 @@ def test_report_builds_one_lattice_and_one_profit_max_per_table(monkeypatch, cap
     assert counts[("market", "at_price")] == 0
 
 
+def test_general_form_report_builds_one_lattice_per_table(monkeypatch, capsys):
+    # the CLI's gamma is the constant 0, read by its one value: the builder
+    # builds no lattice, and verify_conditions one per (type, schedule) pair
+    calls = []
+    build = model.feasible_set_samples
+    rebind(monkeypatch, build, lambda *args: calls.append(args) or build(*args))
+    assert cli.main(["report", "--scarf", "40", "--family", "general-form"]) == 0
+    assert "total uplift after amendment = 0.0000" in capsys.readouterr().out
+    assert len(calls) == 6
+    # any other gamma is still checked on the lattice, with a witness point
+    star = UnitSchedule((1,), (3.0,))
+    with pytest.raises(PreconditionError, match=r"gamma is negative \(.*\) at \{"):
+        amendments.build_general_form(MT, (7.0,), star, gamma=Sub(Const(2.0), Output(0)))
+    assert len(calls) == 7
+
+
 def test_rows_hold_each_expression_once_per_point():
     rho = Sub(scale(MT.g_min, Status(0)), Output(0))
     table = pricing.lattice_table(MT, (6.0,), (rho, Const(1.5)))
