@@ -392,7 +392,9 @@ def _box_case(
     """The single-period box setting, checked and read once: returns
     (p0, g*, pi(x*), pi_max, where x* sits, whether p0 >= c + w / g_max).
     x* sits "offline", at the "min" or "max" of its box (within eq_tol) or
-    in its "interior"."""
+    in its "interior".  In a box no wider than eq_tol, x* at g_max also lies
+    within eq_tol of g_min; it sits at the "max", since the at-minimum
+    multipliers divide by g_max - g*."""
     if x_i_star.periods != 1:
         raise PreconditionError(f"{family} family needs a single-period horizon")
     if unit.initial_status != 0:
@@ -406,7 +408,7 @@ def _box_case(
     g_star = x_i_star.g[0]
     if x_i_star.u[0] == 0:
         at = "offline"
-    elif g_star <= unit.g_min + tol.eq_tol:
+    elif g_star <= unit.g_min + tol.eq_tol and g_star != unit.g_max:
         at = "min"
     elif g_star >= unit.g_max - tol.eq_tol:
         at = "max"

@@ -28,6 +28,7 @@ from .expr import expr_to_text
 from .model import (
     Formulation,
     MarketInstance,
+    _groups,
     load_instance,
     scarf_instance,
 )
@@ -145,32 +146,25 @@ def _write_json(o, out: list[str], nl: str) -> None:
         out.append("true")
     elif o is False:
         out.append("false")
-    # subclasses, in the order json tests them: an str enum writes its value
+    # the one subclass the CLI writes: an str enum (`Formulation`) writes its value
     elif isinstance(o, str):
         out.append(encode_basestring_ascii(o))
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_float_text(o))
-    elif isinstance(o, (list, tuple)):
-        _write_json(list(o), out, nl)
-    elif isinstance(o, dict):
-        _write_json(dict(o.items()), out, nl)
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _float_text(value: float) -> str:
-    if math.isfinite(value):
-        return float.__repr__(value)
+    # json's spelling of a float that is not finite
     if value != value:
         return "NaN"
     return "Infinity" if value > 0 else "-Infinity"
 
 
 def _json_text(obj) -> str:
-    """Exactly json.dumps(obj, indent=2, sort_keys=True), for keys that
-    are strings; any other key raises TypeError.
+    """Exactly json.dumps(obj, indent=2, sort_keys=True), for the types the
+    CLI writes: None, bool, int, float, str (an str enum too), list, tuple
+    and dict with str keys.  Any other type or key, subclasses of int,
+    float, list and dict included, raises TypeError.
 
     An indent makes json fall back to its pure-Python encoder, which is
     several times slower than this writer and leaves cyclic garbage (its
@@ -269,7 +263,13 @@ def _build_and_verify(instance: MarketInstance, args):
     formulation = Formulation(args.formulation)
     bundles = build_family(args.family, instance, p, result.schedule, formulation)
     market = check_zero_total_uplift(instance, p, bundles, result.schedule)
-    return result, p, dual, bundles, market.units, market
+    return result, p, dual, bundles, market
+
+
+def _verified(market) -> bool:
+    """The verdict of amend, verify and report: the market check and every
+    unit's report passed."""
+    return market.passed and all(rep.passed for rep in market.units.values())
 
 
 def _print_amendments(instance: MarketInstance, bundles, digits: int) -> None:
@@ -281,9 +281,9 @@ def _print_amendments(instance: MarketInstance, bundles, digits: int) -> None:
 
 def cmd_amend(args) -> int:
     instance = _load(args)
-    result, p, _, bundles, reports, market = _build_and_verify(instance, args)
+    result, p, _, bundles, market = _build_and_verify(instance, args)
     digits = instance.tolerances.report_digits
-    failed = [uid for uid, rep in reports.items() if not rep.passed]
+    verified = _verified(market)
     payload = {
         "family": args.family,
         "formulation": args.formulation,
@@ -299,13 +299,10 @@ def cmd_amend(args) -> int:
         print(f"family {args.family} ({args.formulation}) at price "
               + ", ".join(_fmt(q, digits) for q in p))
         _print_amendments(instance, bundles, digits)
-        status = "all conditions passed" if not failed and market.passed else "FAILED"
-        print(f"verification: {status}")
+        print(f"verification: {'all conditions passed' if verified else 'FAILED'}")
         if args.out:
             print(f"bundles written to {args.out}")
-    if failed or not market.passed:
-        return 1
-    return 0
+    return 0 if verified else 1
 
 
 def cmd_verify(args) -> int:
@@ -346,18 +343,17 @@ def cmd_verify(args) -> int:
             "FAIL: " + ", ".join(c.condition for c in market.failures())
         )
         print(f"  market: {verdict}")
-    ok = market.passed and all(rep.passed for rep in reports.values())
-    return 0 if ok else 1
+    return 0 if _verified(market) else 1
 
 
 def cmd_report(args) -> int:
     instance = _load(args)
-    result, p, dual, bundles, reports, market = _build_and_verify(instance, args)
+    result, p, dual, bundles, market = _build_and_verify(instance, args)
     digits = instance.tolerances.report_digits
     before = uplift_report(instance, p, result.schedule)
 
     residual = market.check_named("zero-total-uplift").lhs or 0.0
-    verified = market.passed and all(rep.passed for rep in reports.values())
+    verified = _verified(market)
 
     if args.json:
         print(_json_text({
@@ -374,28 +370,17 @@ def cmd_report(args) -> int:
         }))
         return 0 if verified else 1
 
-    # units-online table grouped by parameter type
-    order: list[str] = []
-    grouped: dict[str, list[str]] = {}
-    for unit in instance.units:
-        name = _type_name(unit.id)
-        if name not in grouped:
-            grouped[name] = []
-            order.append(name)
-        grouped[name].append(unit.id)
-    width = max(len(n) for n in order)
+    # units-online table, one row per type name
+    names = [_type_name(unit.id) for unit in instance.units]
+    firsts, group_of = _groups(names)
+    width = max(map(len, names))
     print(f"{'unit type':<{width}}  online  output")
-    for name in order:
-        ids = grouped[name]
-        online = [
-            uid for uid in ids if any(result.schedule.unit(uid).u)
-        ]
-        outputs = ", ".join(
-            _fmt(g, digits)
-            for uid in online
-            for g in result.schedule.unit(uid).g
-        )
-        print(f"{name:<{width}}  {len(online)} of {len(ids)}  {outputs or '-'}")
+    for group, first in enumerate(firsts):
+        scheds = [result.schedule.unit(unit.id)
+                  for unit, g in zip(instance.units, group_of) if g == group]
+        online = [sched for sched in scheds if any(sched.u)]
+        outputs = ", ".join(_fmt(g, digits) for sched in online for g in sched.g)
+        print(f"{names[first]:<{width}}  {len(online)} of {len(scheds)}  {outputs or '-'}")
     print(f"f* = {_fmt(result.total_cost, digits)}")
     print(f"price ({args.price_method}) = " + ", ".join(_fmt(q, digits) for q in p))
     print(f"dual value = {_fmt(dual, digits)}")
@@ -404,8 +389,8 @@ def cmd_report(args) -> int:
     _print_amendments(instance, bundles, digits)
     print(f"verification: {'all conditions passed' if verified else 'FAILED'}")
     if not verified:
-        for uid in sorted(reports):
-            for check in reports[uid].failures():
+        for uid in sorted(market.units):
+            for check in market.units[uid].failures():
                 print(f"  FAIL {uid}: {check.condition}")
         for check in market.failures():
             print(f"  FAIL market: {check.condition}")

@@ -84,13 +84,16 @@ from .model import (
     UnitParams,
     UnitSchedule,
     _groups,
-    cost,
+    _status_vector_count,
     startup_count,
     status_table,
     status_vector_feasible,
+    unchecked_cost,
     unit_key,
 )
 
+# the most commitment profiles a search enumerates; a price search holds
+# each unit's status vectors to it too (`pricing`)
 PROFILE_LIMIT = 1_000_000
 
 # A subtree is pruned by cost only when its bound exceeds the acceptance
@@ -264,14 +267,17 @@ def solve_centralized(instance: MarketInstance) -> DispatchResult:
     groups = [[] for _ in firsts]
     for i, g in enumerate(group_of):
         groups[g].append(i)
-    tables = [status_table(instance.units[g[0]], instance.periods) for g in groups]
+    # the profiles are counted before any status vector is listed
     count = 1
-    for g, table in zip(groups, tables):
-        count *= math.comb(len(table.vectors) + len(g) - 1, len(g))
+    for g in groups:
+        count *= math.comb(
+            _status_vector_count(instance.units[g[0]], instance.periods) + len(g) - 1, len(g)
+        )
     if count > PROFILE_LIMIT:
         raise EnumerationLimitError(
             f"{count} commitment profiles exceed the supported budget of {PROFILE_LIMIT}"
         )
+    tables = [status_table(instance.units[g[0]], instance.periods) for g in groups]
 
     units = instance.units
     n = len(units)
@@ -406,10 +412,9 @@ def solve_centralized(instance: MarketInstance) -> DispatchResult:
             for i, unit in enumerate(instance.units)
         }
     )
-    total = sum(
-        cost(unit, schedule.unit(unit.id), instance.tolerances.eq_tol)
-        for unit in instance.units
-    )
+    # the fill puts every output at 0 or at g_min plus at most g_max - g_min,
+    # inside its unit's box, so the schedule needs no validation
+    total = sum(unchecked_cost(unit, schedule.unit(unit.id)) for unit in instance.units)
     return DispatchResult(
         schedule=schedule,
         total_cost=total,

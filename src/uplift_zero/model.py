@@ -237,46 +237,63 @@ class MarketInstance:
 # status-vector feasibility
 # ---------------------------------------------------------------------------
 
-def _runs(values: Sequence[int]) -> list[tuple[int, int, int]]:
-    """Maximal constant runs as (value, start, length)."""
-    runs = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] != values[start]:
-            runs.append((values[start], start, i - start))
-            start = i
-    return runs
+def _status_steps(unit: UnitParams, state: tuple) -> tuple:
+    """The statuses that may follow a prefix in `state`, in increasing
+    order, each with the state it leads to.  A state is (the last status,
+    the length of its run capped at its minimum, whether the run continues
+    the initial status); a run may end once it has lasted its minimum, or at
+    any time when it continues the initial status.  The prefix before
+    period 1 is in state (initial status, 0, True)."""
+    last, run, exempt = state
+    minimum = unit.min_up if last else unit.min_down
+    stay = (last, min(run + 1, minimum), exempt)
+    if not (exempt or run >= minimum):
+        return ((last, stay),)
+    switch = (1 - last, 1, False)
+    return ((0, stay), (1, switch)) if last == 0 else ((0, switch), (1, stay))
 
 
 def status_vector_feasible(unit: UnitParams, u: Sequence[int]) -> bool:
-    """Min-up/min-down feasibility of a status vector.
+    """Min-up/min-down feasibility of a status vector: each status must be
+    a step `_status_steps` allows after the statuses before it.
 
     The unit is assumed to have been in its initial status long enough that a
     transition in period 1 is always allowed, and a run cut off by the end of
     the horizon is never rejected.
     """
-    if any(v not in (0, 1) for v in u):
-        return False
-    runs = _runs(list(u))
-    horizon = len(u)
-    for idx, (value, start, length) in enumerate(runs):
-        if start == 0 and value == unit.initial_status:
-            continue  # continuation of the pre-horizon state
-        if start + length == horizon:
-            continue  # truncated by the horizon end
-        required = unit.min_up if value == 1 else unit.min_down
-        if length < required:
+    state = (unit.initial_status, 0, True)
+    for v in u:
+        for status, step in _status_steps(unit, state):
+            if v == status:
+                state = step
+                break
+        else:
             return False
     return True
 
 
+def _status_vector_count(unit: UnitParams, periods: int) -> int:
+    """The number of feasible status vectors, counted a period at a time
+    over the prefix states of `_status_steps` without listing any."""
+    counts = {(unit.initial_status, 0, True): 1}
+    for _ in range(periods):
+        after: dict = {}
+        for state, n in counts.items():
+            for _, step in _status_steps(unit, state):
+                after[step] = after.get(step, 0) + n
+        counts = after
+    return sum(counts.values())
+
+
 def feasible_status_vectors(unit: UnitParams, periods: int) -> tuple[tuple[int, ...], ...]:
-    """All feasible status vectors, in lexicographic order."""
-    out = []
-    for u in itertools.product((0, 1), repeat=periods):
-        if status_vector_feasible(unit, u):
-            out.append(u)
-    return tuple(out)
+    """All feasible status vectors, in lexicographic order.  They are built
+    a period at a time (`_status_steps`), so no infeasible prefix is
+    extended."""
+    prefixes = [((), (unit.initial_status, 0, True))]
+    for _ in range(periods):
+        prefixes = [(u + (v,), step)
+                    for u, state in prefixes for v, step in _status_steps(unit, state)]
+    return tuple(u for u, _ in prefixes)
 
 
 @dataclass(frozen=True)
@@ -294,7 +311,7 @@ class StatusTable:
 
 
 def status_table(unit: UnitParams, periods: int) -> StatusTable:
-    """Enumerate and check the unit's 2^T status vectors once."""
+    """List the unit's feasible status vectors once."""
     vectors = feasible_status_vectors(unit, periods)
     return StatusTable(vectors, tuple(startup_count(unit, u) for u in vectors))
 
@@ -388,8 +405,11 @@ def feasible_set_samples(
     output grid of SAMPLE_GRID_POINTS values over [g_min, g_max] plus the
     outputs of any anchor schedule, offline periods carry output 0; the
     cross product over periods is taken per status vector and the result is
-    deduplicated.  Anchor schedules must themselves be feasible and always
-    appear among the samples.
+    deduplicated.  Anchor schedules must themselves be feasible.  Each is
+    represented among the samples by the one point with its key
+    (`_point_key`): itself, unless an output of the grid or of an earlier
+    anchor shares its output's key in some period, as 0.8 does for
+    0.8000000000000002.
 
     The deduplication works on the sorted online values, once: values that
     round to the same 12 decimals are one value, the first of them, except
@@ -418,12 +438,6 @@ def feasible_set_samples(
         grid[-1] = unit.g_max
     anchor_outputs = {g for a in anchors for g, u_t in zip(a.g, a.u) if u_t == 1}
 
-    def key(g: float):
-        # outputs within rounding of each other are one sample, but an anchor
-        # output within rounding of g_min or g_max must not displace that box
-        # end: the profit-maximizing outputs are box ends
-        return (g,) if g in (unit.g_min, unit.g_max) else round(g, 12)
-
     # two points with one status vector coincide when their outputs do
     # period by period, so the online values are deduplicated once: the
     # first of each key in sorted order is the one the cross product meets
@@ -431,7 +445,7 @@ def feasible_set_samples(
     online_values: list[float] = []
     online_keys: set = set()
     for g in sorted(set(grid) | anchor_outputs):
-        k = key(g)
+        k = _output_key(unit, g)
         if k not in online_keys:
             online_keys.add(k)
             online_values.append(float(g))
@@ -444,10 +458,10 @@ def feasible_set_samples(
     # safety net: an anchor (whose status vector is feasible, as validated
     # above) that the cross product does not hold under its key, such as
     # one with an offline output of 1e-9, is added after it, once
-    offline_key = key(0.0)
+    offline_key = _output_key(unit, 0.0)
     seen: set[tuple] = set()
     for a in anchors:
-        a_key = (a.u, tuple(map(key, a.g)))
+        a_key = _point_key(unit, a)
         on_grid = all(
             k in online_keys if u_t == 1 else k == offline_key for u_t, k in zip(a.u, a_key[1])
         )
@@ -455,6 +469,19 @@ def feasible_set_samples(
             seen.add(a_key)
             samples.append(_lattice_point(a.u, a.g))
     return tuple(samples)
+
+
+def _output_key(unit: UnitParams, g: float):
+    # outputs within rounding of each other are one sample, but an anchor
+    # output within rounding of g_min or g_max must not displace that box
+    # end: the profit-maximizing outputs are box ends
+    return (g,) if g in (unit.g_min, unit.g_max) else round(g, 12)
+
+
+def _point_key(unit: UnitParams, sched: UnitSchedule) -> tuple:
+    """The key by which `feasible_set_samples` identifies a schedule with
+    its lattice point: the status vector and each output's key."""
+    return sched.u, tuple(_output_key(unit, g) for g in sched.g)
 
 
 def _lattice_point(u: tuple[int, ...], g: tuple[float, ...]) -> UnitSchedule:

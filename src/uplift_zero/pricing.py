@@ -51,7 +51,8 @@ from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import PreconditionError, ValidationError
+from . import dispatch
+from .errors import EnumerationLimitError, PreconditionError, ValidationError
 from .expr import Expr, evaluate_columns
 from .model import (
     DEFAULT_TOLERANCES,
@@ -63,6 +64,7 @@ from .model import (
     UnitParams,
     UnitSchedule,
     _groups,
+    _status_vector_count,
     cost,
     feasible_set_samples,
     startup_count,
@@ -335,9 +337,18 @@ def _unit_groups(
 ) -> tuple[list[tuple[UnitParams, StatusTable]], list[int]]:
     """Group the instance's identical units (`unit_key`) once: per group its
     first unit and that unit's status table, and per unit in instance order
-    the index of its group.  A price search groups once for all its prices."""
+    the index of its group.  A price search groups once for all its prices.
+    Raises EnumerationLimitError, before listing any status vector, when a
+    unit has more than `dispatch.PROFILE_LIMIT`."""
     firsts, group_of = _groups(map(unit_key, instance.units))
     units = [instance.units[i] for i in firsts]
+    for unit in units:
+        count = _status_vector_count(unit, instance.periods)
+        if count > dispatch.PROFILE_LIMIT:
+            raise EnumerationLimitError(
+                f"unit {unit.id}: {count} status vectors over {instance.periods} periods "
+                f"exceed the supported budget of {dispatch.PROFILE_LIMIT}"
+            )
     return [(unit, status_table(unit, instance.periods)) for unit in units], group_of
 
 

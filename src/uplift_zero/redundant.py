@@ -42,6 +42,7 @@ from .model import (
     ToleranceConfig,
     UnitParams,
     UnitSchedule,
+    _point_key,
     unchecked_cost,
 )
 from .pricing import LatticeTable, _profit, as_price, lattice_table
@@ -104,20 +105,6 @@ def _cap_scan(gaps: Sequence[float], slacks: Sequence[float], tol: ToleranceConf
             cap = min(cap, ratio)
             near.append(k)
     return cap, near, first_on, first_off
-
-
-def constraint_cap(
-    gaps: Sequence[float],
-    slacks: Sequence[float],
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> Optional[float]:
-    """Largest single-constraint multiplier keeping the profit maximum.
-
-    gaps[k] = pi(x_k) - pi_max and slacks[k] = rho(x_k) over the lattice;
-    the cap is the minimum of gap/slack over the support, None when the
-    support is empty (multiplier unbounded).
-    """
-    return _cap_scan(gaps, slacks, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -377,6 +364,7 @@ def multiplier_optimality(
 
     scale = max(1.0, max((abs(m) for m in multipliers), default=1.0))
     below, at_cap, star_attains = True, True, True
+    star_key = _point_key(unit, x_i_star)  # the lattice holds x* as the point with this key
     witness_below = witness_cap = witness_star = None
     cap_witnesses = []
     for l in range(len(constraints)):
@@ -391,7 +379,7 @@ def multiplier_optimality(
             else:
                 cap_witnesses.append(l)
             bound_points = [table.points[k] for k in near]
-            if not any(pt == x_i_star for pt in bound_points):
+            if not any(_point_key(unit, pt) == star_key for pt in bound_points):
                 star_attains = False
                 witness_star = {"axis": l, "minimizers": [pt.to_json() for pt in bound_points]}
         elif multipliers[l] > bound + tol.opt_tol * scale:
@@ -562,7 +550,7 @@ def min_uplift(
         if star_slack[l] >= -tol.eq_tol:
             caps.append(0.0)
         else:
-            cap = constraint_cap(gaps, table.columns[l], tol)
+            cap = _cap_scan(gaps, table.columns[l], tol)[0]
             caps.append(0.0 if cap is None else max(0.0, cap))
     multipliers = list(caps)
 

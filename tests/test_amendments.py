@@ -555,3 +555,17 @@ class TestCallerTolerance:
         bundles = build_family(family, instance, price, x_star)
         market = check_zero_total_uplift(instance, price, bundles, x_star)
         assert set(market.units) == {"U"}
+
+
+def test_amendment_paying_at_the_profit_argmax_fails_with_a_witness():
+    # the unit's profit maximum at price 2 is online at g_max = 1; a bundle
+    # that pays 1 everywhere pays there too
+    unit = UnitParams(id="X", g_min=0.0, g_max=1.0, marginal_cost=1.0, startup_cost=0.0)
+    bundle = AmendmentBundle(
+        unit_id="X", family="test", formulation=Formulation.STATUS_OUTPUT,
+        amendment=Const(1.0), constraints=(Const(-1.0),), multipliers=(1.0,),
+    )
+    report = verify_conditions(unit, (2.0,), bundle, OFFLINE)
+    check = report.check_named("zero-at-profit-argmax")
+    assert not check.passed
+    assert check.witness == {"u": [1], "g": [1.0]}

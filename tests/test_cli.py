@@ -561,3 +561,119 @@ def test_report_json_leaves_no_cyclic_garbage(capsys):
     finally:
         gc.enable()
     capsys.readouterr()
+
+
+class TestMalformedInput:
+    """Every malformed instance, output path or bundle file exits 2 with one
+    `error:` line and nothing on stdout."""
+
+    _UNIT = {"id": "a", "g_min": 0.0, "g_max": 10.0, "marginal_cost": 1.0, "startup_cost": 0.0}
+
+    @staticmethod
+    def _assert_one_error_line(code, out, err, message):
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        (
+            ({"periods": 0, "demand": [], "unit_types": [_UNIT]}, "periods must be >= 1"),
+            ({"periods": 1, "demand": [-1.0], "unit_types": [_UNIT]},
+             "demand must be non-negative"),
+            ({"periods": 1, "demand": [1.0], "unit_types": []}, "at least one unit"),
+            ({"periods": 1, "demand": [1.0], "unit_types": [
+                {"name": "a", "count": 0, "g_min": 0.0, "g_max": 10.0,
+                 "marginal_cost": 1.0, "startup_cost": 0.0}]}, "count must be >= 1"),
+            ([{"periods": 1}], "must be a JSON object"),
+            ({"periods": 1, "demand": [1.0], "unit_types": [_UNIT], "tolerances": [1e-7]},
+             "tolerances must be an object"),
+        ),
+    )
+    def test_malformed_instance_is_two(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        self._assert_one_error_line(*run(capsys, "report", str(path)), message)
+
+    @pytest.mark.parametrize("command", ("dispatch", "amend"))
+    def test_out_into_missing_directory_is_two(self, capsys, tmp_path, command):
+        target = tmp_path / "no-such-directory" / "out.json"
+        code, out, err = run(capsys, command, "--scarf", "10", "--out", str(target))
+        self._assert_one_error_line(code, out, err, "No such file or directory")
+
+    def test_missing_amendments_file_is_two(self, capsys, tmp_path):
+        path = tmp_path / "no-such-bundles.json"
+        code, out, err = run(capsys, "verify", "--scarf", "10", "--amendments", str(path))
+        self._assert_one_error_line(code, out, err, "cannot read amendments file")
+
+    def test_amendments_file_that_is_not_json_is_two(self, capsys, tmp_path):
+        path = tmp_path / "bundles.json"
+        path.write_text("{not json")
+        code, out, err = run(capsys, "verify", "--scarf", "10", "--amendments", str(path))
+        self._assert_one_error_line(code, out, err, "amendments file is not valid JSON")
+
+
+class TestBoxNoWiderThanEqTol:
+    """A unit dispatched at g_max of a box narrower than eq_tol is within
+    eq_tol of both ends; the single-period families place it at the max
+    instead of dividing by g_max - g* = 0."""
+
+    @pytest.mark.parametrize(
+        "args",
+        (
+            ("--family", "linear-unit"),
+            ("--family", "linear-unit", "--price-method", "marginal"),
+            ("--family", "convex-hull"),
+            ("--family", "convex-hull", "--price-method", "marginal"),
+            ("--family", "convex-hull", "--formulation", "g"),
+        ),
+    )
+    def test_report_verifies(self, capsys, tmp_path, args):
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps({"periods": 1, "demand": [1.0000001], "unit_types": [
+            {"id": "N", "g_min": 1.0, "g_max": 1.0000001, "marginal_cost": 1.0,
+             "startup_cost": 0.0}]}))
+        code, out, err = run(capsys, "report", str(path), *args)
+        assert (code, err) == (0, "")
+        assert "verification: all conditions passed" in out
+
+
+class TestLongHorizon:
+    """Status vectors are counted before any is listed, so a horizon with
+    more of them than the budget is rejected at once by every command.  A
+    horizon within the budget whose table is still large (46,368 vectors at
+    T = 22 with minimum up and down times of 2) takes 4.9 to 26 s; it is
+    expected to fail until the price search and dispatch stop pricing every
+    status vector.  No table of more than 10,000 vectors is listed here, so
+    every case ends quickly."""
+
+    @pytest.mark.parametrize("command", ("dispatch", "price", "uplift", "report"))
+    @pytest.mark.parametrize("periods,minimum", (
+        (22, 0), (40, 0), (40, 2),
+        pytest.param(22, 2, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="46,368 status vectors fit the budget and are priced one by one")),
+    ))
+    def test_rejected_before_enumerating(self, capsys, monkeypatch, tmp_path,
+                                         command, periods, minimum):
+        from conftest import rebind
+        from uplift_zero import model
+
+        listing = model.feasible_status_vectors
+
+        def bounded(unit, n):
+            vectors = listing(unit, n)
+            assert len(vectors) <= 10_000, "a long horizon's status vectors are listed"
+            return vectors
+
+        rebind(monkeypatch, listing, bounded)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"periods": periods, "demand": [1.0] * periods, "unit_types": [
+            {"id": "A", "g_min": 0, "g_max": 10, "marginal_cost": 1, "startup_cost": 0,
+             "min_up": minimum, "min_down": minimum}]}))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exceed the supported budget of 1000000" in err

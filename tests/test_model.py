@@ -239,3 +239,66 @@ class TestScarf:
 
     def test_demand_parameterized(self):
         assert scarf_instance(40.0).demand == (40.0,)
+
+
+def _feasible_by_runs(unit_params, u) -> bool:
+    """The min-up/min-down rule stated over maximal runs: every run must
+    last its minimum, unless it continues the initial status or is cut off
+    by the horizon end."""
+    if any(v not in (0, 1) for v in u):
+        return False
+    start = 0
+    for end in range(1, len(u) + 1):
+        if end == len(u) or u[end] != u[start]:
+            exempt = (start == 0 and u[start] == unit_params.initial_status) or end == len(u)
+            minimum = unit_params.min_up if u[start] == 1 else unit_params.min_down
+            if not exempt and end - start < minimum:
+                return False
+            start = end
+    return True
+
+
+class TestStatusVectorBudget:
+    """Status vectors are checked, listed and counted a period at a time,
+    in lexicographic order, and counted before any is listed."""
+
+    def test_check_listing_and_count_match_the_run_rule(self):
+        import itertools
+
+        from uplift_zero.model import _status_vector_count
+
+        rng = random.Random(15)
+        for _ in range(500):
+            u = unit(min_up=rng.randint(0, 4), min_down=rng.randint(0, 4),
+                     initial_status=rng.randint(0, 1))
+            periods = rng.randint(0, 8)
+            expect = tuple(v for v in itertools.product((0, 1), repeat=periods)
+                           if _feasible_by_runs(u, v))
+            assert all(status_vector_feasible(u, v) == (v in expect)
+                       for v in itertools.product((0, 1), repeat=periods))
+            assert feasible_status_vectors(u, periods) == expect
+            assert _status_vector_count(u, periods) == len(expect)
+
+    def test_a_status_other_than_zero_or_one_is_infeasible(self):
+        assert not status_vector_feasible(unit(), (0, 2))
+        assert not status_vector_feasible(unit(min_up=3), (1, 0.5, 1))
+        assert status_vector_feasible(unit(), (True, 0.0))
+
+    def test_long_horizon_lists_only_feasible_vectors(self, monkeypatch):
+        from conftest import rebind
+        from uplift_zero import model
+
+        # 2^40 vectors, of which only those with runs of 18 or more are
+        # feasible: listing them must not visit the others
+        rebind(monkeypatch, status_vector_feasible, None)
+        table = model.status_table(unit(min_up=18, min_down=18), 40)
+        assert len(table.vectors) == model._status_vector_count(unit(min_up=18, min_down=18), 40)
+        assert table.vectors == tuple(sorted(table.vectors))
+
+    def test_long_horizon_is_counted_without_listing(self, monkeypatch):
+        from conftest import rebind
+        from uplift_zero import model
+
+        rebind(monkeypatch, model.feasible_status_vectors, None)
+        assert model._status_vector_count(unit(), 40) == 2 ** 40
+        assert model._status_vector_count(unit(min_up=2, min_down=2), 40) == 267914296

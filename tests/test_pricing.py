@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uplift_zero import (
+    EnumerationLimitError,
     MarketInstance,
     PreconditionError,
     UnitParams,
@@ -282,3 +283,26 @@ def test_weak_duality(seed):
     f_star = solve_centralized(inst).total_cost
     q = random_price(rng, 1)
     assert dual_function(inst, q) <= f_star + 1e-7
+
+
+class TestStatusVectorBudget:
+    """A price search counts each unit's status vectors, and refuses more
+    than the dispatch budget before it lists any."""
+
+    @pytest.mark.parametrize("minimum,count", ((0, 2 ** 40), (2, 267914296)))
+    def test_long_horizon_is_refused_before_listing(self, monkeypatch, minimum, count):
+        rebind(monkeypatch, model.feasible_status_vectors, None)  # nothing is listed
+        unit = UnitParams("A", 0.0, 10.0, 1.0, 0.0, min_up=minimum, min_down=minimum)
+        instance = MarketInstance(periods=40, demand=(1.0,) * 40, units=(unit,))
+        with pytest.raises(EnumerationLimitError,
+                           match=f"unit A: {count} status vectors over 40 periods exceed"):
+            pricing.convex_hull_price(instance)
+
+    def test_the_budget_is_the_dispatch_budget(self, monkeypatch):
+        import uplift_zero.dispatch as dispatch_mod
+
+        monkeypatch.setattr(dispatch_mod, "PROFILE_LIMIT", 3)
+        instance = MarketInstance(periods=2, demand=(1.0, 1.0),
+                                  units=(UnitParams("A", 0.0, 10.0, 1.0, 0.0),))
+        with pytest.raises(EnumerationLimitError, match="4 status vectors over 2 periods"):
+            pricing.max_profits(instance, (2.0, 2.0))

@@ -17,6 +17,7 @@ from uplift_zero import (
     ValidationError,
     build_constant_profit,
     build_convex_hull_amendment,
+    box_structure,
     build_uplift_delta,
     classify_constraint,
     delta_of,
@@ -368,3 +369,36 @@ class TestRepair:
                 assert all(rho.evaluate(s) <= 1e-9 for s in lattice)
             done += 1
         assert done >= 15
+
+
+def test_dispatch_point_an_ulp_off_a_grid_output_attains_the_cap():
+    # the lattice keeps the grid's 0.8 for x*'s 0.8000000000000002 (same
+    # 12-decimal key); x* must still be found among the cap's minimizers
+    unit = UnitParams("X", 0.0, 16.0, 3.0, 0.0)
+    for g in (0.8000000000000002, 0.8, 0.7999999999999999):
+        x = UnitSchedule((1,), (g,))
+        report = multiplier_optimality(unit, (2.0,), [neg(delta_of(x))], [g], x)
+        assert report.passed, (g, [c.condition for c in report.failures()])
+
+
+class TestBoxStructureFailures:
+    UNIT = UnitParams("X", 0.0, 1.0, 1.0, 0.0)  # profit maximum at price 2: g = 1
+
+    def test_member_outside_its_axis_interval(self):
+        # rho = -2e-7 everywhere: the cap is 0 (the argmax has gap 0), yet
+        # within opt_tol = 1e-6 every mu up to 5 is a member
+        report = box_structure(self.UNIT, (2.0,), [Const(-2e-7)], [[4.0]])
+        check = report.check_named("members-inside-axis-intervals")
+        assert not check.passed
+        assert check.witness["multipliers"] == [4.0] and check.witness["axis"] == 0
+
+    def test_box_corner_that_is_not_a_member(self):
+        # rho = 0.001 (g - 1) - 5e-8 u: off the support (|rho| <= eq_tol)
+        # only at g = 1, where the gap is 0, so the cap of about 1000 comes
+        # from the other points, and mu = cap pays 5e-5 > opt_tol at g = 1
+        rho = Sub(scale(0.001, Sub(Output(0), Const(1.0))), scale(5e-8, Status(0)))
+        report = box_structure(self.UNIT, (2.0,), [rho], [])
+        assert report.check_named("supports-pairwise-disjoint").passed
+        check = report.check_named("box-corners-are-members")
+        assert not check.passed
+        assert check.witness["multipliers"][0] > 999.0
