@@ -28,9 +28,9 @@ whose status its output does not determine.
 linear-unit and convex-hull share one single-period case analysis
 (`_box_case`): one period, an initially offline unit and g_min < g_max,
 then pi(x*) and the profit maximum, where x* sits in the unit's box
-(offline, at g_min or at g_max within eq_tol, or interior), and whether the
-price covers a cold start at full output, p >= c + w / g_max.  Each closed
-form branches on that result alone.
+(offline, at g_min or g_max, within eq_tol of one of them, or interior),
+and whether the price covers a cold start at full output, p >= c + w /
+g_max.  Each closed form branches on that result alone.
 
 Identical units share work by the package's one rule (`model._groups`),
 under an exact key (`exact_key(unit_key(unit), ...)`) because a bundle and
@@ -391,10 +391,12 @@ def _box_case(
 ) -> tuple[float, float, float, float, str, bool]:
     """The single-period box setting, checked and read once: returns
     (p0, g*, pi(x*), pi_max, where x* sits, whether p0 >= c + w / g_max).
-    x* sits "offline", at the "min" or "max" of its box (within eq_tol) or
-    in its "interior".  In a box no wider than eq_tol, x* at g_max also lies
-    within eq_tol of g_min; it sits at the "max", since the at-minimum
-    multipliers divide by g_max - g*."""
+    x* sits "offline"; at the "min" or "max" of its box, its output at the
+    end or beyond it; "near-min" or "near-max", inside the box but within
+    eq_tol of that end (the nearer one, g_min on a tie); or in its
+    "interior".  The end forms are stated at the end's output, so near
+    an end each closed form takes one that holds at x*'s own output
+    instead, or, where the end form does, the end form."""
     if x_i_star.periods != 1:
         raise PreconditionError(f"{family} family needs a single-period horizon")
     if unit.initial_status != 0:
@@ -408,22 +410,30 @@ def _box_case(
     g_star = x_i_star.g[0]
     if x_i_star.u[0] == 0:
         at = "offline"
-    elif g_star <= unit.g_min + tol.eq_tol and g_star != unit.g_max:
+    elif g_star <= unit.g_min:
         at = "min"
-    elif g_star >= unit.g_max - tol.eq_tol:
+    elif g_star >= unit.g_max:
         at = "max"
+    elif g_star - unit.g_min <= min(tol.eq_tol, unit.g_max - g_star):
+        at = "near-min"
+    elif unit.g_max - g_star <= tol.eq_tol:
+        at = "near-max"
     else:
         at = "interior"
     return p0, g_star, star, best, at, p0 >= unit.marginal_cost + unit.startup_cost / unit.g_max
 
 
 def _box_case_multipliers(unit: UnitParams, case: tuple) -> tuple[float, float, float]:
-    """Multipliers on u*g_min - g <= 0, g - u*g_max <= 0, u - 1 <= 0."""
+    """Multipliers on u*g_min - g <= 0, g - u*g_max <= 0, u - 1 <= 0.  The
+    interior forms hold at any output in the box: covered, the amended
+    profit is pi(g_max) on the whole online box, otherwise 0.  Near an end
+    they serve, except that near g_min a covered price keeps the at-minimum
+    form, which pays best - pi(x*) at x* and so holds there too."""
     p0, g_star, star, best, at, covered = case
     span = unit.g_max - unit.g_min
     if at == "offline":
         return 0.0, 0.0, best if covered else 0.0
-    if at == "min":
+    if at == "min" or (at == "near-min" and covered):
         return 0.0, (best - star) / (unit.g_max - g_star), 0.0
     if at == "max":
         return (0.0, 0.0, 0.0) if covered else (-star / span, 0.0, 0.0)
@@ -466,7 +476,11 @@ def build_linear_unit(
 
 
 def _hull_status_output(unit: UnitParams, case: tuple) -> tuple[Expr, Expr, float]:
-    _, g_star, star, best, at, _ = case
+    p0, g_star, star, best, at, covered = case
+    if at in ("near-min", "near-max") and not covered:
+        # the profit is at most 0 on the whole box: pay it back
+        profit = profit_expr(unit, (p0,), 1, Formulation.STATUS_OUTPUT)
+        return neg(profit), profit, 1.0
     if at != "interior":
         # outside the interior case the hull amendment coincides with the
         # dominant box constraint: the first positive of mu3, mu2, mu1
@@ -495,15 +509,15 @@ def _hull_output_only(unit: UnitParams, case: tuple) -> tuple[Expr, Expr, float]
         return Sub(Const(best), profit_g), Sub(profit_g, Const(best)), 1.0
     if at == "offline" or (at == "max" and covered):
         return ZERO, ZERO, 0.0
+    if at != "interior" and covered:
+        cap = scale(best, Step(Output(0)))
+        return Sub(cap, profit_g), Sub(profit_g, cap), 1.0
     if at == "min":
-        if covered:
-            cap = scale(best, Step(Output(0)))
-            return Sub(cap, profit_g), Sub(profit_g, cap), 1.0
         online_min = standard_profit(unit, (p0,), UnitSchedule((1,), (unit.g_min,)))
         mu = -online_min / (unit.g_max - unit.g_min)
         rho = Sub(Output(0), scale(unit.g_max, Step(Output(0))))
         return scale(mu, neg(rho)), rho, mu
-    if at == "max":
+    if at != "interior":
         return neg(profit_g), profit_g, 1.0
     # interior dispatch
     if covered:

@@ -13,7 +13,8 @@ unit index).
 The search is set up once per solve: the status table of every group (its
 feasible status vectors and their startup counts, `model.status_table`,
 which pricing reads too), the startup cost of every (unit, status vector)
-pair and the merit order (units by marginal cost, then index).  One kernel,
+pair, the merit order (units by marginal cost, then index) and the walk of
+the energy bound.  One kernel,
 `_merit_order_fill`, dispatches a commitment from them; `economic_dispatch`
 runs the same kernel after validating its commitment.
 
@@ -38,36 +39,52 @@ all.  A subtree is pruned in three cases.
   eq_tol + |d_t|), because the node adds its groups in another order than
   `fill` adds its units: the rounding of a float sum of n such terms is
   about n * 1.1e-16 of that scale, far below the slack.
-- Energy bound.  E_t(node) is the least energy cost of producing d_t to
-  within eq_tol when the node's online units run in [g_min, g_max], its
-  offline units stay at 0 and its undecided units run anywhere in
-  [0, g_max].  The merit order solves it: units of negative marginal cost
-  run as far as d_t + eq_tol allows, the others only until d_t - eq_tol is
-  met.  Every profile below dispatches inside those boxes (g_min >= 0) and
-  meets demand to within eq_tol, so it costs at least its startup cost plus
-  sum_t E_t(node).  The node is pruned when its startup prefix (the startup
-  cost of its decided groups) plus sum_t E_t(node) exceeds the limit.  At
-  the root, where every unit is undecided, sum_t E_t is the energy floor of
-  every profile.
-- Startup prefix.  Startup costs are >= 0, and E_t only rises from a node
-  to its children, whose problems are the node's with fewer choices.  So a
-  child is pruned, before its own bound is computed, when its startup prefix
-  plus its parent's sum_t E_t exceeds the limit.
+- Energy bound.  A unit's hull rate is c + S / (T * g_max) when it starts
+  offline and g_max > 0, and c otherwise.  No status vector costs less per
+  unit of energy: a unit that runs in any period pays at least one startup
+  S and produces at most T * g_max.  E_t(node) is the least cost of
+  producing d_t to within eq_tol when the node's online units run in
+  [g_min, g_max] at c, its offline units stay at 0 and its undecided units
+  run anywhere in [0, g_max] at their hull rate.  A merit order solves it
+  over at most two entries per group: one at c for the group's online
+  units and, where the hull rate differs from c, one at the hull rate for
+  the group while it is undecided (a group whose hull rate is c has its
+  one entry serve both).  Entries of negative rate run as far as d_t +
+  eq_tol allows, the others only until d_t - eq_tol is met.  Every profile
+  below the node dispatches inside those boxes (g_min >= 0) and meets
+  demand to within eq_tol, and the startups of its undecided units pay at
+  least the hull rate's excess over c on all they produce; so it costs at
+  least its startup prefix (the startup cost of the decided groups) plus
+  sum_t E_t(node).  The node is pruned when that bound exceeds the limit.
+  At T = 1 the root bound is the convex-hull dual value of `pricing` up to
+  the eq_tol demand band: the Lagrangian dual of the relaxed power balance
+  at its best price, with no price computed.
+- Startup prefix.  A child's bound is at least its parent's: the child's
+  problem is the parent's with fewer choices, and its newly decided units'
+  startups pay for the hull rate they were charged while undecided.  That
+  charge covers one startup S per unit that runs, so the child's further
+  startups (all of them where the hull rate is c) are not in the parent's
+  sum_t E_t.  A child is pruned, before its own bound is computed, when the
+  parent's bound plus those further startups exceeds the limit.
 
 A pruned profile could never have been accepted.  Acceptance needs a total
 of at most best + tie band, and the limit lies `margin` above that.  The
 margin, BOUND_MARGIN * T * (sum of startup costs + dearest |marginal cost|
-* total capacity), bounds every term of every profile's cost, so the
-rounding in the bound and in the dispatched total, sums of about n * T such
-terms, is far below it.  A bound above the limit thus means a dispatched
-total above best + tie band.
+* total capacity), bounds every term of every profile's cost and of every
+bound (a hull-rate term is at most |c| * g_max + S / T), so the rounding in
+the bound and in the dispatched total, sums of about n * T such terms, is
+far below it.  A bound above the limit thus means a dispatched total above
+best + tie band.
 
-E_t is recomputed for a child only in the periods where the parent's
-merit-order optimum does not fit it: a unit decided off had been raised, or
-a unit decided on with g_min > 0 had not been run to g_max.  Otherwise that
-optimum is feasible for the child's problem, a restriction of the parent's,
-and so optimal for it too.  A value taken from the parent is in any case a
-lower bound for the child.
+E_t is recomputed for a child only in the periods where the parent's walk
+may not give the child's E_t: the new group has offline units and its
+undecided entry had been reached; its online units leave the hull rate for
+c and either have g_min > 0 or the entry at c had been reached; or, with a
+single entry, its online units have g_min > 0 and the entry had not been
+used in full.  Otherwise the child's walk takes what the parent's took, at
+the same rates, and reaches the same E_t.  Reusing the parent's value is
+not sound in general: units decided online trade the hull rate for c, so a
+child's E_t can lie below its parent's.
 """
 
 from __future__ import annotations
@@ -187,58 +204,101 @@ def economic_dispatch(
     return tuple(tuple(row) for row in outputs), total
 
 
-def _energy_bound(
-    instance: MarketInstance,
-) -> tuple[Callable[[int, Sequence[Sequence[int] | None], float, float],
-                    tuple[float, int, int]], list[int]]:
-    """The node bound kernel for one instance, and each unit's rank in its
-    merit order (units by marginal cost, then index).
+def _hull_rate(unit: UnitParams, periods: int) -> float:
+    """A lower bound on the unit's cost per unit of energy over the horizon:
+    c + S / (T * g_max) when it starts offline and can run, since running
+    at all then costs a startup and yields at most T * g_max; c otherwise,
+    and c where that sum is not finite."""
+    c = unit.marginal_cost
+    if unit.initial_status == 0 and unit.g_max > 0:
+        rate = c + unit.startup_cost / (periods * unit.g_max)
+        if math.isfinite(rate):
+            return rate
+    return c
 
-    The returned function takes a period t, a partial commitment (a status
-    vector per decided unit, None per undecided one), the sum of the online
-    units' g_min in t and its cost.  It returns (E_t, last, stop): E_t is
-    the least energy cost of producing d_t to within eq_tol when online
-    units run in [g_min, g_max], offline ones stay at 0 and undecided ones
-    may run anywhere in [0, g_max].  Units of negative marginal cost run as
-    far as d_t + eq_tol allows, the others only until d_t - eq_tol is met.
-    `stop` is the rank where the merit order stopped (n if it never did)
-    and `last` the rank of the last unit it reached before (0 if none): the
-    units it reached before `last` run at their upper bound, and those from
-    `stop` on at their lower bound."""
+
+def _energy_bound(
+    instance: MarketInstance, groups: Sequence[Sequence[int]],
+) -> tuple[Callable[[int, int, Sequence[Sequence[float]], float, float],
+                    tuple[float, int, int]], list[int], list[int]]:
+    """The node bound kernel for one instance whose units fall into
+    `groups` of identical units, decided in that order, and each group's
+    rank in the walk while it is undecided and once it is decided.
+
+    The walk is a merit order over at most two entries per group, by rate
+    and then group.  A group whose hull rate (`_hull_rate`) differs from
+    its marginal cost c has an entry at c for its online periods and a
+    later one at the hull rate, with room n_g * g_max, while it is
+    undecided; any other group has one entry at c, with that room while
+    undecided.  Once decided, a group's entry at c has the room its online
+    units leave above their g_min.
+
+    The returned function takes a period t, the number k of decided groups,
+    the per-period online room of each decided group (n_on * (g_max -
+    g_min)), and the decided groups' online g_min in t and its cost.  It
+    returns (E_t, last, stop): E_t is the least cost of producing d_t to
+    within eq_tol when online units run in [g_min, g_max] at c, offline
+    ones stay at 0 and undecided ones may run anywhere in [0, g_max] at
+    their hull rate.  Entries of negative rate run as far as d_t + eq_tol
+    allows, the others only until d_t - eq_tol is met.  `stop` is the rank
+    where the walk stopped (its length if it never did) and `last` the
+    rank of the last entry it took from before (0 if none): the entries
+    before `last` are used in full, and none from `stop` on is used."""
     units = instance.units
     eq_tol = instance.tolerances.eq_tol
-    order = sorted(range(len(units)), key=lambda i: (units[i].marginal_cost, i))
-    rank = [0] * len(units)
-    for r, i in enumerate(order):
-        rank[i] = r
-    walk = [
-        (r, i, units[i].marginal_cost, units[i].g_max, units[i].g_max - units[i].g_min,
-         units[i].marginal_cost < 0)
-        for r, i in enumerate(order)
-    ]
+    entries = []  # (rate, group, room while undecided, whether it serves online units)
+    for grp, g in enumerate(groups):
+        unit = units[g[0]]
+        c, hull = unit.marginal_cost, _hull_rate(unit, instance.periods)
+        if hull == c:
+            entries.append((c, grp, len(g) * unit.g_max, True))
+        else:
+            entries.append((c, grp, None, True))
+            entries.append((hull, grp, len(g) * unit.g_max, False))
+    entries.sort(key=lambda e: e[:2])
+    undecided_rank = [0] * len(groups)
+    decided_rank = [0] * len(groups)
+    walk = []
+    for r, (rate, grp, free, online) in enumerate(entries):
+        if free is not None:
+            undecided_rank[grp] = r
+        if online:
+            decided_rank[grp] = r
+        walk.append((r, grp, rate, free, online, rate < 0))
     targets = [(d + eq_tol, d - eq_tol) for d in instance.demand]
 
-    def period_bound(t, commitment, made, energy):
+    def period_bound(t, k, rooms, made, energy):
         up, down = targets[t]
         last = 0
-        for r, i, marginal, g_max, span, negative in walk:
-            u = commitment[i]
-            if u is None:
-                room = g_max
-            elif u[t] == 1:
-                room = span
+        for r, grp, rate, free, online, negative in walk:
+            if grp >= k:
+                room = free
+            elif online:
+                room = rooms[grp][t]
             else:
+                continue
+            if not room:
                 continue
             need = (up if negative else down) - made
             if need <= 0:
                 return energy, last, r
             take = room if room < need else need
             made += take
-            energy += marginal * take
+            energy += rate * take
             last = r
         return energy, last, len(walk)
 
-    return period_bound, rank
+    return period_bound, undecided_rank, decided_rank
+
+
+def _interchangeable(instance: MarketInstance) -> list[list[int]]:
+    """The indices of each group of interchangeable units (`unit_key`), in
+    order of their first unit."""
+    firsts, group_of = _groups(map(unit_key, instance.units))
+    groups = [[] for _ in firsts]
+    for i, g in enumerate(group_of):
+        groups[g].append(i)
+    return groups
 
 
 @dataclass(frozen=True)
@@ -247,12 +307,14 @@ class DispatchResult:
     symmetry-reduced commitment profiles in the search space, pruned or
     not.  `profiles_dispatched` counts those handed to the merit-order fill:
     the leaves the branch and bound reached, each under no pruned subtree
-    and past its own energy bound."""
+    and past its own energy bound.  `nodes_visited` counts the nodes the
+    search entered, the root and the dispatched leaves included."""
 
     schedule: Schedule
     total_cost: float
     profiles_enumerated: int
     profiles_dispatched: int
+    nodes_visited: int
 
 
 def solve_centralized(instance: MarketInstance) -> DispatchResult:
@@ -262,11 +324,7 @@ def solve_centralized(instance: MarketInstance) -> DispatchResult:
     EnumerationLimitError when the symmetry-reduced profile count exceeds
     PROFILE_LIMIT.
     """
-    # the indices of each group of interchangeable units (`unit_key`)
-    firsts, group_of = _groups(map(unit_key, instance.units))
-    groups = [[] for _ in firsts]
-    for i, g in enumerate(group_of):
-        groups[g].append(i)
+    groups = _interchangeable(instance)
     # the profiles are counted before any status vector is listed
     count = 1
     for g in groups:
@@ -282,34 +340,51 @@ def solve_centralized(instance: MarketInstance) -> DispatchResult:
     units = instance.units
     n = len(units)
     periods = range(instance.periods)
-    bound, rank = _energy_bound(instance)
+    bound, undecided_rank, decided_rank = _energy_bound(instance, groups)
     # per group, every multiset of its status vectors in enumeration order,
-    # as (startup cost, vectors, steps); within a group the "most-on"
-    # vectors go to the lowest unit indices.  steps[t] holds what the
-    # multiset adds in period t to the online g_min, g_max and g_min cost,
-    # then the lowest merit rank among its units that are off in t (n if
-    # none) and the highest among those on in t with g_min > 0 (-1 if none)
+    # as (startup cost, extra, vectors, on_rooms, steps); within a group the
+    # "most-on" vectors go to the lowest unit indices.  `extra` is the part
+    # of the startup cost that the hull rate does not count: all of it for a
+    # group with one walk entry, and beyond one startup per unit that runs
+    # for the others.  on_rooms[t] is the online units' room above g_min in
+    # period t.  steps[t] holds what the multiset adds in t to the online
+    # g_min, g_max and g_min cost, then the lowest walk rank it may change
+    # in t (past every rank if none, -1 if any) and the rank of its entry
+    # at c if it has online units with g_min > 0 (-1 otherwise): the child
+    # recomputes E_t unless the parent's walk stopped before the first and
+    # used the second in full
     options = []
     startup_costs_by_group = []
-    for g, table in zip(groups, tables):
+    for grp, (g, table) in enumerate(zip(groups, tables)):
         unit = units[g[0]]
+        free, online = undecided_rank[grp], decided_rank[grp]
         by_vector = {u: unit.startup_cost * k for u, k in zip(table.vectors, table.starts)}
         startup_costs_by_group.append(by_vector)
         group_options = []
         for vectors in itertools.combinations_with_replacement(table.vectors, len(g)):
             vectors = tuple(sorted(vectors, reverse=True))
+            startup = extra = sum(by_vector[u] for u in vectors)
+            if free != online:
+                extra -= unit.startup_cost * sum(1 in u for u in vectors)
+            on_rooms = []
             steps = []
             for t in periods:
                 on = sum(u[t] for u in vectors)
+                changed = 2 * len(groups)  # past every rank
+                if on < len(g):
+                    changed = free  # its room shrinks
+                if on and free != online:
+                    # its online units leave the hull rate for c
+                    changed = -1 if unit.g_min > 0 else online
+                on_rooms.append(on * (unit.g_max - unit.g_min))
                 steps.append((
                     on * unit.g_min,
                     on * unit.g_max,
                     on * unit.g_min * unit.marginal_cost,
-                    min([rank[i] for i, u in zip(g, vectors) if not u[t]], default=n),
-                    max([rank[i] for i, u in zip(g, vectors) if u[t]], default=-1)
-                    if unit.g_min > 0 else -1,
+                    changed,
+                    online if on and unit.g_min > 0 else -1,
                 ))
-            group_options.append((sum(by_vector[u] for u in vectors), vectors, steps))
+            group_options.append((startup, extra, vectors, on_rooms, steps))
         options.append(group_options)
     # capacity of the units in groups k, k + 1, ...
     undecided = [0.0] * (len(groups) + 1)
@@ -333,21 +408,23 @@ def solve_centralized(instance: MarketInstance) -> DispatchResult:
         windows.append((t, d + eq_tol + slack, d - eq_tol - slack))
     commitment: list = [None] * n
     startup_costs = [0.0] * n
+    rooms: list = [None] * len(groups)  # per decided group, its on_rooms
     # a node's state per period: online g_min, online g_max, online g_min
     # cost, then (E_t, last, stop) from the bound kernel
-    root = [(0.0, 0.0, 0.0, *bound(t, commitment, 0.0, 0.0)) for t in periods]
+    root = [(0.0, 0.0, 0.0, *bound(t, 0, rooms, 0.0, 0.0)) for t in periods]
     # best = (cost, commitment, outputs).  Among costs within the tie band
     # the lexicographically largest commitment wins: 1s at low flattened
     # positions.
     best = None
     limit = math.inf  # profiles whose cost exceeds this are never accepted
-    dispatched = 0
+    dispatched = visited = 0
 
     def search(k, startup, energy, state):
         """Visit, in enumeration order, the profiles below the node whose
         groups before k are decided, with that startup cost, energy bound
         sum_t E_t and per-period state."""
-        nonlocal best, limit, dispatched
+        nonlocal best, limit, dispatched, visited
+        visited += 1
         if k == len(groups):
             dispatched += 1
             hit = fill(commitment, startup_costs)
@@ -370,25 +447,26 @@ def solve_centralized(instance: MarketInstance) -> DispatchResult:
         g = groups[k]
         by_vector = startup_costs_by_group[k]
         spare = undecided[k + 1]
-        for prefix, vectors, steps in options[k]:
+        for prefix, extra, vectors, on_rooms, steps in options[k]:
+            if startup + extra + energy > limit:
+                continue  # startup prefix: the parent's bound only rises below
             prefix += startup
-            if prefix + energy > limit:
-                continue  # startup prefix: the parent's energy bound only rises below
+            rooms[k] = on_rooms
             for idx, u in zip(g, vectors):
                 commitment[idx] = u
                 startup_costs[idx] = by_vector[u]
             child = []
             child_energy = 0.0
-            for (lo, hi, lo_cost, e, last, stop), (add_lo, add_hi, add_cost, first_off, last_on), (
+            for (lo, hi, lo_cost, e, last, stop), (add_lo, add_hi, add_cost, first_change, last_on), (
                     t, over, under) in zip(state, steps, windows):
                 lo += add_lo
                 hi += add_hi
                 if lo > over or hi + spare < under:
                     break  # infeasible window
                 lo_cost += add_cost
-                if first_off < stop or last_on >= last:
-                    # the parent's merit-order optimum does not fit the child
-                    e, last, stop = bound(t, commitment, lo, lo_cost)
+                if first_change < stop or last_on >= last:
+                    # the parent's merit-order optimum may not be the child's
+                    e, last, stop = bound(t, k + 1, rooms, lo, lo_cost)
                 child_energy += e
                 child.append((lo, hi, lo_cost, e, last, stop))
             else:
@@ -420,4 +498,5 @@ def solve_centralized(instance: MarketInstance) -> DispatchResult:
         total_cost=total,
         profiles_enumerated=count,
         profiles_dispatched=dispatched,
+        nodes_visited=visited,
     )

@@ -569,3 +569,35 @@ def test_amendment_paying_at_the_profit_argmax_fails_with_a_witness():
     check = report.check_named("zero-at-profit-argmax")
     assert not check.passed
     assert check.witness == {"u": [1], "g": [1.0]}
+
+
+def test_single_period_forms_verify_near_a_box_end():
+    # An output within eq_tol of an end but off it (by an ulp or by most of
+    # eq_tol), in boxes from half eq_tol to 5 wide, at prices that cover a
+    # cold start at full output or do not: every single-period closed form
+    # must verify and leave no residual uplift at x*.  Stated at the end's
+    # output, the end forms failed on hundreds of these cases.
+    from uplift_zero.model import ToleranceConfig
+
+    rng = random.Random(1603)
+    for _ in range(300):
+        tol = ToleranceConfig(eq_tol=rng.choice((1e-7, 1e-6)))
+        g_min = rng.choice((0.0, 0.5, 1.0, 1.9))
+        g_max = g_min + rng.choice((0.5, 1.5, 1e5, 5e5, 1e6, 5e7)) * tol.eq_tol
+        c = rng.choice((-1.0, 0.0, 1.0, 3.0))
+        w = rng.choice((0.0, 0.5, 5.0))
+        unit = UnitParams("N", g_min, g_max, c, w)
+        p = rng.choice((c, c + w / g_max, c + 0.5 * w / g_max, c + rng.uniform(-1.0, 3.0)))
+        delta = rng.choice((2e-16 * max(1.0, g_max), rng.uniform(0.3, 0.99) * tol.eq_tol))
+        g = min(g_min + delta, g_max) if rng.random() < 0.5 else max(g_max - delta, g_min)
+        x = UnitSchedule((1,), (g,))
+        builders = [lambda: build_linear_unit(unit, p, x, tol),
+                    lambda: build_convex_hull_amendment(unit, p, x, Formulation.STATUS_OUTPUT, tol)]
+        if g_min > 0 or w == 0:
+            builders.append(lambda: build_convex_hull_amendment(
+                unit, p, x, Formulation.OUTPUT_ONLY, tol))
+        for build in builders:
+            bundle = build()
+            report = verify_conditions(unit, p, bundle, x, tol)
+            assert report.passed, (unit, p, g, bundle, report.failures())
+            assert abs(report.residual) <= tol.opt_tol * max(1.0, abs(report.amended_max))

@@ -639,6 +639,41 @@ class TestBoxNoWiderThanEqTol:
         assert "verification: all conditions passed" in out
 
 
+def near_end_instance(g_min, g_max, demand, startup_cost=5.0):
+    return {"periods": 1, "demand": [demand], "unit_types": [
+        {"id": "N", "g_min": g_min, "g_max": g_max, "marginal_cost": 1.0,
+         "startup_cost": startup_cost},
+        {"id": "B", "g_min": 0, "g_max": 0.5, "marginal_cost": 4.0, "startup_cost": 0}]}
+
+
+class TestOutputNearBoxEnd:
+    """A unit dispatched within eq_tol of an end of a much wider box, but
+    off it.  The end forms, stated at the end's output, paid more than the
+    gap at g_min (near the minimum) or left part of it unpaid at x* (near
+    the maximum) by gap * delta / (g_max - g*), above opt_tol in a box this
+    narrow; each family now takes a form that holds at x*'s own output."""
+
+    @pytest.mark.parametrize("formulation", (
+        ("--family", "linear-unit"),
+        ("--family", "convex-hull"),
+        ("--family", "convex-hull", "--formulation", "g"),
+    ))
+    @pytest.mark.parametrize("doc", (
+        near_end_instance(1.0, 1.01, 1.00000007),
+        near_end_instance(1.0, 1.05, 1.00000007),
+        near_end_instance(1.0, 1.03, 1.00000007, startup_cost=0.5),
+        near_end_instance(1.9, 2.0, 1.99999993),
+    ), ids=("min", "min-wider", "min-cheap-start", "max"))
+    @pytest.mark.parametrize("method", ("marginal", "chp"))
+    def test_report_verifies(self, capsys, tmp_path, formulation, doc, method):
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "report", str(path), *formulation,
+                             "--price-method", method)
+        assert (code, err) == (0, "")
+        assert "verification: all conditions passed" in out
+
+
 class TestLongHorizon:
     """Status vectors are counted before any is listed, so a horizon with
     more of them than the budget is rejected at once by every command.  A

@@ -16,7 +16,7 @@ from uplift_zero import (
     scarf_instance,
     solve_centralized,
 )
-from uplift_zero import dispatch
+from uplift_zero import dispatch, pricing
 from uplift_zero.dispatch import economic_dispatch
 from uplift_zero.model import ToleranceConfig, schedule_cost, unit_key, validate_schedule
 
@@ -292,10 +292,9 @@ class TestReferenceEquality:
         assert dispatched < enumerated / 4  # whole subtrees are pruned
 
 
-def test_thirteen_heterogeneous_units_dispatch_few_profiles():
-    # A single-period instance of 13 units that share no parameters: 8,192
-    # profiles, of which the former search dispatched 2,449 and the
-    # subtree bound dispatches 23.
+def thirteen_unit_instance() -> MarketInstance:
+    # a single-period instance of 13 units that share no parameters: 8,192
+    # profiles
     rows = (
         (3.08, 12.46, 1.03, 3.2), (0.0, 8.45, 2.48, 1.97), (3.13, 9.16, 6.86, 16.56),
         (2.35, 13.35, 5.9, 22.69), (0.6, 14.01, 1.22, 14.36), (3.69, 14.97, 1.07, 15.56),
@@ -303,12 +302,127 @@ def test_thirteen_heterogeneous_units_dispatch_few_profiles():
         (3.14, 18.01, 9.09, 22.43), (0.0, 13.93, 2.58, 55.14), (0.0, 10.31, 2.8, 4.63),
         (0.6, 14.86, 7.71, 37.86),
     )
-    inst = MarketInstance(periods=1, demand=(60.191,), units=tuple(
+    return MarketInstance(periods=1, demand=(60.191,), units=tuple(
         UnitParams(f"U{k:02d}", *row) for k, row in enumerate(rows, 1)))
+
+
+def test_thirteen_heterogeneous_units_dispatch_few_profiles():
+    # Of the 8,192 profiles the former search dispatched 2,449 and the
+    # subtree bound dispatches 23.
+    inst = thirteen_unit_instance()
     result = solve_centralized(inst)
     assert (result.schedule, result.total_cost, result.profiles_enumerated) == (
         reference_dispatch(inst))
     assert result.profiles_dispatched <= 30
+
+
+def test_thirteen_heterogeneous_units_visit_few_nodes():
+    # With undecided units priced at marginal cost and no startup cost, the
+    # search entered 484 nodes; the hull rate's bound, 135.46 at the root
+    # instead of 90.74, cuts that to 197 and dispatches the same 23 leaves.
+    result = solve_centralized(thirteen_unit_instance())
+    assert result.profiles_dispatched == 23
+    assert result.nodes_visited <= 250
+
+
+def _root_bound(inst: MarketInstance) -> float:
+    groups = dispatch._interchangeable(inst)
+    bound, _, _ = dispatch._energy_bound(inst, groups)
+    rooms = [None] * len(groups)
+    return sum(bound(t, 0, rooms, 0.0, 0.0)[0] for t in range(inst.periods))
+
+
+def hull_edge_instance(rng: random.Random, periods: int, max_units: int) -> MarketInstance:
+    """Instance at the edges of the hull rate c + S / (T * g_max): units
+    that start online with a startup cost (rate c), units with g_max = 0
+    (rate c) or g_min = g_max, negative marginal costs whose hull rate has
+    either sign, min up/down times of 2 at T > 1, and pairs of identical
+    units, whose group shares one walk entry.  Demand lies on, or eq_tol / 2
+    either side of, an edge of some commitment's output window, or anywhere
+    in [0, capacity]."""
+    eq_tol = rng.choice((1e-7, 0.25, 1e-300))
+    units = []
+    for k in range(rng.randint(1, max_units)):
+        g_min = rng.choice((0.0, 0.0, 0.5, 2.0))
+        g_max = g_min + rng.choice((0.0, 1.0, 1.5, 4.0))
+        slow = periods > 1 and rng.random() < 0.4
+        unit = dict(
+            g_min=g_min,
+            g_max=g_max,
+            marginal_cost=rng.choice((-4.0, -1.0, -0.5, 0.0, 0.3, 1.0, 2.5)),
+            startup_cost=rng.choice((0.0, 0.5, 2.0, 6.0, 15.0)),
+            initial_status=rng.choice((0, 0, 1)),
+            min_up=2 if slow else 0,
+            min_down=2 if slow else 0,
+        )
+        for j in range(rng.choice((1, 1, 1, 2))):
+            units.append(UnitParams(id=f"H{k}-{j}", **unit))
+    units = units[:max_units]
+    demand = []
+    for _ in range(periods):
+        if rng.random() < 0.5:
+            online = [u for u in units if rng.random() < 0.5]
+            edge = sum(u.g_max if rng.random() < 0.5 else u.g_min for u in online)
+            demand.append(max(0.0, edge + rng.choice((0.0, 0.5, -0.5)) * eq_tol))
+        else:
+            demand.append(round(rng.uniform(0.0, sum(u.g_max for u in units)), 2))
+    return MarketInstance(periods=periods, demand=tuple(demand), units=tuple(units),
+                          tolerances=ToleranceConfig(eq_tol=eq_tol))
+
+
+def test_root_bound_is_the_convex_hull_dual_at_one_period():
+    # At T = 1 the hull rate is the slope of each unit's convex-hull cost on
+    # [0, g_max], so the root's merit order solves the hull LP: the dual
+    # value at the best price, less at most eq_tol * the dearest rate for the
+    # demand band.  Pricing undecided units at marginal cost alone gives
+    # 90.74 against 135.46 on the 13-unit instance.
+    rng = random.Random(9100)
+    cases = [thirteen_unit_instance()]
+    while len(cases) < 150:
+        inst = hull_edge_instance(rng, 1, 8)
+        if inst.demand[0] <= sum(u.g_max for u in inst.units):
+            cases.append(inst)
+    kinds = set()
+    for inst in cases:
+        eq_tol = inst.tolerances.eq_tol
+        dual = pricing.convex_hull_price(inst).dual_value
+        rates = [dispatch._hull_rate(u, 1) for u in inst.units]
+        scale = 1.0 + sum(u.startup_cost for u in inst.units) + max(map(abs, rates)) * (
+            sum(u.g_max for u in inst.units) + inst.demand[0])
+        root = _root_bound(inst)
+        assert dual - eq_tol * max(map(abs, rates)) - 1e-12 * scale <= root
+        assert root <= dual + 1e-12 * scale
+        for u, rate in zip(inst.units, rates):
+            kinds.add(("online with S", u.initial_status == 1 and u.startup_cost > 0))
+            kinds.add(("g_max = 0", u.g_max == 0))
+            kinds.add(("g_min = g_max > 0", 0 < u.g_min == u.g_max))
+            kinds.add(("hull rate sign from c < 0", u.marginal_cost < 0 and rate > 0))
+        kinds.add(("eq_tol", eq_tol))
+    assert _root_bound(cases[0]) == pytest.approx(135.46, abs=0.01)
+    assert len(kinds) == 4 * 2 + 3
+
+
+@pytest.mark.parametrize("periods,max_units", [(1, 9), (2, 6), (3, 4)])
+def test_hull_rate_edges_match_the_reference(periods, max_units):
+    # fails if an online unit kept its hull rate, if a unit that starts
+    # online paid its startup in the rate, if a group's entry at c were
+    # reused across a decision that changes it, or if the startup prefix
+    # counted a new unit's first startup on top of the parent's bound
+    rng = random.Random(9200 + periods)
+    solved = 0
+    for _ in range(80):
+        inst = hull_edge_instance(rng, periods, max_units)
+        try:
+            expected = reference_dispatch(inst)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                solve_centralized(inst)
+            continue
+        result = solve_centralized(inst)
+        assert (result.schedule, result.total_cost, result.profiles_enumerated) == expected
+        assert repr(result.total_cost) == repr(expected[1])
+        solved += 1
+    assert solved >= 40
 
 
 def test_demand_no_commitment_meets_raises_without_dispatching(monkeypatch):
