@@ -88,14 +88,12 @@ from .model import (
 )
 from .pricing import (
     LatticeTable,
+    _UnitOracle,
     _max_profits,
     _profit,
-    _unit_max_profit,
     as_price,
     lattice_table,
-    profit_given_status,
     standard_profit,
-    unit_profit_max,
 )
 from .reporting import ConditionCheck, VerificationReport
 
@@ -199,22 +197,22 @@ def profit_expr(unit: UnitParams, p, periods: int = 1,
 def _dispatch_profit(unit: UnitParams, p: tuple[float, ...], x_i_star: UnitSchedule,
                      tol: ToleranceConfig) -> float:
     # validate the dispatched schedule once, at tol, and price it as is
-    validate_unit_schedule(unit, x_i_star, x_i_star.periods, tol.eq_tol)
+    validate_unit_schedule(unit, x_i_star, len(p), tol.eq_tol)
     return _profit(p, x_i_star.g, unchecked_cost(unit, x_i_star))
 
 
-def _uplift_at(unit: UnitParams, p, x_i_star: UnitSchedule,
+def _uplift_at(oracle: _UnitOracle, p, x_i_star: UnitSchedule,
                tol: ToleranceConfig) -> tuple[float, float, float]:
-    p = as_price(p, x_i_star.periods)
-    star = _dispatch_profit(unit, p, x_i_star, tol)
-    best = _unit_max_profit(unit, p)
+    p = as_price(p, oracle.periods)
+    star = _dispatch_profit(oracle.unit, p, x_i_star, tol)
+    best = oracle.maximum(p)
     gap = best - star
     if gap < 0.0:
         # the maximum is computed in closed form per status vector, so the
         # dispatched point can only exceed it by rounding noise
         if gap < -tol.opt_tol * max(1.0, abs(best)):
             raise ValidationError(
-                f"unit {unit.id}: dispatch profit {star:.9g} exceeds the "
+                f"unit {oracle.unit.id}: dispatch profit {star:.9g} exceeds the "
                 f"computed maximum {best:.9g}"
             )
         gap = 0.0
@@ -234,7 +232,7 @@ def build_uplift_delta(
 ) -> AmendmentBundle:
     """Lump payment of the lost profit, at the dispatched point only."""
     _require_status_readable(unit, formulation)
-    star, best, gap = _uplift_at(unit, p, x_i_star, tol)
+    star, best, gap = _uplift_at(_UnitOracle(unit, x_i_star.periods), p, x_i_star, tol)
     marker = delta_of(x_i_star, formulation)
     return AmendmentBundle(
         unit_id=unit.id,
@@ -255,7 +253,7 @@ def build_constant_profit(
 ) -> AmendmentBundle:
     """Pays every point the gap to the profit maximum (flat amended profit)."""
     p = as_price(p, periods)
-    best = _unit_max_profit(unit, p)
+    best = _UnitOracle(unit, periods).maximum(p)
     profit = profit_expr(unit, p, periods, formulation)
     return AmendmentBundle(
         unit_id=unit.id,
@@ -278,7 +276,7 @@ def build_general_form(
     """Canonical valid amendment: min of the constant-profit cap and a
     delta payment shifted by any non-negative expression gamma."""
     _require_status_readable(unit, formulation)
-    star, best, gap = _uplift_at(unit, p, x_i_star, tol)
+    star, best, gap = _uplift_at(_UnitOracle(unit, x_i_star.periods), p, x_i_star, tol)
     p_vec = as_price(p, x_i_star.periods)
     if isinstance(gamma, Const):
         if not gamma.value >= -tol.eq_tol:
@@ -311,13 +309,13 @@ def build_general_form(
 
 
 def _require_status_consistency(
-    unit: UnitParams, p, x_i_star: UnitSchedule, tol: ToleranceConfig, family: str
+    oracle: _UnitOracle, p, x_i_star: UnitSchedule, tol: ToleranceConfig, family: str
 ) -> tuple[float, float, float]:
-    star, best, gap = _uplift_at(unit, p, x_i_star, tol)
-    by_status = profit_given_status(unit, p, x_i_star.u)
+    star, best, gap = _uplift_at(oracle, p, x_i_star, tol)
+    by_status = oracle.value(as_price(p, oracle.periods), x_i_star.u)
     if abs(star - by_status) > tol.opt_tol:
         raise PreconditionError(
-            f"unit {unit.id}: {family} family needs the dispatched outputs to be "
+            f"unit {oracle.unit.id}: {family} family needs the dispatched outputs to be "
             f"profit-maximal for their status vector (dispatch profit {star:.6g}, "
             f"best for status {by_status:.6g}); use marginal pricing"
         )
@@ -333,7 +331,8 @@ def build_status_delta(
     """Lump payment on the dispatched status vector.  Needs the dispatched
     outputs to already be profit-maximal given that status (holds under
     marginal pricing of an optimal dispatch)."""
-    star, best, gap = _require_status_consistency(unit, p, x_i_star, tol, "status-delta")
+    star, best, gap = _require_status_consistency(
+        _UnitOracle(unit, x_i_star.periods), p, x_i_star, tol, "status-delta")
     marker = status_delta_of(x_i_star.u)
     return AmendmentBundle(
         unit_id=unit.id,
@@ -360,9 +359,10 @@ def build_status_profile(
         raise ValidationError("build_status_profile needs x_i_star or periods")
     if periods is None:
         periods = x_i_star.periods
+    oracle = _UnitOracle(unit, periods)
     if x_i_star is not None:
-        _require_status_consistency(unit, p, x_i_star, tol, "status-profile")
-    pm = unit_profit_max(unit, p, periods, tol)
+        _require_status_consistency(oracle, p, x_i_star, tol, "status-profile")
+    pm = oracle.profit_max(as_price(p, periods), tol)
     best = pm.value
     # per_status runs over the feasible status vectors in lexicographic order
     vectors = tuple(pm.per_status)
@@ -406,7 +406,7 @@ def _box_case(
     (p0,) = as_price(p, 1)
     _require_status_readable(unit, formulation)
     star = _dispatch_profit(unit, (p0,), x_i_star, tol)
-    best = _unit_max_profit(unit, (p0,))
+    best = _UnitOracle(unit, 1).maximum((p0,))
     g_star = x_i_star.g[0]
     if x_i_star.u[0] == 0:
         at = "offline"

@@ -11,12 +11,12 @@ online first; the merit-order output fill is itself deterministic (ties by
 unit index).
 
 The search is set up once per solve: the status table of every group (its
-feasible status vectors and their startup counts, `model.status_table`,
-which pricing reads too), the startup cost of every (unit, status vector)
-pair, the merit order (units by marginal cost, then index) and the walk of
-the energy bound.  One kernel,
+feasible status vectors and the startup cost of each, `model.status_table`,
+which pricing's per-unit oracle holds too), the merit order (units by
+marginal cost, then index) and the walk of the energy bound.  One kernel,
 `_merit_order_fill`, dispatches a commitment from them; `economic_dispatch`
-runs the same kernel after validating its commitment.
+runs the same kernel after validating its commitment, with each vector's
+startup cost from the same helper (`model._startup_cost`).
 
 The search is a depth-first branch and bound over the groups.  A node at
 depth k has decided the multisets of groups 0 .. k-1; its children take
@@ -101,16 +101,17 @@ from .model import (
     UnitParams,
     UnitSchedule,
     _groups,
+    _startup_cost,
     _status_vector_count,
-    startup_count,
     status_table,
     status_vector_feasible,
     unchecked_cost,
     unit_key,
 )
 
-# the most commitment profiles a search enumerates; a price search holds
-# each unit's status vectors to it too (`pricing`)
+# the most commitment profiles a search enumerates; pricing's per-unit
+# oracle (`pricing._UnitOracle`) holds each unit's status vectors to it
+# too, read at call time
 PROFILE_LIMIT = 1_000_000
 
 # A subtree is pruned by cost only when its bound exceeds the acceptance
@@ -170,10 +171,6 @@ def _merit_order_fill(
         return outputs, total
 
     return fill
-
-
-def _startup_cost(unit: UnitParams, u: Sequence[int]) -> float:
-    return unit.startup_cost * startup_count(unit, u)
 
 
 def economic_dispatch(
@@ -358,7 +355,7 @@ def solve_centralized(instance: MarketInstance) -> DispatchResult:
     for grp, (g, table) in enumerate(zip(groups, tables)):
         unit = units[g[0]]
         free, online = undecided_rank[grp], decided_rank[grp]
-        by_vector = {u: unit.startup_cost * k for u, k in zip(table.vectors, table.starts)}
+        by_vector = dict(zip(table.vectors, table.costs))
         startup_costs_by_group.append(by_vector)
         group_options = []
         for vectors in itertools.combinations_with_replacement(table.vectors, len(g)):

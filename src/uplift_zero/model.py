@@ -299,21 +299,22 @@ def feasible_status_vectors(unit: UnitParams, periods: int) -> tuple[tuple[int, 
 @dataclass(frozen=True)
 class StatusTable:
     """The price-free part of a unit's commitment choices over a horizon:
-    its feasible status vectors in lexicographic order and the number of
-    startups of each (`startup_count`).
+    its feasible status vectors in lexicographic order and the startup
+    cost of each (`_startup_cost`).
 
-    It depends on the unit's initial status and min up/down times and on
-    the horizon only.  Dispatch prices its startups once per solve, and
-    pricing prices its margins once per price (`pricing.unit_profit_max`)."""
+    Dispatch reads the startup costs once per solve, and pricing's per-unit
+    oracle prices the vectors' margins once per price; neither multiplies
+    a startup count by the unit's startup cost itself."""
 
     vectors: tuple[tuple[int, ...], ...]
-    starts: tuple[int, ...]
+    costs: tuple[float, ...]
 
 
 def status_table(unit: UnitParams, periods: int) -> StatusTable:
-    """List the unit's feasible status vectors once."""
+    """List the unit's feasible status vectors once, each with its startup
+    cost."""
     vectors = feasible_status_vectors(unit, periods)
-    return StatusTable(vectors, tuple(startup_count(unit, u) for u in vectors))
+    return StatusTable(vectors, tuple(_startup_cost(unit, u) for u in vectors))
 
 
 def validate_unit_schedule(
@@ -367,6 +368,13 @@ def startup_count(unit: UnitParams, u: Sequence[int]) -> int:
     return count
 
 
+def _startup_cost(unit: UnitParams, u: Sequence[int]) -> float:
+    """The startup cost of a status vector: the unit's startup cost times
+    its `startup_count`.  Every startup cost in the package is this one
+    product."""
+    return unit.startup_cost * startup_count(unit, u)
+
+
 def cost(
     unit: UnitParams,
     sched: UnitSchedule,
@@ -381,7 +389,7 @@ def unchecked_cost(unit: UnitParams, sched: UnitSchedule) -> float:
     """`cost` without validation, for schedules already known to be
     feasible, such as the points of the verification lattice."""
     energy = sum(unit.marginal_cost * g for g in sched.g)
-    return energy + unit.startup_cost * startup_count(unit, sched.u)
+    return energy + _startup_cost(unit, sched.u)
 
 
 def schedule_cost(instance: MarketInstance, schedule: Schedule) -> float:

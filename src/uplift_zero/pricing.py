@@ -12,28 +12,28 @@ Two price rules are provided for a solved instance:
 
 Per-unit profit maximization under a fixed price has a closed form: for each
 feasible status vector the optimal output sits at a box corner per period,
-so the maximum is a finite scan over status vectors.  The vectors and their
-startup counts do not depend on the price.  They form the unit's status
-table (`model.status_table`), which is built once per call, or once per
-price search for each group of identical units (`unit_key`, grouped by
-`model._groups`, the package's one sharing rule); every unit of a group
-reads its group's values back.
-`_status_values` prices a table: two margin terms per period, then one sum
-per vector, less its startup cost.  `unit_profit_max` is the table at one
-price, with its argmax schedules and per-status outputs, and
-`profit_given_status` prices a single vector.
+so the maximum is a finite scan over status vectors.  One private object,
+`_UnitOracle`, is the only code that prices a unit's status vectors.  It is
+built from the unit and the horizon: it holds the unit's status table (its
+feasible status vectors and their startup costs, `model.status_table`),
+which does not depend on the price, and it checks the per-unit budget
+(`dispatch.PROFILE_LIMIT` status vectors) before listing any.  It answers
+the unit's values at one or many prices, its maximum, its first response
+within opt_tol, its full ProfitMax and the value of one given vector.
+`unit_profit_max` and `profit_given_status` build one per call; a price
+search builds one per group of identical units (`unit_key`, grouped by
+`model._groups`, the package's one sharing rule), and every unit of a group
+reads its group's answers back.
 
 The price search reads values only.  The breakpoint scan evaluates the dual
 at every candidate price from the units' maxima alone, and the subgradient
-reads each unit's maximum and the outputs of its first status vector within
-opt_tol of it.  Neither builds a ProfitMax, a schedule or a dict per unit
-and price.  Neither do the amendment builders, which read one unit's
-maximum (`_unit_max_profit`), nor the market check at its perturbed
-prices, which reads every unit's maxima at all of them from one
-`_max_profits` call; at the market price it reads both maxima off the
-unit reports of verification.  Every float is computed by the same
-expression, in the same order, as when each unit is solved alone at each
-price.
+reads each unit's first response.  Neither builds a ProfitMax, a schedule or
+a dict per unit and price.  Neither do the amendment builders, which read
+one unit's maximum, nor the market check at its perturbed prices, which
+reads every unit's maxima at all of them from one `_max_profits` call; at
+the market price it reads both maxima off the unit reports of verification.
+Every float is computed by the same expression, in the same order, as when
+each unit is solved alone at each price.
 
 The verification lattice table (`LatticeTable`, built by `lattice_table`)
 is held a column at a time.  Its costs, its expression columns and its
@@ -59,15 +59,14 @@ from .model import (
     Formulation,
     MarketInstance,
     Schedule,
-    StatusTable,
     ToleranceConfig,
     UnitParams,
     UnitSchedule,
     _groups,
+    _startup_cost,
     _status_vector_count,
     cost,
     feasible_set_samples,
-    startup_count,
     status_table,
     status_vector_feasible,
     unit_key,
@@ -125,57 +124,84 @@ class ProfitMax:
     per_status: Mapping[tuple[int, ...], tuple[float, tuple[float, ...]]]
 
 
-def _status_values(
-    unit: UnitParams, table: StatusTable, prices: Iterable[tuple[float, ...]]
-) -> list[list[float]]:
-    """Per normalized price, the best profit of each status vector of the
-    table, in table order: the margin of `_best_outputs_for_status` less
-    the startup cost.
+class _UnitOracle:
+    """One unit's best responses over a horizon: the only code that prices
+    the unit's status vectors.
 
-    The startup costs are priced once.  At each price, each period has two
-    margin terms, (p_t - c) * 0.0 offline and (p_t - c) * g_max or g_min
-    online, computed once; a vector's margin is the `sum` of its terms in
-    period order."""
-    mc, g_min, g_max, sc = unit.marginal_cost, unit.g_min, unit.g_max, unit.startup_cost
-    startup_costs = [(u, sc * k) for u, k in zip(table.vectors, table.starts)]
-    pick = tuple.__getitem__
-    out = []
-    for p in prices:
-        # plain loops: a comprehension costs a frame per call here
-        terms = []
-        for pt in p:
-            margin = pt - mc
-            terms.append((margin * 0.0, margin * (g_max if pt >= mc else g_min)))
-        values = []
-        for u, c in startup_costs:
-            values.append(sum(map(pick, terms, u)) - c)
-        out.append(values)
-    return out
+    It is built from the unit and the horizon.  It counts the unit's
+    feasible status vectors first and raises EnumerationLimitError, before
+    listing any, when there are more than `dispatch.PROFILE_LIMIT`; then it
+    lists them once, with their startup costs (`model.status_table`).
 
+    At a normalized price p each period has two margin terms, (p_t - c) *
+    0.0 offline and (p_t - c) * g_max or g_min online (the outputs of
+    `_best_outputs_for_status`), computed once; a vector's value is the
+    `sum` of its terms in period order less its startup cost.  The first
+    largest value is the maximum, as max() returns it."""
 
-def _profit_max(
-    unit: UnitParams, table: StatusTable, p: tuple[float, ...], tol: ToleranceConfig
-) -> ProfitMax:
-    # the value is the first largest status value (a later one must be
-    # strictly larger to replace it), as max() returns
-    values = _status_values(unit, table, (p,))[0]
-    best = max(values)
-    per_status = {
-        u: (value, _best_outputs_for_status(unit, p, u))
-        for u, value in zip(table.vectors, values)
-    }
-    argmax = tuple(
-        UnitSchedule(u, g)
-        for u, (value, g) in per_status.items()
-        if value >= best - tol.opt_tol
-    )
-    return ProfitMax(value=best, argmax_points=argmax, per_status=per_status)
+    def __init__(self, unit: UnitParams, periods: int):
+        count = _status_vector_count(unit, periods)
+        if count > dispatch.PROFILE_LIMIT:
+            raise EnumerationLimitError(
+                f"unit {unit.id}: {count} status vectors over {periods} periods "
+                f"exceed the supported budget of {dispatch.PROFILE_LIMIT}"
+            )
+        self.unit = unit
+        self.periods = periods
+        self.table = status_table(unit, periods)
 
+    def values(self, prices: Iterable[tuple[float, ...]]) -> list[list[float]]:
+        """Per normalized price, every status vector's value, in table
+        order."""
+        mc, g_min, g_max = self.unit.marginal_cost, self.unit.g_min, self.unit.g_max
+        vectors, costs = self.table.vectors, self.table.costs
+        pick = tuple.__getitem__
+        out = []
+        for p in prices:
+            # plain loops: a comprehension costs a frame per call here
+            terms = []
+            for pt in p:
+                margin = pt - mc
+                terms.append((margin * 0.0, margin * (g_max if pt >= mc else g_min)))
+            values = []
+            for u, c in zip(vectors, costs):
+                values.append(sum(map(pick, terms, u)) - c)
+            out.append(values)
+        return out
 
-def _unit_max_profit(unit: UnitParams, p: tuple[float, ...]) -> float:
-    """`unit_profit_max(unit, p).value` at a normalized price, from the
-    status values alone."""
-    return max(_status_values(unit, status_table(unit, len(p)), (p,))[0])
+    def maximum(self, p: tuple[float, ...]) -> float:
+        """The unit's profit maximum at a normalized price."""
+        return max(self.values((p,))[0])
+
+    def respond(self, p: tuple[float, ...], opt_tol: float) -> tuple[float, tuple[float, ...]]:
+        """The maximum at a normalized price and the outputs of the first
+        status vector within opt_tol of it: those of
+        `unit_profit_max(...).argmax_points[0]`."""
+        values = self.values((p,))[0]
+        best = max(values)
+        for u, value in zip(self.table.vectors, values):
+            if value >= best - opt_tol:
+                return best, _best_outputs_for_status(self.unit, p, u)
+
+    def profit_max(self, p: tuple[float, ...], tol: ToleranceConfig) -> ProfitMax:
+        """The full `ProfitMax` at a normalized price."""
+        values = self.values((p,))[0]
+        best = max(values)
+        per_status = {
+            u: (value, _best_outputs_for_status(self.unit, p, u))
+            for u, value in zip(self.table.vectors, values)
+        }
+        argmax = tuple(
+            UnitSchedule(u, g)
+            for u, (value, g) in per_status.items()
+            if value >= best - tol.opt_tol
+        )
+        return ProfitMax(value=best, argmax_points=argmax, per_status=per_status)
+
+    def value(self, p: tuple[float, ...], u: tuple[int, ...]) -> float:
+        """The value of one feasible status vector at a normalized price:
+        its entry of `values`."""
+        return self.values((p,))[0][self.table.vectors.index(u)]
 
 
 def unit_profit_max(
@@ -185,26 +211,27 @@ def unit_profit_max(
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> ProfitMax:
     """Closed-form profit maximization over all feasible status vectors: the
-    unit's status table (`model.status_table`) priced at p.
+    unit's status table priced at p.
 
     The all-off vector is always feasible, so the value is never negative.
     per_status maps each feasible status vector, in lexicographic order, to
     its best profit and outputs; argmax_points lists the corner schedules
     whose profit is within opt_tol of the maximum, in the same order.
+    Raises EnumerationLimitError, before listing any vector, when the unit
+    has more than `dispatch.PROFILE_LIMIT` of them.
     """
     if periods is None:
         periods = len(p) if not isinstance(p, (int, float)) else 1
-    return _profit_max(unit, status_table(unit, periods), as_price(p, periods), tol)
+    return _UnitOracle(unit, periods).profit_max(as_price(p, periods), tol)
 
 
 def profit_given_status(unit: UnitParams, p, u: Sequence[int]) -> float:
     """Maximum standard profit achievable with the status vector fixed: the
-    one vector's entry of `unit_profit_max(...).per_status`, in O(T)."""
+    one vector's entry of `unit_profit_max(...).per_status`."""
     p = as_price(p, len(u))
     if not status_vector_feasible(unit, u):
         raise ValidationError(f"unit {unit.id}: status vector {tuple(u)} is infeasible")
-    u = tuple(int(v) for v in u)
-    return _status_values(unit, StatusTable((u,), (startup_count(unit, u),)), (p,))[0][0]
+    return _UnitOracle(unit, len(u)).value(p, tuple(int(v) for v in u))
 
 
 def _column_sums(columns: list, n: int) -> Iterator:
@@ -319,7 +346,7 @@ def lattice_table(
     points = feasible_set_samples(unit, formulation, anchors, periods, tol.eq_tol)
     outputs = tuple(zip(*map(operator.attrgetter("g"), points)))
     statuses = list(map(operator.attrgetter("u"), points))
-    startups = {u: unit.startup_cost * startup_count(unit, u) for u in dict.fromkeys(statuses)}
+    startups = {u: _startup_cost(unit, u) for u in dict.fromkeys(statuses)}
     energy = _column_sums([map(operator.mul, repeat(unit.marginal_cost), col) for col in outputs],
                           len(points))
     return LatticeTable(
@@ -332,24 +359,12 @@ def lattice_table(
     ).at_price(p)
 
 
-def _unit_groups(
-    instance: MarketInstance,
-) -> tuple[list[tuple[UnitParams, StatusTable]], list[int]]:
-    """Group the instance's identical units (`unit_key`) once: per group its
-    first unit and that unit's status table, and per unit in instance order
-    the index of its group.  A price search groups once for all its prices.
-    Raises EnumerationLimitError, before listing any status vector, when a
-    unit has more than `dispatch.PROFILE_LIMIT`."""
+def _group_oracles(instance: MarketInstance) -> tuple[list[_UnitOracle], list[int]]:
+    """One oracle per group of identical units (`unit_key`), for the
+    group's first unit, and per unit in instance order the index of its
+    group.  A price search builds them once for all its prices."""
     firsts, group_of = _groups(map(unit_key, instance.units))
-    units = [instance.units[i] for i in firsts]
-    for unit in units:
-        count = _status_vector_count(unit, instance.periods)
-        if count > dispatch.PROFILE_LIMIT:
-            raise EnumerationLimitError(
-                f"unit {unit.id}: {count} status vectors over {instance.periods} periods "
-                f"exceed the supported budget of {dispatch.PROFILE_LIMIT}"
-            )
-    return [(unit, status_table(unit, instance.periods)) for unit in units], group_of
+    return [_UnitOracle(instance.units[i], instance.periods) for i in firsts], group_of
 
 
 def _max_profits(
@@ -357,9 +372,8 @@ def _max_profits(
 ) -> list[list[float]]:
     """`max_profits` at each of the normalized prices, with the units
     grouped once."""
-    groups, group_of = _unit_groups(instance)
-    by_group = [[max(values) for values in _status_values(unit, table, prices)]
-                for unit, table in groups]
+    oracles, group_of = _group_oracles(instance)
+    by_group = [list(map(max, oracle.values(prices))) for oracle in oracles]
     return [[row[g] for g in group_of] for row in zip(*by_group)]
 
 
@@ -407,7 +421,8 @@ def _hull_price_single_period(instance: MarketInstance) -> PriceResult:
         candidates.add(u.marginal_cost)
         if u.g_max > 0:
             candidates.add(u.marginal_cost + u.startup_cost / u.g_max)
-    candidates = sorted(candidates)
+    # a breakpoint at infinity, from a g_max near 0, is never the maximizer
+    candidates = sorted(filter(math.isfinite, candidates))
     prices = [as_price((q,), 1) for q in candidates]
     best_q, best_val = None, None
     for q, price, maxima in zip(candidates, prices, _max_profits(instance, prices)):
@@ -422,22 +437,13 @@ def _hull_price_single_period(instance: MarketInstance) -> PriceResult:
 def _best_responses_at(
     instance: MarketInstance,
 ) -> Callable[[tuple[float, ...]], list[tuple[float, tuple[float, ...]]]]:
-    """Per unit in instance order, its profit maximum at a normalized price
-    and the outputs of `unit_profit_max(...).argmax_points[0]`: those of the
-    first status vector within opt_tol of the maximum.  Units are grouped
-    once."""
-    groups, group_of = _unit_groups(instance)
+    """Per unit in instance order, its best response at a normalized price
+    (`_UnitOracle.respond`).  Units are grouped once."""
+    oracles, group_of = _group_oracles(instance)
     opt_tol = instance.tolerances.opt_tol
 
-    def respond(unit: UnitParams, table: StatusTable, q: tuple[float, ...]):
-        values = _status_values(unit, table, (q,))[0]
-        best = max(values)
-        for u, value in zip(table.vectors, values):
-            if value >= best - opt_tol:
-                return best, _best_outputs_for_status(unit, q, u)
-
     def at(q: tuple[float, ...]) -> list[tuple[float, tuple[float, ...]]]:
-        solved = [respond(unit, table, q) for unit, table in groups]
+        solved = [oracle.respond(q, opt_tol) for oracle in oracles]
         return [solved[g] for g in group_of]
 
     return at

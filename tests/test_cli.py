@@ -253,6 +253,24 @@ class TestReport:
         assert "verification: all conditions passed" in lines
         assert lines[-1] == "total uplift after amendment = 0.0000"
 
+    @pytest.mark.parametrize("argv", (
+        ("price", "--method", "chp"), ("uplift",), ("report",),
+        ("report", "--family", "uplift-delta"),
+    ), ids=("price", "uplift", "report", "report-uplift-delta"))
+    def test_cold_start_breakpoint_at_infinity(self, capsys, tmp_path, argv):
+        # T's cold-start average cost c + S / g_max overflows to inf: the
+        # breakpoint scan skips it instead of pricing the dual there
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"periods": 1, "demand": [1.0], "unit_types": [
+            {"id": "A", "g_min": 0, "g_max": 2.0, "marginal_cost": 1, "startup_cost": 0},
+            {"id": "T", "g_min": 0, "g_max": 1e-310, "marginal_cost": 1, "startup_cost": 1},
+        ]}))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert "price (chp) = 1.0000" in lines
+        assert ("total uplift = 0" if argv[0] == "uplift" else "dual value = 1.0000") in lines
+
     def test_byte_determinism(self, capsys):
         _, first, _ = run(capsys, "report", "--scarf", "40", "--family", "linear-unit")
         _, second, _ = run(capsys, "report", "--scarf", "40", "--family", "linear-unit")

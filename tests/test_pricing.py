@@ -286,17 +286,26 @@ def test_weak_duality(seed):
 
 
 class TestStatusVectorBudget:
-    """A price search counts each unit's status vectors, and refuses more
-    than the dispatch budget before it lists any."""
+    """Every entry that prices a unit's status vectors, a price search or a
+    single unit's, counts them and refuses more than the dispatch budget
+    before it lists any."""
 
     @pytest.mark.parametrize("minimum,count", ((0, 2 ** 40), (2, 267914296)))
     def test_long_horizon_is_refused_before_listing(self, monkeypatch, minimum, count):
+        from uplift_zero.amendments import build_constant_profit
+
         rebind(monkeypatch, model.feasible_status_vectors, None)  # nothing is listed
         unit = UnitParams("A", 0.0, 10.0, 1.0, 0.0, min_up=minimum, min_down=minimum)
         instance = MarketInstance(periods=40, demand=(1.0,) * 40, units=(unit,))
-        with pytest.raises(EnumerationLimitError,
-                           match=f"unit A: {count} status vectors over 40 periods exceed"):
-            pricing.convex_hull_price(instance)
+        entries = (
+            lambda: pricing.convex_hull_price(instance),
+            lambda: pricing.unit_profit_max(unit, (1.0,) * 40, 40),
+            lambda: build_constant_profit(unit, 1.0, periods=40),
+        )
+        for entry in entries:
+            with pytest.raises(EnumerationLimitError,
+                               match=f"unit A: {count} status vectors over 40 periods exceed"):
+                entry()
 
     def test_the_budget_is_the_dispatch_budget(self, monkeypatch):
         import uplift_zero.dispatch as dispatch_mod
