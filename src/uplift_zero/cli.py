@@ -33,7 +33,7 @@ from .model import (
     scarf_instance,
 )
 from .pricing import as_price, price_for_method
-from .uplift import uplift_report
+from .uplift import _uplift_table
 
 _TYPE_SUFFIX = re.compile(r"-\d+$")
 
@@ -227,8 +227,9 @@ def cmd_price(args) -> int:
 def cmd_uplift(args) -> int:
     instance = _load(args)
     result = solve_centralized(instance)
-    p = price_for_method(instance, args.price_method, result.schedule).price
-    report = uplift_report(instance, p, result.schedule)
+    pr = price_for_method(instance, args.price_method, result.schedule)
+    p = pr.price
+    report = _uplift_table(instance, as_price(p, instance.periods), result.schedule, pr.maxima)
     digits = instance.tolerances.report_digits
     if args.json:
         print(_json_text({
@@ -259,11 +260,10 @@ def cmd_uplift(args) -> int:
 def _build_and_verify(instance: MarketInstance, args):
     result = solve_centralized(instance)
     pr = price_for_method(instance, args.price_method, result.schedule)
-    p, dual = pr.price, pr.dual_value
     formulation = Formulation(args.formulation)
-    bundles = build_family(args.family, instance, p, result.schedule, formulation)
-    market = check_zero_total_uplift(instance, p, bundles, result.schedule)
-    return result, p, dual, bundles, market
+    bundles = build_family(args.family, instance, pr.price, result.schedule, formulation)
+    market = check_zero_total_uplift(instance, pr.price, bundles, result.schedule)
+    return result, pr, bundles, market
 
 
 def _verified(market) -> bool:
@@ -281,7 +281,8 @@ def _print_amendments(instance: MarketInstance, bundles, digits: int) -> None:
 
 def cmd_amend(args) -> int:
     instance = _load(args)
-    result, p, _, bundles, market = _build_and_verify(instance, args)
+    result, pr, bundles, market = _build_and_verify(instance, args)
+    p = pr.price
     digits = instance.tolerances.report_digits
     verified = _verified(market)
     payload = {
@@ -348,9 +349,10 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     instance = _load(args)
-    result, p, dual, bundles, market = _build_and_verify(instance, args)
+    result, pr, bundles, market = _build_and_verify(instance, args)
+    p, dual = pr.price, pr.dual_value
     digits = instance.tolerances.report_digits
-    before = uplift_report(instance, p, result.schedule)
+    before = _uplift_table(instance, as_price(p, instance.periods), result.schedule, pr.maxima)
 
     residual = market.check_named("zero-total-uplift").lhs or 0.0
     verified = _verified(market)

@@ -24,9 +24,10 @@ group k's multisets in enumeration order.  The leaves are therefore visited
 in exactly the order of `itertools.product` over the groups, and each leaf
 that is reached is dispatched and judged by the tie rule as before.  The
 search state is the best (cost, commitment, outputs) so far and the limit,
-best + tie band + margin; it changes only when a profile is accepted.  A
-subtree is pruned only when no profile under it could be accepted.  Visited
-in turn, each of them would have left the state as it found it, so the
+best + tie band + margin (but no more than the incumbent's ceiling, below);
+it changes only when a profile is accepted.  A subtree is pruned only when
+no profile under it could be accepted, or could change the answer.  Visited
+in turn, each of them would have left the answer as it found it, so the
 schedule, its cost and every float on the way are the same as if every
 profile had been dispatched, and `profiles_enumerated` still counts them
 all.  A subtree is pruned in three cases.
@@ -85,12 +86,52 @@ used in full.  Otherwise the child's walk takes what the parent's took, at
 the same rates, and reaches the same E_t.  Reusing the parent's value is
 not sound in general: units decided online trade the hull rate for c, so a
 child's E_t can lie below its parent's.
+
+Incumbent.  Before it searches, the solve rounds the root walk of the
+energy bound, the relaxed problem with every unit at its hull rate, up to a
+commitment (`_rounded_root`; Fisher 1973, Muckstadt & Koenig 1977): in each
+period, the first ceil(taken / g_max) units of every group whose undecided
+entry the walk reached, taken being what the walk took from that entry.
+Within a group a lower index is online whenever a higher one is, so this
+seed S is one of the profiles, with r others before it in leaf order.  When
+every vector is in its group's status table and every period's [sum g_min,
+sum g_max] window covers d_t to within eq_tol, S is filled once, at cost s;
+otherwise there is no seed, and no fill is made where no commitment meets
+demand.  The limit then starts at the ceiling H + margin and, after each
+acceptance, is the lesser of that and best + tie band + margin.  H is s +
+k / (1 - k) * max(1, |s|) with k = (r + 4) * (eq_tol + epsilon); where k >= 1
+there is no such H, and the limit starts infinite as before.  The seed's
+fill is counted in neither `profiles_dispatched` nor `nodes_visited`.
+
+Why skipping profiles above H keeps the answer.  A band, band(b) = eq_tol *
+max(1, |b|), grows with |b|: upwards above 1 and downwards below -1.  On
+[s, H] it is largest at the end of larger |b|, and H - s is at least r + 4
+bands of that size, since k * (max(1, |s|) + H - s) = H - s.  Both b -
+band(b) and b + band(b) rise with b.  The epsilon term in k covers the
+rounding of b -/+ band(b) in the tie rule's tests and of H, at most epsilon
+* max(1, |b|) each; the margin covers the bound's rounding, as for the
+limit.  Compare the search with a run that visits every profile.  The
+search skips some profiles above H, and otherwise only profiles it would
+reject.  A skipped profile changes the full run's state only while its best
+b has b + band(b) >= its cost > H, so that both runs' bests then lie above H
+- band.  From there the two states may differ, and they join again at the
+first profile that undercuts both bests by more than a band, which both then
+take.  Until then each profile lowers the lesser best m by at most band(m):
+a tie leaves min(x, b) >= b - band(b), and a profile that undercuts one best
+alone lies within a band of the other.  To stay apart at S, whose cost s
+would undercut both, m must reach s + band, more than r + 1 such steps down
+from H - band, yet fewer than r profiles lie between the split and S.  Once
+S is seen both bests have b - band(b) <= s, so b + band(b) < H, and neither
+run accepts a profile above H again.  The schedule, its cost and every float
+are therefore those of the full run; leaf order, the tie rule and
+BOUND_MARGIN are unchanged.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -214,6 +255,26 @@ def _hull_rate(unit: UnitParams, periods: int) -> float:
     return c
 
 
+def _walk_entries(
+    instance: MarketInstance, groups: Sequence[Sequence[int]],
+) -> list[tuple[float, int, float | None, bool]]:
+    """The entries of the energy bound's walk, by rate and then group: per
+    group (rate, group, room while undecided or None, whether it serves the
+    group's online units)."""
+    units = instance.units
+    entries = []
+    for grp, g in enumerate(groups):
+        unit = units[g[0]]
+        c, hull = unit.marginal_cost, _hull_rate(unit, instance.periods)
+        if hull == c:
+            entries.append((c, grp, len(g) * unit.g_max, True))
+        else:
+            entries.append((c, grp, None, True))
+            entries.append((hull, grp, len(g) * unit.g_max, False))
+    entries.sort(key=lambda e: e[:2])
+    return entries
+
+
 def _energy_bound(
     instance: MarketInstance, groups: Sequence[Sequence[int]],
 ) -> tuple[Callable[[int, int, Sequence[Sequence[float]], float, float],
@@ -241,18 +302,8 @@ def _energy_bound(
     where the walk stopped (its length if it never did) and `last` the
     rank of the last entry it took from before (0 if none): the entries
     before `last` are used in full, and none from `stop` on is used."""
-    units = instance.units
     eq_tol = instance.tolerances.eq_tol
-    entries = []  # (rate, group, room while undecided, whether it serves online units)
-    for grp, g in enumerate(groups):
-        unit = units[g[0]]
-        c, hull = unit.marginal_cost, _hull_rate(unit, instance.periods)
-        if hull == c:
-            entries.append((c, grp, len(g) * unit.g_max, True))
-        else:
-            entries.append((c, grp, None, True))
-            entries.append((hull, grp, len(g) * unit.g_max, False))
-    entries.sort(key=lambda e: e[:2])
+    entries = _walk_entries(instance, groups)
     undecided_rank = [0] * len(groups)
     decided_rank = [0] * len(groups)
     walk = []
@@ -286,6 +337,32 @@ def _energy_bound(
         return energy, last, len(walk)
 
     return period_bound, undecided_rank, decided_rank
+
+
+def _rounded_root(
+    instance: MarketInstance, groups: Sequence[Sequence[int]],
+) -> list[tuple[int, ...]]:
+    """The root walk of `_energy_bound`, every unit undecided, rounded up to
+    one status vector per unit: in each period, the first ceil(taken /
+    g_max) units of each group, where taken is what the walk takes from the
+    group's undecided entry.  Within a group a lower index is online
+    whenever a higher one is, so the vectors are in the search's order."""
+    units = instance.units
+    eq_tol = instance.tolerances.eq_tol
+    on = [[0] * instance.periods for _ in units]
+    undecided = [e for e in _walk_entries(instance, groups) if e[2]]
+    for t, d in enumerate(instance.demand):
+        made = 0.0
+        for rate, grp, room, _ in undecided:
+            need = (d + eq_tol if rate < 0 else d - eq_tol) - made
+            if need <= 0:
+                break
+            take = room if room < need else need
+            made += take
+            g = groups[grp]
+            for i in g[:math.ceil(take / units[g[0]].g_max)]:
+                on[i][t] = 1
+    return [tuple(u) for u in on]
 
 
 def _interchangeable(instance: MarketInstance) -> list[list[int]]:
@@ -409,11 +486,34 @@ def solve_centralized(instance: MarketInstance) -> DispatchResult:
     # a node's state per period: online g_min, online g_max, online g_min
     # cost, then (E_t, last, stop) from the bound kernel
     root = [(0.0, 0.0, 0.0, *bound(t, 0, rooms, 0.0, 0.0)) for t in periods]
+    # the incumbent (see "Incumbent"): the root walk rounded up and, where
+    # every vector is feasible and every window covers demand, filled once
+    ceiling = math.inf
+    seed = _rounded_root(instance, groups)
+    seed_costs = [None] * n
+    for g, by_vector in zip(groups, startup_costs_by_group):
+        for i in g:
+            seed_costs[i] = by_vector.get(seed[i])
+    if None not in seed_costs and all(
+            sum(units[i].g_min for i in range(n) if seed[i][t]) - eq_tol <= d
+            <= sum(units[i].g_max for i in range(n) if seed[i][t]) + eq_tol
+            for t, d in enumerate(instance.demand)):
+        rank = 0  # the profiles before the seed in leaf order
+        for g, group_options in zip(groups, options):
+            vectors = tuple(seed[i] for i in g)
+            rank = rank * len(group_options) + next(
+                j for j, option in enumerate(group_options) if option[2] == vectors)
+        # rank + 4 bands, as a share of a band's scale max(1, |cost|): eq_tol,
+        # and epsilon for the rounding of the tie rule's tests
+        slack = (rank + 4) * (eq_tol + sys.float_info.epsilon)
+        if slack < 1:
+            s = fill(seed, seed_costs)[1]
+            ceiling = s + slack * max(1.0, abs(s)) / (1.0 - slack) + margin
     # best = (cost, commitment, outputs).  Among costs within the tie band
     # the lexicographically largest commitment wins: 1s at low flattened
     # positions.
     best = None
-    limit = math.inf  # profiles whose cost exceeds this are never accepted
+    limit = ceiling  # profiles whose cost exceeds this cannot change the answer
     dispatched = visited = 0
 
     def search(k, startup, energy, state):
@@ -439,7 +539,7 @@ def solve_centralized(instance: MarketInstance) -> DispatchResult:
                     best = (min(total, best[0]), profile, outputs)
                 else:
                     return
-            limit = best[0] + eq_tol * max(1.0, abs(best[0])) + margin
+            limit = min(ceiling, best[0] + eq_tol * max(1.0, abs(best[0])) + margin)
             return
         g = groups[k]
         by_vector = startup_costs_by_group[k]

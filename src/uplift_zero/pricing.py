@@ -32,6 +32,8 @@ a dict per unit and price.  Neither do the amendment builders, which read
 one unit's maximum, nor the market check at its perturbed prices, which
 reads every unit's maxima at all of them from one `_max_profits` call; at
 the market price it reads both maxima off the unit reports of verification.
+Every price rule returns the maxima its dual value was computed from
+(`PriceResult.maxima`), and the CLI's uplift table reads them there.
 Every float is computed by the same expression, in the same order, as when
 each unit is solved alone at each price.
 
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -403,11 +405,17 @@ def dual_function(instance: MarketInstance, q) -> float:
 
 @dataclass(frozen=True)
 class PriceResult:
+    """A price and the dual value at it.  `maxima` holds every unit's
+    profit maximum at `price`, in instance order: the values `dual_value`
+    is computed from (`max_profits` at `price`, bit for bit), so that the
+    uplift table needs no second solve."""
+
     price: tuple[float, ...]
     dual_value: float
     method: str
     converged: bool
     iterations: int = 0
+    maxima: tuple[float, ...] = field(default=(), repr=False, compare=False)
 
 
 def _hull_price_single_period(instance: MarketInstance) -> PriceResult:
@@ -424,13 +432,14 @@ def _hull_price_single_period(instance: MarketInstance) -> PriceResult:
     # a breakpoint at infinity, from a g_max near 0, is never the maximizer
     candidates = sorted(filter(math.isfinite, candidates))
     prices = [as_price((q,), 1) for q in candidates]
-    best_q, best_val = None, None
+    best_q, best_val, best_maxima = None, None, None
     for q, price, maxima in zip(candidates, prices, _max_profits(instance, prices)):
         val = _dual_value(instance, price, maxima)
         if best_val is None or val > best_val:
-            best_q, best_val = q, val
+            best_q, best_val, best_maxima = q, val, maxima
     return PriceResult(
-        price=(best_q,), dual_value=best_val, method="breakpoint-scan", converged=True
+        price=(best_q,), dual_value=best_val, method="breakpoint-scan", converged=True,
+        maxima=tuple(best_maxima),
     )
 
 
@@ -456,7 +465,9 @@ def _hull_price_subgradient(instance: MarketInstance) -> PriceResult:
     q = (0.0,) * T
     responses = responses_at(q)
     best_q, best_val = q, _dual_value(instance, q, (value for value, _ in responses))
+    best_responses = responses
     last_improvement = 0
+    converged = False
     k = 0
     for k in range(1, SUBGRADIENT_MAX_ITERS + 1):
         # supergradient of the dual: demand minus the aggregate best response
@@ -471,12 +482,14 @@ def _hull_price_subgradient(instance: MarketInstance) -> PriceResult:
         responses = responses_at(q)
         val = _dual_value(instance, q, (value for value, _ in responses))
         if val > best_val + tol.opt_tol:
-            best_q, best_val, last_improvement = q, val, k
+            best_q, best_val, best_responses, last_improvement = q, val, responses, k
         elif val > best_val:
-            best_q, best_val = q, val
+            best_q, best_val, best_responses = q, val, responses
         if k - last_improvement >= SUBGRADIENT_PATIENCE:
-            return PriceResult(best_q, best_val, "subgradient", True, k)
-    return PriceResult(best_q, best_val, "subgradient", False, k)
+            converged = True
+            break
+    return PriceResult(best_q, best_val, "subgradient", converged, k,
+                       maxima=tuple(value for value, _ in best_responses))
 
 
 def convex_hull_price(instance: MarketInstance) -> PriceResult:
@@ -528,5 +541,7 @@ def price_for_method(
         if x_star is None:
             raise PreconditionError("marginal pricing needs the dispatched schedule")
         p = marginal_price(instance, x_star)
-        return PriceResult(p, dual_function(instance, p), "marginal", True)
+        q = as_price(p, instance.periods)
+        maxima = tuple(max_profits(instance, q))
+        return PriceResult(p, _dual_value(instance, q, maxima), "marginal", True, maxima=maxima)
     raise ValidationError(f"unknown price method {method!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import ValidationError
 from .model import MarketInstance, Schedule, unchecked_cost, validate_schedule
@@ -60,9 +61,18 @@ def uplift_report(instance: MarketInstance, p, x_star: Schedule) -> UpliftReport
     """
     validate_schedule(instance, x_star)
     p = as_price(p, instance.periods)
+    return _uplift_table(instance, p, x_star, max_profits(instance, p))
+
+
+def _uplift_table(
+    instance: MarketInstance, p: tuple[float, ...], x_star: Schedule, maxima: Iterable[float]
+) -> UpliftReport:
+    """`uplift_report` at a normalized price for a valid schedule, with every
+    unit's profit maximum at p given in instance order (as a price search
+    returns them in `PriceResult.maxima`)."""
     tol = instance.tolerances
     entries = []
-    for unit, best in zip(instance.units, max_profits(instance, p)):
+    for unit, best in zip(instance.units, maxima):
         sched = x_star.unit(unit.id)
         dispatched = _profit(p, sched.g, unchecked_cost(unit, sched))
         gap = best - dispatched
@@ -77,4 +87,3 @@ def uplift_report(instance: MarketInstance, p, x_star: Schedule) -> UpliftReport
             )
         )
     return UpliftReport(entries=tuple(entries))
-

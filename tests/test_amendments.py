@@ -556,6 +556,33 @@ class TestCallerTolerance:
         market = check_zero_total_uplift(instance, price, bundles, x_star)
         assert set(market.units) == {"U"}
 
+    # A known defect, kept here until it is fixed.  x* lies 0.005 above
+    # g_max, within eq_tol = 0.01.  `uplift-delta` pays its lump sum at every
+    # point within eq_tol of x*, the lattice point at g_max among them, whose
+    # profit is higher; `linear-unit` and `convex-hull` fail there too.
+    _AT_G_MAX = ("U: max-profit-unchanged, dominates-profit-gap; "
+                 "market: zero-total-uplift, amended-dual-at-price")
+    _AT_END = ("U: max-profit-unchanged, zero-uplift-at-dispatch, absorbs-uplift-at-dispatch, "
+               "dominates-profit-gap; market: amended-dual-at-price")
+
+    @pytest.mark.parametrize("family", (
+        pytest.param("uplift-delta", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason=_AT_G_MAX)),
+        "general-form",
+        pytest.param("linear-unit", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason=_AT_END)),
+        pytest.param("convex-hull", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason=_AT_END)),
+    ))
+    def test_zero_total_uplift_within_instance_tolerance(self, family):
+        instance, x_star = self.market()
+        price = (1.5,)
+        bundles = build_family(family, instance, price, x_star)
+        market = check_zero_total_uplift(instance, price, bundles, x_star)
+        failed = [f"U: {c.condition}" for c in market.units["U"].failures()]
+        failed += [f"market: {c.condition}" for c in market.failures()]
+        assert market.passed and not failed, failed
+
 
 def test_amendment_paying_at_the_profit_argmax_fails_with_a_witness():
     # the unit's profit maximum at price 2 is online at g_max = 1; a bundle

@@ -16,7 +16,7 @@ from uplift_zero import (
     scarf_instance,
     solve_centralized,
 )
-from uplift_zero import dispatch, pricing
+from uplift_zero import ValidationError, dispatch, pricing
 from uplift_zero.dispatch import economic_dispatch
 from uplift_zero.model import ToleranceConfig, schedule_cost, unit_key, validate_schedule
 
@@ -320,9 +320,37 @@ def test_thirteen_heterogeneous_units_visit_few_nodes():
     # With undecided units priced at marginal cost and no startup cost, the
     # search entered 484 nodes; the hull rate's bound, 135.46 at the root
     # instead of 90.74, cuts that to 197 and dispatches the same 23 leaves.
+    # The incumbent's ceiling leaves 14 nodes and the one optimal leaf.
     result = solve_centralized(thirteen_unit_instance())
-    assert result.profiles_dispatched == 23
+    assert result.profiles_dispatched == 1
     assert result.nodes_visited <= 250
+
+
+def test_incumbent_leaves_few_nodes_on_thirteen_units():
+    # The root walk rounded up is the optimal commitment here, so the
+    # ceiling at its cost leaves 14 of the 197 nodes the bound alone visits.
+    result = solve_centralized(thirteen_unit_instance())
+    assert result.nodes_visited <= 14
+
+
+def test_scarf_three_periods_with_the_budget_lifted(monkeypatch):
+    # 1,076,385,024 profiles, over the default budget.  Without an
+    # incumbent the search visits 793 nodes and dispatches 775 profiles.
+    # The seed, three High Tech units, comes after 78,408 profiles in leaf
+    # order; its ceiling lies 0.8% above its cost of 180, and the search
+    # then enters 6 nodes for the same schedule.
+    monkeypatch.setattr(dispatch, "PROFILE_LIMIT", 2_000_000_000)
+    inst = MarketInstance(3, (10.0, 20.0, 15.0), scarf_instance(10.0).units)
+    result = solve_centralized(inst)
+    assert result.profiles_enumerated == 1_076_385_024
+    assert result.total_cost == 180.0
+    online = {uid: (s.u, s.g) for uid, s in result.schedule.units.items() if any(s.u)}
+    assert online == {
+        "High Tech-1": ((1, 1, 1), (7.0, 7.0, 7.0)),
+        "High Tech-2": ((1, 1, 1), (3.0, 7.0, 7.0)),
+        "High Tech-3": ((1, 1, 1), (0.0, 6.0, 1.0)),
+    }
+    assert result.nodes_visited <= 6
 
 
 def _root_bound(inst: MarketInstance) -> float:
@@ -458,3 +486,78 @@ def test_solve_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def near_tie_instance(rng: random.Random, periods: int) -> MarketInstance:
+    """Instance whose profiles tie or nearly tie on cost, for the tie rule
+    against the incumbent's ceiling.  Two or three unit types share a
+    marginal cost c (negative for some instances) up to steps of a fraction
+    of a tie band, or of 1 for integer costs and exact ties; their startup
+    costs are a few such steps.  The first type's units come first and last
+    in unit order, with the others' in between, so that leaf order and the
+    tie rule's commitment order disagree.  At T = 2 some types have min
+    up/down times of 2; some units start online; eq_tol is 1e-7 or 0.25."""
+    eq_tol = rng.choice((1e-7, 1e-7, 1e-7, 0.25))
+    c = float(rng.choice((1, 2, 3, -1)))
+    # 0.35 of a band at a cost of about 3 |c|
+    step = 0.35 * eq_tol * 3 * abs(c) if rng.random() < 0.7 else 1.0
+    types = []
+    for _ in range(rng.randint(2, 3)):
+        g_min = float(rng.choice((0, 1, 1, 2)))
+        slow = periods > 1 and rng.random() < 0.3
+        types.append(dict(
+            g_min=g_min,
+            g_max=g_min + float(rng.randint(1, 2)),
+            marginal_cost=c + rng.randint(0, 4) * step,
+            startup_cost=rng.choice((0, 0, 1, 3)) * step,
+            initial_status=rng.choice((0, 1, 1)),
+            min_up=2 if slow else 0,
+            min_down=2 if slow else 0,
+        ))
+    middle = [t for t in types[1:] for _ in range(rng.randint(1, 2))]
+    layout = [types[0]] + middle + [types[0]] * rng.randint(1, 2)
+    units = tuple(UnitParams(id=f"N{j}", **t) for j, t in enumerate(layout))
+    cap = int(sum(u.g_max for u in units))
+    demand = tuple(float(rng.randint(0, cap)) for _ in range(periods))
+    return MarketInstance(periods=periods, demand=demand, units=units,
+                          tolerances=ToleranceConfig(eq_tol=eq_tol))
+
+
+@pytest.mark.parametrize("periods", [1, 2])
+def test_incumbent_keeps_the_tie_rule(periods):
+    # The incumbent's ceiling prunes profiles that the search would have
+    # dispatched with no incumbent.  On near-tied profiles the answer still
+    # equals the former enumerator's exactly.  Fails if the ceiling lies one
+    # band above the seed's cost instead of rank + 4 bands, or if the seed
+    # is taken as an accepted best.
+    rng = random.Random(9400 + periods)
+    cases = [near_tie_instance(rng, periods) for _ in range(300)]
+    # seeds that cannot be used: a rounded-up unit whose g_min exceeds
+    # demand, and a vector that breaks a minimum up time
+    heavy = UnitParams("X", 2.0, 3.0, 1.0, 0.0)
+    light = UnitParams("Y", 0.0, 1.0, 2.0, 0.0)
+    cases.append(MarketInstance(periods, (1.0,) * periods, (heavy, light)))
+    if periods == 2:
+        slow = UnitParams("X", 0.0, 2.0, 1.0, 1.0, min_up=2, min_down=2)
+        cases.append(MarketInstance(2, (2.0, 0.0), (slow, UnitParams("Y", 0.0, 2.0, 3.0, 0.0))))
+    kinds = set()
+    for inst in cases:
+        try:
+            expected = reference_dispatch(inst)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                solve_centralized(inst)
+            continue
+        result = solve_centralized(inst)
+        assert (result.schedule, result.total_cost, result.profiles_enumerated) == expected
+        assert repr(result.total_cost) == repr(expected[1])
+        seed = dispatch._rounded_root(inst, dispatch._interchangeable(inst))
+        try:
+            seeded = "window" if economic_dispatch(inst, seed) is None else "seed"
+        except ValidationError:
+            seeded = "min up/down"
+        kinds.add((inst.tolerances.eq_tol, seeded))
+    expected_kinds = {(1e-7, "seed"), (1e-7, "window"), (0.25, "seed")}
+    if periods == 2:
+        expected_kinds.add((1e-7, "min up/down"))
+    assert expected_kinds <= kinds

@@ -18,6 +18,7 @@ from uplift_zero import (
     dual_function,
     marginal_price,
     price_for_method,
+    scarf_instance,
     solve_centralized,
     standard_profit,
     unit_profit_max,
@@ -263,6 +264,24 @@ class TestPriceForMethod:
     def test_unknown_method(self, scarf10):
         with pytest.raises(ValidationError):
             price_for_method(scarf10.instance, "vcg")
+
+
+@pytest.mark.parametrize("periods,method,path", [
+    (1, "chp", "breakpoint-scan"), (2, "chp", "subgradient"),
+    (1, "marginal", "marginal"), (2, "marginal", "marginal"),
+])
+def test_price_result_carries_the_maxima_of_its_dual(periods, method, path):
+    # the uplift table reads `maxima` instead of solving every unit again at
+    # the price, so they must be the values the dual was computed from
+    scarf = scarf_instance(10.0)
+    cases = [MarketInstance(periods, (10.0, 20.0)[:periods], scarf.units)]
+    cases += [unshared_instance(seed, periods, 5) for seed in range(6)]
+    for inst in cases:
+        pr = price_for_method(inst, method, solve_centralized(inst).schedule)
+        assert pr.method == path
+        assert repr(pr.maxima) == repr(tuple(pricing.max_profits(inst, pr.price)))
+        dual = pricing._dual_value(inst, pr.price, pr.maxima)
+        assert repr(dual) == repr(pr.dual_value) and dual == pr.dual_value
 
 
 @settings(max_examples=60, deadline=None)
