@@ -57,6 +57,7 @@ all.  A subtree is pruned in three cases.
   least the hull rate's excess over c on all they produce; so it costs at
   least its startup prefix (the startup cost of the decided groups) plus
   sum_t E_t(node).  The node is pruned when that bound exceeds the limit.
+  Every node walks its own E_t afresh from its decided groups.
   At T = 1 the root bound is the convex-hull dual value of `pricing` up to
   the eq_tol demand band: the Lagrangian dual of the relaxed power balance
   at its best price, with no price computed.
@@ -76,16 +77,6 @@ bound (a hull-rate term is at most |c| * g_max + S / T), so the rounding in
 the bound and in the dispatched total, sums of about n * T such terms, is
 far below it.  A bound above the limit thus means a dispatched total above
 best + tie band.
-
-E_t is recomputed for a child only in the periods where the parent's walk
-may not give the child's E_t: the new group has offline units and its
-undecided entry had been reached; its online units leave the hull rate for
-c and either have g_min > 0 or the entry at c had been reached; or, with a
-single entry, its online units have g_min > 0 and the entry had not been
-used in full.  Otherwise the child's walk takes what the parent's took, at
-the same rates, and reaches the same E_t.  Reusing the parent's value is
-not sound in general: units decided online trade the hull rate for c, so a
-child's E_t can lie below its parent's.
 
 Incumbent.  Before it searches, the solve rounds the root walk of the
 energy bound, the relaxed problem with every unit at its hull rate, up to a
@@ -277,11 +268,9 @@ def _walk_entries(
 
 def _energy_bound(
     instance: MarketInstance, groups: Sequence[Sequence[int]],
-) -> tuple[Callable[[int, int, Sequence[Sequence[float]], float, float],
-                    tuple[float, int, int]], list[int], list[int]]:
+) -> Callable[[int, int, Sequence[Sequence[float]], float, float], float]:
     """The node bound kernel for one instance whose units fall into
-    `groups` of identical units, decided in that order, and each group's
-    rank in the walk while it is undecided and once it is decided.
+    `groups` of identical units, decided in that order.
 
     The walk is a merit order over at most two entries per group, by rate
     and then group.  A group whose hull rate (`_hull_rate`) differs from
@@ -294,31 +283,19 @@ def _energy_bound(
     The returned function takes a period t, the number k of decided groups,
     the per-period online room of each decided group (n_on * (g_max -
     g_min)), and the decided groups' online g_min in t and its cost.  It
-    returns (E_t, last, stop): E_t is the least cost of producing d_t to
-    within eq_tol when online units run in [g_min, g_max] at c, offline
-    ones stay at 0 and undecided ones may run anywhere in [0, g_max] at
-    their hull rate.  Entries of negative rate run as far as d_t + eq_tol
-    allows, the others only until d_t - eq_tol is met.  `stop` is the rank
-    where the walk stopped (its length if it never did) and `last` the
-    rank of the last entry it took from before (0 if none): the entries
-    before `last` are used in full, and none from `stop` on is used."""
+    returns E_t, the least cost of producing d_t to within eq_tol when
+    online units run in [g_min, g_max] at c, offline ones stay at 0 and
+    undecided ones may run anywhere in [0, g_max] at their hull rate.
+    Entries of negative rate run as far as d_t + eq_tol allows, the others
+    only until d_t - eq_tol is met."""
     eq_tol = instance.tolerances.eq_tol
-    entries = _walk_entries(instance, groups)
-    undecided_rank = [0] * len(groups)
-    decided_rank = [0] * len(groups)
-    walk = []
-    for r, (rate, grp, free, online) in enumerate(entries):
-        if free is not None:
-            undecided_rank[grp] = r
-        if online:
-            decided_rank[grp] = r
-        walk.append((r, grp, rate, free, online, rate < 0))
+    walk = [(grp, rate, free, online, rate < 0)
+            for rate, grp, free, online in _walk_entries(instance, groups)]
     targets = [(d + eq_tol, d - eq_tol) for d in instance.demand]
 
     def period_bound(t, k, rooms, made, energy):
         up, down = targets[t]
-        last = 0
-        for r, grp, rate, free, online, negative in walk:
+        for grp, rate, free, online, negative in walk:
             if grp >= k:
                 room = free
             elif online:
@@ -329,14 +306,13 @@ def _energy_bound(
                 continue
             need = (up if negative else down) - made
             if need <= 0:
-                return energy, last, r
+                break
             take = room if room < need else need
             made += take
             energy += rate * take
-            last = r
-        return energy, last, len(walk)
+        return energy
 
-    return period_bound, undecided_rank, decided_rank
+    return period_bound
 
 
 def _rounded_root(
@@ -414,50 +390,35 @@ def solve_centralized(instance: MarketInstance) -> DispatchResult:
     units = instance.units
     n = len(units)
     periods = range(instance.periods)
-    bound, undecided_rank, decided_rank = _energy_bound(instance, groups)
+    bound = _energy_bound(instance, groups)
     # per group, every multiset of its status vectors in enumeration order,
     # as (startup cost, extra, vectors, on_rooms, steps); within a group the
     # "most-on" vectors go to the lowest unit indices.  `extra` is the part
     # of the startup cost that the hull rate does not count: all of it for a
-    # group with one walk entry, and beyond one startup per unit that runs
-    # for the others.  on_rooms[t] is the online units' room above g_min in
-    # period t.  steps[t] holds what the multiset adds in t to the online
-    # g_min, g_max and g_min cost, then the lowest walk rank it may change
-    # in t (past every rank if none, -1 if any) and the rank of its entry
-    # at c if it has online units with g_min > 0 (-1 otherwise): the child
-    # recomputes E_t unless the parent's walk stopped before the first and
-    # used the second in full
+    # group with one walk entry (hull rate c), and beyond one startup per
+    # unit that runs for the others.  on_rooms[t] is the online units' room
+    # above g_min in period t.  steps[t] holds what the multiset adds in t
+    # to the online g_min, g_max and g_min cost
     options = []
     startup_costs_by_group = []
-    for grp, (g, table) in enumerate(zip(groups, tables)):
+    for g, table in zip(groups, tables):
         unit = units[g[0]]
-        free, online = undecided_rank[grp], decided_rank[grp]
+        two_entries = _hull_rate(unit, instance.periods) != unit.marginal_cost
         by_vector = dict(zip(table.vectors, table.costs))
         startup_costs_by_group.append(by_vector)
         group_options = []
         for vectors in itertools.combinations_with_replacement(table.vectors, len(g)):
             vectors = tuple(sorted(vectors, reverse=True))
             startup = extra = sum(by_vector[u] for u in vectors)
-            if free != online:
+            if two_entries:
                 extra -= unit.startup_cost * sum(1 in u for u in vectors)
             on_rooms = []
             steps = []
             for t in periods:
                 on = sum(u[t] for u in vectors)
-                changed = 2 * len(groups)  # past every rank
-                if on < len(g):
-                    changed = free  # its room shrinks
-                if on and free != online:
-                    # its online units leave the hull rate for c
-                    changed = -1 if unit.g_min > 0 else online
                 on_rooms.append(on * (unit.g_max - unit.g_min))
-                steps.append((
-                    on * unit.g_min,
-                    on * unit.g_max,
-                    on * unit.g_min * unit.marginal_cost,
-                    changed,
-                    online if on and unit.g_min > 0 else -1,
-                ))
+                steps.append(
+                    (on * unit.g_min, on * unit.g_max, on * unit.g_min * unit.marginal_cost))
             group_options.append((startup, extra, vectors, on_rooms, steps))
         options.append(group_options)
     # capacity of the units in groups k, k + 1, ...
@@ -472,20 +433,19 @@ def solve_centralized(instance: MarketInstance) -> DispatchResult:
         sum(u.startup_cost for u in units)
         + max(abs(u.marginal_cost) for u in units) * capacity
     )
-    # per period (t, over, under): a node is infeasible when its online
+    # per period (over, under): a node is infeasible when its online
     # g_min exceeds over or its online and undecided g_max fall short of
     # under, which are d_t + eq_tol and d_t - eq_tol widened by a rounding
     # slack
     windows = []
-    for t, d in enumerate(instance.demand):
+    for d in instance.demand:
         slack = BOUND_MARGIN * (capacity + eq_tol + abs(d))
-        windows.append((t, d + eq_tol + slack, d - eq_tol - slack))
+        windows.append((d + eq_tol + slack, d - eq_tol - slack))
     commitment: list = [None] * n
     startup_costs = [0.0] * n
     rooms: list = [None] * len(groups)  # per decided group, its on_rooms
-    # a node's state per period: online g_min, online g_max, online g_min
-    # cost, then (E_t, last, stop) from the bound kernel
-    root = [(0.0, 0.0, 0.0, *bound(t, 0, rooms, 0.0, 0.0)) for t in periods]
+    # a node's state per period: online g_min, online g_max, online g_min cost
+    root = [(0.0, 0.0, 0.0)] * instance.periods
     # the incumbent (see "Incumbent"): the root walk rounded up and, where
     # every vector is feasible and every window covers demand, filled once
     ceiling = math.inf
@@ -553,26 +513,23 @@ def solve_centralized(instance: MarketInstance) -> DispatchResult:
                 commitment[idx] = u
                 startup_costs[idx] = by_vector[u]
             child = []
-            child_energy = 0.0
-            for (lo, hi, lo_cost, e, last, stop), (add_lo, add_hi, add_cost, first_change, last_on), (
-                    t, over, under) in zip(state, steps, windows):
+            for (lo, hi, lo_cost), (add_lo, add_hi, add_cost), (over, under) in zip(
+                    state, steps, windows):
                 lo += add_lo
                 hi += add_hi
                 if lo > over or hi + spare < under:
                     break  # infeasible window
-                lo_cost += add_cost
-                if first_change < stop or last_on >= last:
-                    # the parent's merit-order optimum may not be the child's
-                    e, last, stop = bound(t, k + 1, rooms, lo, lo_cost)
-                child_energy += e
-                child.append((lo, hi, lo_cost, e, last, stop))
+                child.append((lo, hi, lo_cost + add_cost))
             else:
+                child_energy = 0.0
+                for t, (lo, _, lo_cost) in enumerate(child):
+                    child_energy += bound(t, k + 1, rooms, lo, lo_cost)
                 if prefix + child_energy <= limit:  # else pruned by the energy bound
                     search(k + 1, prefix, child_energy, child)
         for idx in g:
             commitment[idx] = None
 
-    search(0, 0.0, sum(part[3] for part in root), root)
+    search(0, 0.0, sum(bound(t, 0, rooms, 0.0, 0.0) for t in periods), root)
     # search refers to itself through its closure; breaking that cycle lets
     # reference counting free the search state now rather than the cyclic
     # garbage collector later

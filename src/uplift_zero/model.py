@@ -231,6 +231,19 @@ class MarketInstance:
                 raise ValidationError(
                     f"demand {d} in period {t + 1} exceeds total capacity {cap}"
                 )
+        # price_bound bounds every price the breakpoint scan and the marginal
+        # rule can return, so scale bounds every schedule's cost and every
+        # revenue at those prices
+        rates = [abs(u.marginal_cost) for u in self.units]
+        rates += [abs(u.marginal_cost + u.startup_cost / u.g_max)
+                  for u in self.units if u.g_max > 0]
+        price_bound = max(r for r in rates if math.isfinite(r))
+        scale = self.periods * (
+            sum(u.startup_cost for u in self.units)
+            + price_bound * (cap + self.tolerances.eq_tol)
+        )
+        if not math.isfinite(scale):
+            raise ValidationError("costs or revenues of this instance overflow a float")
 
 
 # ---------------------------------------------------------------------------

@@ -730,3 +730,35 @@ class TestLongHorizon:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "exceed the supported budget of 1000000" in err
+
+
+class TestOverflow:
+    """An instance whose costs or revenues overflow a float is refused: one
+    `error:` line and exit 2, where it used to print an infinite objective,
+    a NaN uplift total or an infinite dual value, or die in the report's
+    number formatting."""
+
+    _DEAR = {"periods": 1, "demand": [1e9], "unit_types": [
+        {"id": "A", "g_min": 0, "g_max": 1e10, "marginal_cost": 1e300, "startup_cost": 0}]}
+    _WIDE = {"periods": 1, "demand": [1000000000000014.0], "unit_types": [
+        {"id": "U0", "g_min": 1.0, "g_max": 4.0, "marginal_cost": 3.0, "startup_cost": 1e-12},
+        {"id": "U1", "g_min": 7.0, "g_max": 1000000000000007.0, "marginal_cost": 1e+300,
+         "startup_cost": 1.0, "initial_status": 1},
+        {"id": "U2", "g_min": 3.0, "g_max": 3.000000000001, "marginal_cost": 16.0,
+         "startup_cost": 1.0}]}
+
+    @pytest.mark.parametrize("doc,args", (
+        (_DEAR, ("dispatch",)),
+        (_DEAR, ("uplift", "--json")),
+        (_DEAR, ("price", "--method", "chp", "--json")),
+        (_WIDE, ("report", "--family", "general-form", "--formulation", "g")),
+    ), ids=("dispatch", "uplift-json", "price-chp-json", "report-g"))
+    def test_refused(self, capsys, tmp_path, doc, args):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, args[0], str(path), *args[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert "overflow" in err

@@ -2,6 +2,7 @@
 agreement with the former enumerator."""
 
 import gc
+import itertools
 import math
 import random
 
@@ -18,7 +19,9 @@ from uplift_zero import (
 )
 from uplift_zero import ValidationError, dispatch, pricing
 from uplift_zero.dispatch import economic_dispatch
-from uplift_zero.model import ToleranceConfig, schedule_cost, unit_key, validate_schedule
+from uplift_zero.model import (
+    ToleranceConfig, schedule_cost, status_table, unit_key, validate_schedule,
+)
 
 from _oracles import brute_force_dispatch, reference_dispatch
 from conftest import random_instance
@@ -355,9 +358,9 @@ def test_scarf_three_periods_with_the_budget_lifted(monkeypatch):
 
 def _root_bound(inst: MarketInstance) -> float:
     groups = dispatch._interchangeable(inst)
-    bound, _, _ = dispatch._energy_bound(inst, groups)
+    bound = dispatch._energy_bound(inst, groups)
     rooms = [None] * len(groups)
-    return sum(bound(t, 0, rooms, 0.0, 0.0)[0] for t in range(inst.periods))
+    return sum(bound(t, 0, rooms, 0.0, 0.0) for t in range(inst.periods))
 
 
 def hull_edge_instance(rng: random.Random, periods: int, max_units: int) -> MarketInstance:
@@ -433,8 +436,7 @@ def test_root_bound_is_the_convex_hull_dual_at_one_period():
 @pytest.mark.parametrize("periods,max_units", [(1, 9), (2, 6), (3, 4)])
 def test_hull_rate_edges_match_the_reference(periods, max_units):
     # fails if an online unit kept its hull rate, if a unit that starts
-    # online paid its startup in the rate, if a group's entry at c were
-    # reused across a decision that changes it, or if the startup prefix
+    # online paid its startup in the rate, or if the startup prefix
     # counted a new unit's first startup on top of the parent's bound
     rng = random.Random(9200 + periods)
     solved = 0
@@ -451,6 +453,69 @@ def test_hull_rate_edges_match_the_reference(periods, max_units):
         assert repr(result.total_cost) == repr(expected[1])
         solved += 1
     assert solved >= 40
+
+
+@pytest.mark.parametrize("periods", [1, 2])
+def test_node_bound_holds_below_every_node(periods):
+    # At a random node (the root, a leaf or in between), the decided groups'
+    # startup cost plus sum_t E_t, with the node's state built as the
+    # search builds it, is at most the cheapest feasible completion, found
+    # by trying every status vector of every undecided unit.  Fails if
+    # online units keep their hull rate, if E_t is walked with the parent's
+    # k, or if the walk drops the eq_tol demand band.
+    rng = random.Random(9500 + periods)
+    kinds = set()
+    for _ in range(300):
+        inst = hull_edge_instance(rng, periods, 5)
+        units = inst.units
+        groups = dispatch._interchangeable(inst)
+        bound = dispatch._energy_bound(inst, groups)
+        k = rng.randint(0, len(groups))
+        fixed = [None] * len(units)
+        rooms = [None] * len(groups)
+        made = [0.0] * periods
+        energy = [0.0] * periods
+        startup = 0.0
+        for grp, g in enumerate(groups[:k]):
+            unit = units[g[0]]
+            table = status_table(unit, periods)
+            costs = dict(zip(table.vectors, table.costs))
+            vectors = sorted(rng.choices(table.vectors, k=len(g)), reverse=True)
+            for i, u in zip(g, vectors):
+                fixed[i] = u
+                startup += costs[u]
+            on = [sum(u[t] for u in vectors) for t in range(periods)]
+            rooms[grp] = [n * (unit.g_max - unit.g_min) for n in on]
+            for t, n in enumerate(on):
+                made[t] += n * unit.g_min
+                energy[t] += n * unit.g_min * unit.marginal_cost
+        node = startup
+        for t in range(periods):
+            node += bound(t, k, rooms, made[t], energy[t])
+        choices = [status_table(unit, periods).vectors if u is None else [u]
+                   for unit, u in zip(units, fixed)]
+        totals = [hit[1] for commitment in itertools.product(*choices)
+                  if (hit := economic_dispatch(inst, commitment)) is not None]
+        if not totals:
+            continue
+        margin = dispatch.BOUND_MARGIN * periods * (
+            sum(u.startup_cost for u in units)
+            + max(abs(u.marginal_cost) for u in units) * sum(u.g_max for u in units))
+        assert node <= min(totals) + margin
+        depth = "root" if k == 0 else "leaf" if k == len(groups) else "inner"
+        kinds.add((depth, inst.tolerances.eq_tol))
+        kinds.update(kind for kind, seen in (
+            ("identical units", any(len(g) > 1 for g in groups)),
+            ("min up/down 2", any(u.min_up == 2 for u in units)),
+            ("initial_status = 1", any(u.initial_status == 1 for u in units)),
+            ("g_max = 0", any(u.g_max == 0 for u in units)),
+            ("c < 0", any(u.marginal_cost < 0 for u in units)),
+        ) if seen)
+    expected = {(depth, eq_tol) for depth in ("root", "inner", "leaf") for eq_tol in (1e-7, 0.25)}
+    expected |= {"identical units", "initial_status = 1", "g_max = 0", "c < 0"}
+    if periods == 2:
+        expected.add("min up/down 2")
+    assert expected <= kinds
 
 
 def test_demand_no_commitment_meets_raises_without_dispatching(monkeypatch):
