@@ -113,7 +113,11 @@ class AmendmentBundle:
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        object.__setattr__(self, "multipliers", tuple(float(m) for m in self.multipliers))
+        # a tuple of exact floats is kept, so the copies `build_family` makes
+        # share their first unit's multipliers as they share its expressions
+        if not (type(self.multipliers) is tuple
+                and all(type(m) is float for m in self.multipliers)):
+            object.__setattr__(self, "multipliers", tuple(float(m) for m in self.multipliers))
         if len(self.constraints) != len(self.multipliers):
             raise ValidationError("constraints and multipliers must align")
         if not all(map(math.isfinite, self.multipliers)):

@@ -11,8 +11,9 @@ online first; the merit-order output fill is itself deterministic (ties by
 unit index).
 
 The search is set up once per solve: the status table of every group (its
-feasible status vectors and the startup cost of each, `model.status_table`,
-which pricing's per-unit oracle holds too), the merit order (units by
+feasible status vectors and the startup cost of each), which the instance
+lists once and holds for the price search too
+(`model._shared_status_table`), the merit order (units by
 marginal cost, then index) and the walk of the energy bound.  One kernel,
 `_merit_order_fill`, dispatches a commitment from them; `economic_dispatch`
 runs the same kernel after validating its commitment, with each vector's
@@ -133,9 +134,9 @@ from .model import (
     UnitParams,
     UnitSchedule,
     _groups,
+    _shared_status_table,
     _startup_cost,
     _status_vector_count,
-    status_table,
     status_vector_feasible,
     unchecked_cost,
     unit_key,
@@ -385,7 +386,7 @@ def solve_centralized(instance: MarketInstance) -> DispatchResult:
         raise EnumerationLimitError(
             f"{count} commitment profiles exceed the supported budget of {PROFILE_LIMIT}"
         )
-    tables = [status_table(instance.units[g[0]], instance.periods) for g in groups]
+    tables = [_shared_status_table(instance, g[0]) for g in groups]
 
     units = instance.units
     n = len(units)

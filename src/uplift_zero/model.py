@@ -244,6 +244,8 @@ class MarketInstance:
         )
         if not math.isfinite(scale):
             raise ValidationError("costs or revenues of this instance overflow a float")
+        # unit index -> status table, listed on first use (`_shared_status_table`)
+        object.__setattr__(self, "_status_tables", {})
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +330,19 @@ def status_table(unit: UnitParams, periods: int) -> StatusTable:
     cost."""
     vectors = feasible_status_vectors(unit, periods)
     return StatusTable(vectors, tuple(_startup_cost(unit, u) for u in vectors))
+
+
+def _shared_status_table(instance: MarketInstance, i: int) -> StatusTable:
+    """The status table of the instance's unit i, listed on first use and
+    then held by the instance for as long as it lives.  Dispatch and the
+    price search read each group's table here, for the group's first unit,
+    so a request that dispatches and prices an instance lists each table
+    once.  Callers check their budget before they ask for a table."""
+    tables = instance._status_tables
+    table = tables.get(i)
+    if table is None:
+        table = tables[i] = status_table(instance.units[i], instance.periods)
+    return table
 
 
 def validate_unit_schedule(

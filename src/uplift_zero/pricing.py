@@ -3,10 +3,12 @@
 Two price rules are provided for a solved instance:
 
 * convex_hull_price: the price vector maximizing the Lagrangian dual of the
-  dispatch problem.  On a single-period horizon the dual is piecewise linear
-  in the price and the exact maximizer is found by scanning its breakpoints;
-  on longer horizons a projected subgradient ascent with diminishing steps
-  returns the best iterate found.
+  dispatch problem.  On a single-period horizon the dual is concave and
+  piecewise linear in the price, and the exact maximizer is the breakpoint
+  where the hull-rate merit order meets demand, certified against its two
+  neighbours within a rounding bound, or else the best of a scan of every
+  breakpoint; on longer horizons a projected subgradient ascent with
+  diminishing steps returns the best iterate found.
 * marginal_price: the per-period dual price of the dispatch LP with the
   optimal commitment fixed (merit-order marginal cost rule).
 
@@ -23,11 +25,14 @@ within opt_tol, its full ProfitMax and the value of one given vector.
 `unit_profit_max` and `profit_given_status` build one per call; a price
 search builds one per group of identical units (`unit_key`, grouped by
 `model._groups`, the package's one sharing rule), and every unit of a group
-reads its group's answers back.
+reads its group's answers back.  The price search's oracles read their
+status tables from the instance, which lists each group's once for the
+dispatch and every price search on it (`model._shared_status_table`).
 
 The price search reads values only.  The breakpoint scan evaluates the dual
-at every candidate price from the units' maxima alone, and the subgradient
-reads each unit's first response.  Neither builds a ProfitMax, a schedule or
+from the units' maxima alone, at the candidate prices its certificate
+needs (three when the dual has a strict peak), and the subgradient reads
+each unit's first response.  Neither builds a ProfitMax, a schedule or
 a dict per unit and price.  Neither do the amendment builders, which read
 one unit's maximum, nor the market check at its perturbed prices, which
 reads every unit's maxima at all of them from one `_max_profits` call; at
@@ -49,6 +54,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -61,10 +67,12 @@ from .model import (
     Formulation,
     MarketInstance,
     Schedule,
+    StatusTable,
     ToleranceConfig,
     UnitParams,
     UnitSchedule,
     _groups,
+    _shared_status_table,
     _startup_cost,
     _status_vector_count,
     cost,
@@ -133,7 +141,8 @@ class _UnitOracle:
     It is built from the unit and the horizon.  It counts the unit's
     feasible status vectors first and raises EnumerationLimitError, before
     listing any, when there are more than `dispatch.PROFILE_LIMIT`; then it
-    lists them once, with their startup costs (`model.status_table`).
+    lists them once, with their startup costs (`model.status_table`), or
+    reads the table that `listed` returns.
 
     At a normalized price p each period has two margin terms, (p_t - c) *
     0.0 offline and (p_t - c) * g_max or g_min online (the outputs of
@@ -141,7 +150,8 @@ class _UnitOracle:
     `sum` of its terms in period order less its startup cost.  The first
     largest value is the maximum, as max() returns it."""
 
-    def __init__(self, unit: UnitParams, periods: int):
+    def __init__(self, unit: UnitParams, periods: int,
+                 listed: Callable[[], StatusTable] | None = None):
         count = _status_vector_count(unit, periods)
         if count > dispatch.PROFILE_LIMIT:
             raise EnumerationLimitError(
@@ -150,7 +160,7 @@ class _UnitOracle:
             )
         self.unit = unit
         self.periods = periods
-        self.table = status_table(unit, periods)
+        self.table = status_table(unit, periods) if listed is None else listed()
 
     def values(self, prices: Iterable[tuple[float, ...]]) -> list[list[float]]:
         """Per normalized price, every status vector's value, in table
@@ -364,9 +374,24 @@ def lattice_table(
 def _group_oracles(instance: MarketInstance) -> tuple[list[_UnitOracle], list[int]]:
     """One oracle per group of identical units (`unit_key`), for the
     group's first unit, and per unit in instance order the index of its
-    group.  A price search builds them once for all its prices."""
+    group.  A price search builds them once for all its prices.  Each
+    oracle checks its budget and then reads the group's status table from
+    the instance (`model._shared_status_table`), which lists it once for
+    the dispatch and every price search on that instance."""
     firsts, group_of = _groups(map(unit_key, instance.units))
-    return [_UnitOracle(instance.units[i], instance.periods) for i in firsts], group_of
+    return [_UnitOracle(instance.units[i], instance.periods,
+                        lambda i=i: _shared_status_table(instance, i))
+            for i in firsts], group_of
+
+
+def _maxima_at(
+    oracles: Sequence[_UnitOracle], group_of: Sequence[int],
+    prices: Sequence[tuple[float, ...]],
+) -> list[list[float]]:
+    """Per normalized price, every unit's profit maximum in instance order,
+    read from its group's oracle."""
+    by_group = [list(map(max, oracle.values(prices))) for oracle in oracles]
+    return [[row[g] for g in group_of] for row in zip(*by_group)]
 
 
 def _max_profits(
@@ -374,9 +399,7 @@ def _max_profits(
 ) -> list[list[float]]:
     """`max_profits` at each of the normalized prices, with the units
     grouped once."""
-    oracles, group_of = _group_oracles(instance)
-    by_group = [list(map(max, oracle.values(prices))) for oracle in oracles]
-    return [[row[g] for g in group_of] for row in zip(*by_group)]
+    return _maxima_at(*_group_oracles(instance), prices)
 
 
 def _dual_value(instance: MarketInstance, q: tuple[float, ...], values: Iterable[float]) -> float:
@@ -419,27 +442,99 @@ class PriceResult:
 
 
 def _hull_price_single_period(instance: MarketInstance) -> PriceResult:
-    # The dual is concave piecewise linear in the scalar price; its kinks lie
-    # where some unit's best response changes, i.e. at marginal cost or at
-    # the average cost of running flat out from cold.  Ties resolve to the
-    # smallest maximizing price.  The dual is evaluated at every candidate
-    # from the units' profit maxima alone.
+    """The candidate price with the largest dual value, the smallest on a
+    tie: the one a scan of every candidate returns, found by pricing only
+    the candidates that a certificate needs.
+
+    The dual D(q) = q d - sum_i max(0, (q - c_i) g_max_i - S_i) (with S_i
+    0 for a unit already online) is concave and piecewise linear in the
+    scalar price.  Its kinks lie where some unit's best response changes,
+    at its marginal cost c or at the average cost c + S / g_max of running
+    flat out from cold.  Those and 0 are the candidates, in increasing
+    order; one at infinity, from a g_max near 0, is never the maximizer
+    and is dropped.  D~(q) is the dual as computed from the units' profit
+    maxima (`_maxima_at`, `_dual_value`).
+
+    Guess.  The slope of D just above q is d less the capacity of the
+    units whose hull rate is at most q, so D peaks at the hull rate where
+    that capacity first reaches d: where the root walk of the dispatch
+    bound, the hull-rate merit order (`dispatch._walk_entries`), meets d.
+    From that candidate k the search climbs to a neighbour whose D~ is
+    higher by more than 2 delta, while there is one.
+
+    Certificate.  k is accepted when each neighbour's D~ is lower than
+    D~(k) by more than 2 delta, where delta bounds |D~(q) - D(q)| at every
+    candidate q.  With u = epsilon / 2, q^ the largest |candidate| and B_i
+    = (q^ + |c_i|) g_max_i + S_i, which bounds unit i's profit maximum and
+    each term of it, a unit's maximum rounds three times (q - c, the
+    product, less the startup cost), within 3 u B_i; their sum from int 0
+    adds (n - 1) u sum_i B_i, the revenue q d adds u q^ |d| and the final
+    difference u M, with M = q^ |d| + sum_i B_i: (n + 3) u M to first
+    order.  delta = 2 (n + 4) (epsilon M + eta) is four times (n + 4) u M,
+    which covers the second-order terms and the rounding of delta and of
+    the tests; eta, the smallest subnormal, covers each of the n + 1
+    products that may underflow.  Then D(k +- 1) <= D~(k +- 1) + delta <
+    D~(k) - delta <= D(k): the exact dual rises into k and falls out of
+    it.  By concavity every other candidate j has D(j) < D(k +- 1) on its
+    side of k, so D~(j) <= D(j) + delta < D~(k) too, and k is the first
+    largest D~ of all candidates, the scan's answer.
+
+    Fallback.  Where neither a climb nor the certificate applies, on a
+    plateau of the dual or within rounding of one (Scarf at demand 35 or
+    131), every candidate is priced and the first largest D~ wins, as in
+    the full scan.  Every D~ and its maxima come from the same float
+    expressions whichever candidates are priced, so the price, its dual
+    value and its maxima are bit for bit the full scan's."""
     candidates = {0.0}
     for u in instance.units:
         candidates.add(u.marginal_cost)
         if u.g_max > 0:
             candidates.add(u.marginal_cost + u.startup_cost / u.g_max)
-    # a breakpoint at infinity, from a g_max near 0, is never the maximizer
     candidates = sorted(filter(math.isfinite, candidates))
-    prices = [as_price((q,), 1) for q in candidates]
-    best_q, best_val, best_maxima = None, None, None
-    for q, price, maxima in zip(candidates, prices, _max_profits(instance, prices)):
-        val = _dual_value(instance, price, maxima)
-        if best_val is None or val > best_val:
-            best_q, best_val, best_maxima = q, val, maxima
+    oracles, group_of = _group_oracles(instance)
+    priced: dict[int, tuple[float, list[float]]] = {}  # index -> (D~, maxima)
+
+    def price(indices: Iterable[int]) -> None:
+        new = [j for j in indices if j not in priced]
+        if new:
+            prices = [as_price((candidates[j],), 1) for j in new]
+            for j, q, maxima in zip(new, prices, _maxima_at(oracles, group_of, prices)):
+                priced[j] = (_dual_value(instance, q, maxima), maxima)
+
+    need = d = instance.demand[0]
+    for rate, _, room, _ in dispatch._walk_entries(instance, dispatch._interchangeable(instance)):
+        if room is not None:  # at the root every group is undecided
+            need -= room
+            if need <= 0:
+                break
+    k = candidates.index(rate)
+    q_hat = max(abs(candidates[0]), abs(candidates[-1]))
+    scale = q_hat * abs(d)
+    for u in instance.units:
+        scale += (q_hat + abs(u.marginal_cost)) * u.g_max + u.startup_cost
+    twice_delta = 4 * (len(instance.units) + 4) * (sys.float_info.epsilon * scale + math.ulp(0.0))
+    last = len(candidates) - 1
+    while True:
+        price(range(max(k - 1, 0), min(k + 1, last) + 1))
+        here = priced[k][0]
+        left = priced[k - 1][0] if k > 0 else -math.inf
+        right = priced[k + 1][0] if k < last else -math.inf
+        if right - here > twice_delta:
+            k += 1
+        elif left - here > twice_delta:
+            k -= 1
+        else:
+            break
+    if not (here - left > twice_delta and here - right > twice_delta):
+        price(range(last + 1))
+        k = 0
+        for j in range(1, last + 1):
+            if priced[j][0] > priced[k][0]:
+                k = j
+    dual_value, maxima = priced[k]
     return PriceResult(
-        price=(best_q,), dual_value=best_val, method="breakpoint-scan", converged=True,
-        maxima=tuple(best_maxima),
+        price=(candidates[k],), dual_value=dual_value, method="breakpoint-scan", converged=True,
+        maxima=tuple(maxima),
     )
 
 
@@ -495,9 +590,12 @@ def _hull_price_subgradient(instance: MarketInstance) -> PriceResult:
 def convex_hull_price(instance: MarketInstance) -> PriceResult:
     """Price vector maximizing the Lagrangian dual.
 
-    Exact on a single-period horizon; on longer horizons the result carries
-    converged=False when the subgradient ascent hit its iteration budget
-    without settling.
+    Exact on a single-period horizon: the smallest breakpoint price with
+    the largest dual value, found at the hull-rate merit order's marginal
+    breakpoint with a certificate, or by pricing every breakpoint where
+    none holds (`_hull_price_single_period`).  On longer horizons the
+    result carries converged=False when the subgradient ascent hit its
+    iteration budget without settling.
     """
     if instance.periods == 1:
         return _hull_price_single_period(instance)

@@ -326,7 +326,8 @@ def _reference_hull_price_single_period(instance: MarketInstance) -> PriceResult
         if u.g_max > 0:
             candidates.add(u.marginal_cost + u.startup_cost / u.g_max)
     best_q, best_val = None, None
-    for q in sorted(candidates):
+    # a breakpoint at infinity, from a g_max near 0, is never the maximizer
+    for q in sorted(filter(math.isfinite, candidates)):
         val = reference_dual_function(instance, (q,))
         if best_val is None or val > best_val:
             best_q, best_val = q, val

@@ -38,7 +38,7 @@ from uplift_zero import (
     verify_conditions,
 )
 from uplift_zero.amendments import FAMILIES
-from uplift_zero.model import feasible_set_samples
+from uplift_zero.model import _groups, exact_key, feasible_set_samples, unit_key
 
 from _oracles import (
     hull_amendment_oracle_online,
@@ -309,6 +309,24 @@ class TestBundleSerde:
                         assert rb.evaluate(s) == pytest.approx(
                             ra.evaluate(s), abs=1e-12
                         )
+
+    def test_copies_share_their_multipliers(self, scarf40):
+        # the market check computes one repr per shared multiplier tuple
+        # (`amendments._unit_reports`), so every copy of a group's bundle
+        # holds its first unit's tuple, not an equal one
+        sc = scarf40
+        units = sc.instance.units
+        bundles = build_family("convex-hull", sc.instance, sc.price, sc.result.schedule)
+        firsts, group_of = _groups(
+            exact_key(unit_key(unit), sc.result.schedule.unit(unit.id)) for unit in units)
+        for unit, g in zip(units, group_of):
+            first = bundles[units[firsts[g]].id]
+            assert bundles[unit.id].multipliers is first.multipliers
+        assert len({id(b.multipliers) for b in bundles.values()}) <= len(firsts) < len(units)
+        # anything but a tuple of floats is still converted
+        b = dataclasses.replace(first, multipliers=[1] * len(first.multipliers))
+        assert b.multipliers == (1.0,) * len(first.multipliers)
+        assert all(type(m) is float for m in b.multipliers)
 
     def test_negative_multiplier_rejected(self, scarf10):
         unit = mt_unit(scarf10.instance)

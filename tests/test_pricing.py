@@ -1,6 +1,7 @@
 """Prices and profits: hull price goldens, scan oracle, marginal rule,
 profit maxima, dual function."""
 
+import math
 import random
 from collections import Counter
 
@@ -24,7 +25,7 @@ from uplift_zero import (
     unit_profit_max,
 )
 
-from uplift_zero import model, pricing
+from uplift_zero import ToleranceConfig, model, pricing
 from uplift_zero.pricing import as_price, profit_given_status
 
 from _oracles import (
@@ -141,6 +142,33 @@ class TestPriceSearchWork:
         assert counts["vectors"] == 13
         assert counts["profit_max"] == counts["schedule"] == counts["outputs"] == 0
 
+    def test_scan_prices_few_candidates_and_reads_the_dispatch_tables(self, monkeypatch):
+        # the certified scan prices the guess and its two neighbours, and
+        # the price search reads the status tables the dispatch listed on
+        # the same instance
+        instance = unshared_instance(901, 1, 13)
+        counts: Counter = Counter()
+        maxima_at, listed = pricing._maxima_at, model.feasible_status_vectors
+
+        def counted_maxima(oracles, group_of, prices):
+            counts["prices"] += len(prices)
+            return maxima_at(oracles, group_of, prices)
+
+        def counted_vectors(unit, periods):
+            counts["vectors"] += 1
+            return listed(unit, periods)
+
+        rebind(monkeypatch, listed, counted_vectors)
+        monkeypatch.setattr(pricing, "_maxima_at", counted_maxima)
+        solve_centralized(instance)
+        assert counts["vectors"] == 13
+        result = convex_hull_price(instance)
+        assert 3 <= counts["prices"] <= 5 < len(_candidates(instance)) == 22
+        pricing.max_profits(instance, result.price)
+        assert counts["vectors"] == 13
+        monkeypatch.undo()
+        assert repr(result) == repr(reference_convex_hull_price(instance))
+
     def test_subgradient_enumerates_each_unit_once(self, monkeypatch):
         instance = unshared_instance(903, 2, 7)
         expected = reference_convex_hull_price(instance)
@@ -188,6 +216,87 @@ class TestHullPriceOracle:
             assert pr.dual_value == pytest.approx(
                 dual_value_oracle(inst, pr.price[0]), abs=1e-8
             )
+
+
+def _candidates(instance: MarketInstance) -> list[float]:
+    # the single-period scan's candidate prices, in increasing order
+    candidates = {0.0}
+    for u in instance.units:
+        candidates.add(u.marginal_cost)
+        if u.g_max > 0:
+            candidates.add(u.marginal_cost + u.startup_cost / u.g_max)
+    return sorted(filter(math.isfinite, candidates))
+
+
+def _edge_market(rng: random.Random) -> MarketInstance:
+    """A single-period market on the edges of the dual: few distinct
+    parameter values, so breakpoints repeat and the dual has plateaus;
+    demand 0, a cumulative capacity in hull-rate order (summed in that
+    order or another) or anywhere in range; c < 0, g_min > 0, initial
+    status 1, a g_max of 1e-310, and eq_tol 1e-7 or 0.25."""
+    units = []
+    for k in range(rng.randint(1, 5)):
+        g_min = rng.choice((0.0, 0.0, 0.5, 1.0))
+        if rng.random() < 0.05:
+            g_min, g_max = 0.0, 1e-310
+        else:
+            g_max = g_min + rng.choice((1.0, 2.0, 0.3, 0.7, 2.5))
+        units.append(UnitParams(
+            f"U{k}", g_min, g_max, rng.choice((-1.5, 0.0, 0.1, 1.0, 2.0, 3.3)),
+            rng.choice((0.0, 0.0, 0.3, 1.0, 2.0)), initial_status=int(rng.random() < 0.2)))
+
+    def hull(u):
+        if u.initial_status == 0 and u.g_max > 0 and math.isfinite(u.startup_cost / u.g_max):
+            return u.marginal_cost + u.startup_cost / u.g_max
+        return u.marginal_cost
+
+    caps = [u.g_max for u in sorted(units, key=hull)]
+    kind = rng.random()
+    if kind < 0.15:
+        demand = 0.0
+    elif kind < 0.8:
+        prefix = caps[:rng.randint(1, len(caps))]
+        if rng.random() < 0.5:
+            rng.shuffle(prefix)
+        demand = sum(prefix)
+    else:
+        demand = round(rng.uniform(0.0, sum(caps)), 3)
+    tol = ToleranceConfig(eq_tol=rng.choice((1e-7, 0.25)))
+    return MarketInstance(1, (demand,), tuple(units), tol)
+
+
+def test_certified_scan_equals_the_full_scan(monkeypatch):
+    # The certified scan prices a few candidates and falls back to all of
+    # them on a plateau; either way it returns what the full scan returns,
+    # bit for bit.  A tie with the next candidate, exact in floats, leaves
+    # no certificate, so there every candidate must have been priced.
+    rng = random.Random(2020)
+    maxima_at = pricing._maxima_at
+    priced = [0]
+
+    def counted(oracles, group_of, prices):
+        priced[0] += len(prices)
+        return maxima_at(oracles, group_of, prices)
+
+    monkeypatch.setattr(pricing, "_maxima_at", counted)
+    certified = ties = 0
+    for _ in range(2000):
+        inst = _edge_market(rng)
+        priced[0] = 0
+        pr = convex_hull_price(inst)
+        count = priced[0]
+        assert repr(pr) == repr(reference_convex_hull_price(inst)), inst
+        assert repr(pr.maxima) == repr(tuple(pricing.max_profits(inst, pr.price)))
+        candidates = _candidates(inst)
+        k = candidates.index(pr.price[0])
+        if k + 1 < len(candidates) and (
+                pricing.dual_function(inst, (candidates[k + 1],)) == pr.dual_value):
+            assert count == len(candidates), inst
+            ties += len(candidates) > 3
+        elif count < len(candidates):
+            certified += 1
+    # both paths are taken, the fallback with more than three candidates
+    assert certified > 500 and ties > 100, (certified, ties)
 
 
 class TestSubgradient:
