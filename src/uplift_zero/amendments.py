@@ -150,7 +150,22 @@ class AmendmentBundle:
 
 
 def bundles_to_json(bundles: Mapping[str, AmendmentBundle]) -> dict:
-    return {uid: b.to_json() for uid, b in sorted(bundles.items())}
+    """Each bundle's `to_json` by unit id, in sorted order.
+
+    Units whose bundles hold the same amendment, constraints and
+    multipliers objects (the copies `build_family` makes) share one dict,
+    which callers must not mutate; `to_json` leaves out the unit id, so
+    the shared dict is each unit's own."""
+    # key -> (bundle, dict); holding the bundle keeps the ids from being reused
+    shared: dict[tuple, tuple[AmendmentBundle, dict]] = {}
+    out = {}
+    for uid, b in sorted(bundles.items()):
+        key = (id(b.amendment), id(b.constraints), id(b.multipliers), b.family, b.formulation)
+        hit = shared.get(key)
+        if hit is None:
+            hit = shared[key] = (b, b.to_json())
+        out[uid] = hit[1]
+    return out
 
 
 def bundles_from_json(obj: Mapping) -> dict[str, AmendmentBundle]:
@@ -628,7 +643,8 @@ def build_family(
     forms = [Formulation.STATUS_OUTPUT
              if formulation is Formulation.OUTPUT_ONLY and not unit.output_determines_status()
              else formulation for unit in units]
-    firsts, group_of = _groups(map(exact_key, map(unit_key, units), scheds, forms))
+    firsts, group_of = _groups(exact_key(unit_key(unit), sched.u, sched.g, form.value)
+                               for unit, sched, form in zip(units, scheds, forms))
     built = [builder(units[i], p, scheds[i], forms[i], instance.tolerances) for i in firsts]
     return {unit.id: built[g] if i == firsts[g] else replace(built[g], unit_id=unit.id)
             for i, (unit, g) in enumerate(zip(units, group_of))}
@@ -841,9 +857,10 @@ def _unit_reports(
 
     def key(unit: UnitParams) -> tuple[str, ...]:
         bundle, sched = bundles.get(unit.id), x_star.units.get(unit.id)
+        parts = (unit_key(unit),) if sched is None else (unit_key(unit), sched.u, sched.g)
         if bundle is None:
-            return (exact_key(unit_key(unit), sched),)
-        return (exact_key(unit_key(unit), sched, bundle.family, bundle.formulation),
+            return (exact_key(*parts),)
+        return (exact_key(*parts, bundle.family, bundle.formulation.value),
                 once(bundle.amendment), once(bundle.constraints), once(bundle.multipliers))
 
     firsts, group_of = _groups(map(key, units))

@@ -108,9 +108,15 @@ def _load(args) -> MarketInstance:
     return load_instance(args.instance)
 
 
-def _write_json(o, out: list[str], nl: str) -> None:
+def _write_json(o, out: list[str], nl: str, seen: dict) -> None:
     """Append the text of o, as json.dumps(o, indent=2, sort_keys=True)
-    writes it, to out; nl is a newline and the indent o starts at."""
+    writes it, to out; nl is a newline and the indent o starts at.
+
+    A non-empty dict, list or tuple written before at this indent is
+    written again from its text.  `seen` maps (id, indent) to the object,
+    which keeps its id from being reused during the call, and the span of
+    `out` that holds its text; the span is joined on the second occurrence
+    and then points at the joined text."""
     t = type(o)
     if t is str:
         out.append(encode_basestring_ascii(o))
@@ -118,28 +124,34 @@ def _write_json(o, out: list[str], nl: str) -> None:
         out.append(float.__repr__(o) if math.isfinite(o) else _float_text(o))
     elif t is int:
         out.append(int.__repr__(o))
-    elif t is dict:
+    elif t is dict or t is list or t is tuple:
         if not o:
-            out.append("{}")
+            out.append("{}" if t is dict else "[]")
             return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key, value in sorted(o.items()):
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(value, out, inner)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif t is list or t is tuple:
-        if not o:
-            out.append("[]")
+        slot = (id(o), len(nl))
+        hit = seen.get(slot)
+        if hit is not None:
+            text = "".join(out[hit[1]:hit[2]])
+            seen[slot] = (o, len(out), len(out) + 1)
+            out.append(text)
             return
+        start = len(out)
         inner = nl + "  "
-        sep = "[" + inner
-        for value in o:
-            out.append(sep)
-            _write_json(value, out, inner)
-            sep = "," + inner
-        out.append(nl + "]")
+        if t is dict:
+            sep = "{" + inner
+            for key, value in sorted(o.items()):
+                out.append(sep + encode_basestring_ascii(key) + ": ")
+                _write_json(value, out, inner, seen)
+                sep = "," + inner
+            out.append(nl + "}")
+        else:
+            sep = "[" + inner
+            for value in o:
+                out.append(sep)
+                _write_json(value, out, inner, seen)
+                sep = "," + inner
+            out.append(nl + "]")
+        seen[slot] = (o, start, len(out))
     elif o is None:
         out.append("null")
     elif o is True:
@@ -166,11 +178,15 @@ def _json_text(obj) -> str:
     and dict with str keys.  Any other type or key, subclasses of int,
     float, list and dict included, raises TypeError.
 
+    A dict, list or tuple object that occurs more than once in obj, such as
+    the bundle dict that `bundles_to_json` gives every unit of a group, is
+    written once per indent and its text copied wherever it recurs.
+
     An indent makes json fall back to its pure-Python encoder, which is
     several times slower than this writer and leaves cyclic garbage (its
     closures refer to each other) on every call."""
     out: list[str] = []
-    _write_json(obj, out, "\n")
+    _write_json(obj, out, "\n", {})
     return "".join(out)
 
 
@@ -329,10 +345,14 @@ def cmd_verify(args) -> int:
     market = check_zero_total_uplift(instance, p, bundles, result.schedule)
     reports = market.units
     if args.json:
-        print(_json_text({
-            "units": {uid: rep.to_json() for uid, rep in reports.items()},
-            "market": market.to_json(),
-        }))
+        # units that share a report share its list; the writer writes it once
+        shared: dict[int, list] = {}
+        units = {}
+        for uid, rep in reports.items():
+            if id(rep) not in shared:
+                shared[id(rep)] = rep.to_json()
+            units[uid] = shared[id(rep)]
+        print(_json_text({"units": units, "market": market.to_json()}))
     else:
         for uid in sorted(reports):
             rep = reports[uid]

@@ -119,7 +119,11 @@ def exact_key(*parts) -> str:
     """A key that is equal for two tuples of values only when every number
     in them has the same type and bits: unlike ==, it tells -0.0 from 0.0
     and 1 from 1.0.  A result computed from one such tuple therefore stands
-    bit for bit for a result computed from the other."""
+    bit for bit for a result computed from the other.
+
+    The parts are best plain tuples, strings and numbers: `unit_key(unit)`,
+    a schedule's `u` and `g`, an enum's `value`.  Their `repr` is exact and
+    cheap, where a dataclass's or an enum's `repr` also spells out names."""
     return repr(parts)
 
 

@@ -554,6 +554,25 @@ _TREES = st.recursive(
 )
 
 
+def _containers(items):
+    return st.one_of(st.lists(items, min_size=1, max_size=3),
+                     st.dictionaries(st.text(max_size=3), items, min_size=1, max_size=3))
+
+
+@st.composite
+def _trees_with_repeats(draw):
+    """A tree in which one dict or list object, itself holding a repeated
+    inner object, occurs at the same depth and at different depths."""
+    inner = draw(_containers(_LEAVES))
+    shared = draw(_containers(st.one_of(_LEAVES, st.just(inner))))
+    tree = draw(st.recursive(
+        st.one_of(_LEAVES, st.just(shared), st.just(inner)),
+        _containers,
+        max_leaves=10,
+    ))
+    return [shared, shared, {"deeper": [shared, inner]}, inner, tree]
+
+
 class TestJsonWriter:
     """--json output is json.dumps(obj, indent=2, sort_keys=True), written
     by the CLI's own writer."""
@@ -561,6 +580,13 @@ class TestJsonWriter:
     @settings(max_examples=400, deadline=None)
     @given(_TREES)
     def test_equals_json_dumps(self, tree):
+        assert cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_trees_with_repeats())
+    def test_repeated_objects_equal_json_dumps(self, tree):
+        # a repeat is written from the text of its first occurrence at the
+        # same indent; at another indent it is written anew
         assert cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("bad", (object(), [1, {1, 2}], {1: 2}))

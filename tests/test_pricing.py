@@ -327,6 +327,21 @@ class TestSubgradient:
         assert pr.iterations == 0
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "D2: the subgradient stops short of the dual maximiser and still reports "
+    "converged=True; ROADMAP item 4"))
+@pytest.mark.parametrize("demand,exact", (
+    ([10, 20], 1020 / 7),
+    ([10, 20, 15], 1230 / 7),
+    ([10, 20, 30, 40], 5945 / 16),
+), ids=("T2", "T3", "T4"))
+def test_multi_period_hull_price_is_the_dual_maximiser(demand, exact):
+    # the exact duals are those of perfbench/oracles.py::exact_hull_price
+    pr = convex_hull_price(scarf_instance(demand))
+    assert pr.converged
+    assert pr.dual_value == pytest.approx(exact, rel=0, abs=1e-9)
+
+
 class TestMarginalPrice:
     def test_strictly_above_minimum_sets_price(self, scarf10):
         p = marginal_price(scarf10.instance, scarf10.result.schedule)

@@ -8,6 +8,7 @@ import pytest
 
 from uplift_zero import (
     Const,
+    Min,
     Output,
     PreconditionError,
     Status,
@@ -33,7 +34,7 @@ from uplift_zero import (
     unit_profit_max,
     zero_uplift_necessary,
 )
-from uplift_zero.model import feasible_set_samples
+from uplift_zero.model import DEFAULT_TOLERANCES, feasible_set_samples
 
 from conftest import (
     delta_partition_constraints,
@@ -85,6 +86,22 @@ class TestClassification:
     def test_positive_constraint_rejected(self):
         with pytest.raises(PreconditionError, match="not redundant"):
             classify_constraint(MT, CHP10, Const(0.5))
+
+    # D1: positive only strictly between two of the 21 lattice outputs
+    # 0.30 and 0.35 of a unit on [0, 1]
+    BETWEEN_LATTICE_POINTS = Min((Sub(Output(0), Const(0.30)), Sub(Const(0.35), Output(0))))
+
+    def test_between_lattice_points_is_positive(self):
+        value = self.BETWEEN_LATTICE_POINTS.evaluate(UnitSchedule((1,), (0.325,)))
+        assert value == pytest.approx(0.025)
+        assert value > DEFAULT_TOLERANCES.eq_tol
+
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=(
+        "D1: the sampled lattice misses the feasible points where rho > 0 and "
+        "classifies rho as mixed with upper -0.0; ROADMAP item 1"))
+    def test_positive_between_lattice_points_rejected(self):
+        with pytest.raises(PreconditionError):
+            classify_constraint(UnitParams("X", 0, 1, 1, 0), 2.0, self.BETWEEN_LATTICE_POINTS)
 
     def test_nan_constraint_rejected(self):
         # NaN is not <= eq_tol: it must not pass as a constraint that is 0

@@ -34,11 +34,23 @@ from _oracles import (
 )
 from conftest import unshared_instance
 from uplift_zero import pricing
-from uplift_zero.amendments import FAMILIES, build_family, check_zero_total_uplift
+from uplift_zero.amendments import (
+    FAMILIES,
+    build_family,
+    bundles_from_json,
+    bundles_to_json,
+    check_zero_total_uplift,
+)
 from uplift_zero.dispatch import solve_centralized
 from uplift_zero.errors import UpliftZeroError
-from uplift_zero.model import Formulation, MarketInstance, UnitParams, feasible_status_vectors
-from uplift_zero.pricing import convex_hull_price, dual_function, marginal_price
+from uplift_zero.model import (
+    Formulation,
+    MarketInstance,
+    UnitParams,
+    feasible_status_vectors,
+    scarf_instance,
+)
+from uplift_zero.pricing import convex_hull_price, dual_function, marginal_price, price_for_method
 from uplift_zero.uplift import uplift_report
 
 # (seed, periods, unit types, most units per type) of the seeded instances;
@@ -138,6 +150,41 @@ def test_shared_results_equal_per_unit_results(case):
                 checked += 1
     # every instance gets past the builders for several families
     assert checked >= 4
+
+
+def _parts(bundle) -> tuple[int, int, int]:
+    return id(bundle.amendment), id(bundle.constraints), id(bundle.multipliers)
+
+
+@pytest.mark.parametrize("method", ("chp", "marginal"))
+@pytest.mark.parametrize("demand", (10.0, 40.0))
+def test_bundles_to_json_writes_each_group_once(demand, method):
+    # the copies `build_family` makes share one dict, which is each unit's
+    # own to_json; bundles read back from JSON share nothing and still
+    # serialise as their own to_json
+    instance = scarf_instance(demand)
+    x_star = solve_centralized(instance).schedule
+    p = price_for_method(instance, method, x_star).price
+    built = 0
+    for family in FAMILIES:
+        for formulation in Formulation:
+            bundles = _outcome(build_family, family, instance, p, x_star, formulation)
+            if not isinstance(bundles, dict):
+                continue
+            built += 1
+            out = bundles_to_json(bundles)
+            assert list(out) == sorted(bundles)
+            assert out == {uid: b.to_json() for uid, b in bundles.items()}
+            for a in bundles:
+                for b in bundles:
+                    assert (out[a] is out[b]) == (_parts(bundles[a]) == _parts(bundles[b]))
+            assert len({id(d) for d in out.values()}) < len(out)
+
+            loaded = bundles_from_json(out)
+            back = bundles_to_json(loaded)
+            assert back == {uid: b.to_json() for uid, b in loaded.items()} == out
+            assert len({id(d) for d in back.values()}) == len(back)
+    assert built >= 4
 
 
 # (seed, periods, units) of instances whose units share no parameters; the
