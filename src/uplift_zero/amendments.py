@@ -38,8 +38,9 @@ a report carry the unit's own numbers, down to the sign of a zero.
 `build_family` runs the builder once per group of units with the same
 parameters, dispatched schedule and formulation; verification runs
 `verify_conditions` once per group that also shares its bundle.  Each
-UnitReport keeps what the market check reads at the market price: the
-lattice table, the amended profit maximum and the residual uplift.
+UnitReport keeps the lattice table its checks read, the amended profit
+maximum and the residual uplift; the market check reads its maxima off
+each table as soon as the group is verified and then drops the table.
 """
 
 from __future__ import annotations
@@ -658,7 +659,9 @@ def build_family(
 class UnitReport(VerificationReport):
     """One unit's contract checks and the lattice table they read, with the
     amended profit maximum on it at the price and the residual uplift
-    amended_max - (pi(x*) + N(x*)), which the market check sums."""
+    amended_max - (pi(x*) + N(x*)), which the market check sums.  The
+    market check reads what it needs off the table and keeps the report
+    with `table` None."""
 
     table: LatticeTable | None = field(default=None, repr=False, compare=False)
     amended_max: float | None = field(default=None, repr=False, compare=False)
@@ -690,7 +693,7 @@ def verify_conditions(
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> UnitReport:
     """Full check of the amendment contract on the unit's lattice table; the
-    report keeps the table for the market check.
+    report keeps the table, which the market check reads and then drops.
 
     Each "for every lattice point" check is a reduction over the table's
     columns, and a witness is searched for only when a check fails:
@@ -910,36 +913,42 @@ def check_zero_total_uplift(
     price and at perturbed prices.
 
     Each unit's verify_conditions report is kept in `units`, by unit id in
-    instance order; units with the same parameters, dispatched schedule and
-    bundle apart from its unit id share one report, verified once for the
-    first of them (so its table is that unit's).  The market checks read
-    values only.  At the market price, the residual and both profit maxima
-    are read off each distinct report, which computed them.  At the
-    perturbed prices, the standard maxima come from the units' status
-    tables, once per parameter group and for all prices together
-    (`_max_profits`), and the amended maximum of each distinct table is the
-    best of its stored points' profit plus amendment; no table or ProfitMax
-    is re-priced.  The totals still add them unit by unit in instance
-    order."""
+    instance order, without its lattice table (`table` is None); units with
+    the same parameters, dispatched schedule and bundle apart from its unit
+    id share one report, verified once for the first of them.  The market
+    checks read values only, and read them off each distinct report's table
+    as soon as it is verified, so that at most one table is alive at a
+    time: at the market price the residual and both profit maxima, which
+    the report computed, and at each perturbed price the amended maximum,
+    the best of the table's points' profit plus amendment.  The standard
+    maxima at the perturbed prices come from the units' status tables,
+    once per parameter group and for all prices together (`_max_profits`),
+    after every group is verified; no table or ProfitMax is re-priced.  The
+    totals still add the maxima unit by unit in instance order."""
     tol = instance.tolerances
     p = as_price(p, instance.periods)
     validate_schedule(instance, x_star)
     for unit in instance.units:
         if unit.id not in bundles:
             raise ValidationError(f"no bundle for unit {unit.id}")
-    firsts, group_of, reports = _unit_reports(instance, p, bundles, x_star)
-    reports = list(reports)
-
-    # per price, per group: (standard, amended) profit maximum; the
-    # amendment is the table's last column
-    maxima_at = [[(r.table.profit_max.value, r.amended_max) for r in reports]]
+    firsts, group_of, verified = _unit_reports(instance, p, bundles, x_star)
     prices = [as_price(tuple(pt + offset for pt in p), instance.periods)
               for offset in DUAL_PRICE_OFFSETS]
-    for q, standard in zip(prices, _max_profits(instance, prices)):
-        maxima_at.append([
-            (standard[i], max(map(operator.add, r.table.profits_at(q), r.table.columns[-1])))
-            for i, r in zip(firsts, reports)
-        ])
+
+    # per group: (standard, amended) profit maximum at p, and the amended
+    # maximum at each perturbed price, read off its table (the amendment is
+    # the last column) and kept without it, so that the table is freed
+    # before the next group is verified
+    reports, at_price, amended_at = [], [], []
+    for rep in verified:
+        at_price.append((rep.table.profit_max.value, rep.amended_max))
+        amended_at.append([max(map(operator.add, rep.table.profits_at(q), rep.table.columns[-1]))
+                           for q in prices])
+        rep.table = None
+        reports.append(rep)
+    maxima_at = [at_price]
+    for j, standard in enumerate(_max_profits(instance, prices)):
+        maxima_at.append([(standard[i], amended[j]) for i, amended in zip(firsts, amended_at)])
     report = MarketReport()
     total_residual = 0.0
     worst = None

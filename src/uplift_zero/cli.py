@@ -307,11 +307,12 @@ def cmd_amend(args) -> int:
         "price": list(p),
         "bundles": bundles_to_json(bundles),
     }
+    text = _json_text(payload) if args.out or args.json else None
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(_json_text(payload) + "\n")
+            fh.write(text + "\n")
     if args.json:
-        print(_json_text(payload))
+        print(text)
     else:
         print(f"family {args.family} ({args.formulation}) at price "
               + ", ".join(_fmt(q, digits) for q in p))

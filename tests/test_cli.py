@@ -198,6 +198,23 @@ class TestAmend:
         bundles = bundles_from_json(json.loads(out)["bundles"])
         assert bundles["Med Tech-1"].multipliers == pytest.approx((15.0 / 7.0,))
 
+    def test_out_and_json_serialise_once(self, capsys, monkeypatch, tmp_path):
+        # the file and stdout hold the same text, written by one call
+        calls = []
+        text = cli._json_text
+
+        def counted(obj):
+            calls.append(obj)
+            return text(obj)
+
+        monkeypatch.setattr(cli, "_json_text", counted)
+        target = tmp_path / "bundles.json"
+        code, out, _ = run(capsys, "amend", "--scarf", "40", "--family", "general-form",
+                           "--out", str(target), "--json")
+        assert code == 0
+        assert len(calls) == 1
+        assert target.read_bytes() == out.encode()
+
 
 class TestReport:
     def test_demand_10_golden(self, capsys):
@@ -596,7 +613,10 @@ class TestJsonWriter:
 
 
 def test_report_json_leaves_no_cyclic_garbage(capsys):
-    # cycles wait for the collector, and a long run of reports piles them up
+    # cycles wait for the collector, and a long run of reports piles them up;
+    # the parser is built once per process and its formatters form cycles,
+    # so it is built before the count starts
+    cli._build_parser()
     gc.collect()
     gc.disable()
     try:

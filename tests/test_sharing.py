@@ -15,10 +15,15 @@ values and best responses only.  On instances whose units share nothing,
 where every group is one unit, the prices, duals and uplift reports must
 still match the references, which solve each unit with the former profit
 maximum (`reference_unit_profit_max`) at every price.
+
+The market check reads each group's lattice table and drops it before the
+next group is verified, so at most one table is alive at a time and no
+report in `units` keeps one.
 """
 
 import math
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -33,7 +38,8 @@ from _oracles import (
     reference_uplift_report,
 )
 from conftest import unshared_instance
-from uplift_zero import pricing
+from test_golden import COMBOS
+from uplift_zero import amendments, pricing
 from uplift_zero.amendments import (
     FAMILIES,
     build_family,
@@ -185,6 +191,32 @@ def test_bundles_to_json_writes_each_group_once(demand, method):
             assert back == {uid: b.to_json() for uid, b in loaded.items()} == out
             assert len({id(d) for d in back.values()}) == len(back)
     assert built >= 4
+
+
+@pytest.mark.parametrize("demand", (10.0, 40.0))
+def test_market_check_releases_each_table(demand, monkeypatch):
+    # the market check reads each group's table and drops it before the
+    # next group is verified, so every table built before is dead when a
+    # new one is built, and no report keeps one
+    instance = scarf_instance(demand)
+    x_star = solve_centralized(instance).schedule
+    build = amendments.lattice_table
+    built = []
+
+    def tracked(*args, **kwargs):
+        assert not [ref for ref in built if ref() is not None]
+        table = build(*args, **kwargs)
+        built.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(amendments, "lattice_table", tracked)
+    for family, formulation, method in COMBOS:
+        p = price_for_method(instance, method, x_star).price
+        bundles = build_family(family, instance, p, x_star, Formulation(formulation))
+        built.clear()
+        report = check_zero_total_uplift(instance, p, bundles, x_star)
+        assert len(built) > 1
+        assert [rep.table for rep in report.units.values()] == [None] * len(report.units)
 
 
 # (seed, periods, units) of instances whose units share no parameters; the
