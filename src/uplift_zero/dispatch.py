@@ -10,11 +10,14 @@ status matrix is lexicographically largest wins, which puts low-index units
 online first; the merit-order output fill is itself deterministic (ties by
 unit index).
 
-The search is set up once per solve: the status table of every group (its
-feasible status vectors and the startup cost of each), which the instance
-lists once and holds for the price search too
-(`model._shared_status_table`), the merit order (units by
-marginal cost, then index) and the walk of the energy bound.  One kernel,
+The search is set up once per solve.  It reads the instance's plan
+(`model._plan_of`), which the instance makes on first use and which the
+price rules read too: the groups of interchangeable units, each
+commitment rule's status-vector count, each group's status table (its
+feasible status vectors and the startup cost of each, listed once per
+rule, `model._shared_status_table`) and the walk of the energy bound
+(`_walk`).  It adds the merit order (units by marginal cost, then index)
+and the multisets of every group.  One kernel,
 `_merit_order_fill`, dispatches a commitment from them; `economic_dispatch`
 runs the same kernel after validating its commitment, with each vector's
 startup cost from the same helper (`model._startup_cost`).
@@ -133,13 +136,11 @@ from .model import (
     Schedule,
     UnitParams,
     UnitSchedule,
-    _groups,
+    _plan_of,
     _shared_status_table,
     _startup_cost,
-    _status_vector_count,
     status_vector_feasible,
     unchecked_cost,
-    unit_key,
 )
 
 # the most commitment profiles a search enumerates; pricing's per-unit
@@ -267,19 +268,31 @@ def _walk_entries(
     return entries
 
 
+def _walk(instance: MarketInstance) -> list[tuple[float, int, float | None, bool]]:
+    """The walk entries (`_walk_entries`) of the instance's groups
+    (`_interchangeable`), built once and held by the instance's plan
+    (`model._plan_of`): the energy bound, the incumbent and the T = 1 hull
+    price read the same list."""
+    plan = _plan_of(instance)
+    if plan.walk is None:
+        plan.walk = _walk_entries(instance, plan.groups)
+    return plan.walk
+
+
 def _energy_bound(
     instance: MarketInstance, groups: Sequence[Sequence[int]],
 ) -> Callable[[int, int, Sequence[Sequence[float]], float, float], float]:
     """The node bound kernel for one instance whose units fall into
-    `groups` of identical units, decided in that order.
+    `groups` of identical units (`_interchangeable`), decided in that
+    order.
 
-    The walk is a merit order over at most two entries per group, by rate
-    and then group.  A group whose hull rate (`_hull_rate`) differs from
-    its marginal cost c has an entry at c for its online periods and a
-    later one at the hull rate, with room n_g * g_max, while it is
-    undecided; any other group has one entry at c, with that room while
-    undecided.  Once decided, a group's entry at c has the room its online
-    units leave above their g_min.
+    The walk (`_walk`, held by the instance) is a merit order over at
+    most two entries per group, by rate and then group.  A group whose
+    hull rate (`_hull_rate`) differs from its marginal cost c has an entry
+    at c for its online periods and a later one at the hull rate, with
+    room n_g * g_max, while it is undecided; any other group has one entry
+    at c, with that room while undecided.  Once decided, a group's entry
+    at c has the room its online units leave above their g_min.
 
     The returned function takes a period t, the number k of decided groups,
     the per-period online room of each decided group (n_on * (g_max -
@@ -290,8 +303,7 @@ def _energy_bound(
     Entries of negative rate run as far as d_t + eq_tol allows, the others
     only until d_t - eq_tol is met."""
     eq_tol = instance.tolerances.eq_tol
-    walk = [(grp, rate, free, online, rate < 0)
-            for rate, grp, free, online in _walk_entries(instance, groups)]
+    walk = [(grp, rate, free, online, rate < 0) for rate, grp, free, online in _walk(instance)]
     targets = [(d + eq_tol, d - eq_tol) for d in instance.demand]
 
     def period_bound(t, k, rooms, made, energy):
@@ -327,7 +339,7 @@ def _rounded_root(
     units = instance.units
     eq_tol = instance.tolerances.eq_tol
     on = [[0] * instance.periods for _ in units]
-    undecided = [e for e in _walk_entries(instance, groups) if e[2]]
+    undecided = [e for e in _walk(instance) if e[2]]
     for t, d in enumerate(instance.demand):
         made = 0.0
         for rate, grp, room, _ in undecided:
@@ -344,12 +356,9 @@ def _rounded_root(
 
 def _interchangeable(instance: MarketInstance) -> list[list[int]]:
     """The indices of each group of interchangeable units (`unit_key`), in
-    order of their first unit."""
-    firsts, group_of = _groups(map(unit_key, instance.units))
-    groups = [[] for _ in firsts]
-    for i, g in enumerate(group_of):
-        groups[g].append(i)
-    return groups
+    order of their first unit, as the instance's plan holds them
+    (`model._plan_of`)."""
+    return _plan_of(instance).groups
 
 
 @dataclass(frozen=True)
@@ -375,13 +384,12 @@ def solve_centralized(instance: MarketInstance) -> DispatchResult:
     EnumerationLimitError when the symmetry-reduced profile count exceeds
     PROFILE_LIMIT.
     """
-    groups = _interchangeable(instance)
+    plan = _plan_of(instance)
+    groups = plan.groups
     # the profiles are counted before any status vector is listed
     count = 1
     for g in groups:
-        count *= math.comb(
-            _status_vector_count(instance.units[g[0]], instance.periods) + len(g) - 1, len(g)
-        )
+        count *= math.comb(plan.count(instance.units[g[0]]) + len(g) - 1, len(g))
     if count > PROFILE_LIMIT:
         raise EnumerationLimitError(
             f"{count} commitment profiles exceed the supported budget of {PROFILE_LIMIT}"

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -248,8 +249,9 @@ class MarketInstance:
         )
         if not math.isfinite(scale):
             raise ValidationError("costs or revenues of this instance overflow a float")
-        # unit index -> status table, listed on first use (`_shared_status_table`)
-        object.__setattr__(self, "_status_tables", {})
+        # what dispatch and the price rules read off the units, made on
+        # first use (`_plan_of`)
+        object.__setattr__(self, "_plan", None)
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +338,87 @@ def status_table(unit: UnitParams, periods: int) -> StatusTable:
     return StatusTable(vectors, tuple(_startup_cost(unit, u) for u in vectors))
 
 
+def _rule(unit: UnitParams) -> tuple:
+    """The unit's commitment rule: the parameters its feasible status
+    vectors and their startup counts depend on."""
+    return unit.initial_status, unit.min_up, unit.min_down
+
+
+class _Plan:
+    """What dispatch and the price rules read off an instance's units,
+    worked out once per instance (`_plan_of`):
+
+    - `groups` and `group_of`: the units grouped by `unit_key` (`_groups`),
+      as the indices of each group's units and, per unit, its group;
+    - `counts`: per commitment rule (`_rule`), the number of feasible
+      status vectors, counted without listing any;
+    - `listings`: per rule, its status vectors and the `startup_count` of
+      each, listed by `_shared_status_table` once a caller has checked its
+      budget against the count, and `tables`: per unit index, its
+      `StatusTable`;
+    - `walk`: the entries of dispatch's hull-rate walk
+      (`dispatch._walk`), which the T = 1 hull price reads too;
+    - `oracles`: pricing's per-group oracles (`pricing._group_oracles`).
+
+    It refers to no instance and holds no closure, so it dies with its
+    instance, by reference counting."""
+
+    __slots__ = ("groups", "group_of", "counts", "listings", "tables", "walk", "oracles")
+
+    def __init__(self, units: Sequence[UnitParams], periods: int):
+        firsts, self.group_of = _groups(map(unit_key, units))
+        self.groups = [[] for _ in firsts]
+        for i, g in enumerate(self.group_of):
+            self.groups[g].append(i)
+        self.counts = {}
+        for i in firsts:
+            rule = _rule(units[i])
+            if rule not in self.counts:
+                self.counts[rule] = _status_vector_count(units[i], periods)
+        self.listings = {}
+        self.tables = {}
+        self.walk = None
+        self.oracles = None
+
+    def count(self, unit: UnitParams) -> int:
+        """The number of the unit's feasible status vectors."""
+        return self.counts[_rule(unit)]
+
+
+def _plan_of(instance: MarketInstance) -> _Plan:
+    """The instance's plan, made on first use and then held by the instance
+    for as long as it lives.  Nothing is kept between two instances, even
+    equal ones."""
+    plan = instance._plan
+    if plan is None:
+        plan = _Plan(instance.units, instance.periods)
+        object.__setattr__(instance, "_plan", plan)
+    return plan
+
+
 def _shared_status_table(instance: MarketInstance, i: int) -> StatusTable:
-    """The status table of the instance's unit i, listed on first use and
-    then held by the instance for as long as it lives.  Dispatch and the
-    price search read each group's table here, for the group's first unit,
-    so a request that dispatches and prices an instance lists each table
-    once.  Callers check their budget before they ask for a table."""
-    tables = instance._status_tables
-    table = tables.get(i)
+    """The status table of the instance's unit i, held by the instance's
+    plan (`_plan_of`).  The unit's rule is listed once per instance, with
+    each vector's `startup_count`, and a unit's costs are its startup cost
+    times those counts: `_startup_cost`'s product, so the table is
+    `status_table(unit, periods)` bit for bit.  Dispatch and the price
+    rules read each group's table here, for the group's first unit, so a
+    request that dispatches and prices lists each rule once.  Callers
+    check their budget against the plan's count before they ask for a
+    table."""
+    plan = _plan_of(instance)
+    table = plan.tables.get(i)
     if table is None:
-        table = tables[i] = status_table(instance.units[i], instance.periods)
+        unit = instance.units[i]
+        rule = _rule(unit)
+        listing = plan.listings.get(rule)
+        if listing is None:
+            vectors = feasible_status_vectors(unit, instance.periods)
+            listing = plan.listings[rule] = (
+                vectors, tuple(startup_count(unit, u) for u in vectors))
+        vectors, startups = listing
+        table = plan.tables[i] = StatusTable(
+            vectors, tuple(map(operator.mul, itertools.repeat(unit.startup_cost), startups)))
     return table
 
 

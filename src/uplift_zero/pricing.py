@@ -22,12 +22,16 @@ which does not depend on the price, and it checks the per-unit budget
 (`dispatch.PROFILE_LIMIT` status vectors) before listing any.  It answers
 the unit's values at one or many prices, its maximum, its first response
 within opt_tol, its full ProfitMax and the value of one given vector.
-`unit_profit_max` and `profit_given_status` build one per call; a price
-search builds one per group of identical units (`unit_key`, grouped by
-`model._groups`, the package's one sharing rule), and every unit of a group
-reads its group's answers back.  The price search's oracles read their
-status tables from the instance, which lists each group's once for the
-dispatch and every price search on it (`model._shared_status_table`).
+`unit_profit_max` and `profit_given_status` build one per call.  The price
+rules and the market check read one per group of identical units
+(`unit_key`, grouped by `model._groups`, the package's one sharing rule),
+and every unit of a group reads its group's answers back.  Those oracles
+are built once per instance and held by its plan (`model._plan_of`), which
+dispatch reads too: it groups the units once, counts each commitment
+rule's status vectors once and lists them once, and every call checks
+each group's budget against its rule's count before any vector is listed
+(`_group_oracles`).  The T = 1 hull price reads the plan's hull-rate walk
+(`dispatch._walk`), which the dispatch bound walks too.
 
 The price search reads values only.  The breakpoint scan evaluates the dual
 from the units' maxima alone, at the candidate prices its certificate
@@ -71,7 +75,7 @@ from .model import (
     ToleranceConfig,
     UnitParams,
     UnitSchedule,
-    _groups,
+    _plan_of,
     _shared_status_table,
     _startup_cost,
     _status_vector_count,
@@ -79,7 +83,6 @@ from .model import (
     feasible_set_samples,
     status_table,
     status_vector_feasible,
-    unit_key,
     validate_schedule,
 )
 
@@ -134,15 +137,27 @@ class ProfitMax:
     per_status: Mapping[tuple[int, ...], tuple[float, tuple[float, ...]]]
 
 
+def _check_budget(unit: UnitParams, periods: int, count: int) -> None:
+    """Raise EnumerationLimitError when the unit's `count` feasible status
+    vectors exceed `dispatch.PROFILE_LIMIT`, read at call time."""
+    if count > dispatch.PROFILE_LIMIT:
+        raise EnumerationLimitError(
+            f"unit {unit.id}: {count} status vectors over {periods} periods "
+            f"exceed the supported budget of {dispatch.PROFILE_LIMIT}"
+        )
+
+
 class _UnitOracle:
     """One unit's best responses over a horizon: the only code that prices
     the unit's status vectors.
 
     It is built from the unit and the horizon.  It counts the unit's
     feasible status vectors first and raises EnumerationLimitError, before
-    listing any, when there are more than `dispatch.PROFILE_LIMIT`; then it
-    lists them once, with their startup costs (`model.status_table`), or
-    reads the table that `listed` returns.
+    listing any, when there are more than `dispatch.PROFILE_LIMIT`
+    (`_check_budget`); then it lists them once, with their startup costs
+    (`model.status_table`).  A price search passes the unit's status table
+    instead, read from its instance after checking the budget itself
+    (`_group_oracles`).
 
     At a normalized price p each period has two margin terms, (p_t - c) *
     0.0 offline and (p_t - c) * g_max or g_min online (the outputs of
@@ -150,17 +165,13 @@ class _UnitOracle:
     `sum` of its terms in period order less its startup cost.  The first
     largest value is the maximum, as max() returns it."""
 
-    def __init__(self, unit: UnitParams, periods: int,
-                 listed: Callable[[], StatusTable] | None = None):
-        count = _status_vector_count(unit, periods)
-        if count > dispatch.PROFILE_LIMIT:
-            raise EnumerationLimitError(
-                f"unit {unit.id}: {count} status vectors over {periods} periods "
-                f"exceed the supported budget of {dispatch.PROFILE_LIMIT}"
-            )
+    def __init__(self, unit: UnitParams, periods: int, table: StatusTable | None = None):
+        if table is None:
+            _check_budget(unit, periods, _status_vector_count(unit, periods))
+            table = status_table(unit, periods)
         self.unit = unit
         self.periods = periods
-        self.table = status_table(unit, periods) if listed is None else listed()
+        self.table = table
 
     def values(self, prices: Iterable[tuple[float, ...]]) -> list[list[float]]:
         """Per normalized price, every status vector's value, in table
@@ -374,14 +385,21 @@ def lattice_table(
 def _group_oracles(instance: MarketInstance) -> tuple[list[_UnitOracle], list[int]]:
     """One oracle per group of identical units (`unit_key`), for the
     group's first unit, and per unit in instance order the index of its
-    group.  A price search builds them once for all its prices.  Each
-    oracle checks its budget and then reads the group's status table from
-    the instance (`model._shared_status_table`), which lists it once for
-    the dispatch and every price search on that instance."""
-    firsts, group_of = _groups(map(unit_key, instance.units))
-    return [_UnitOracle(instance.units[i], instance.periods,
-                        lambda i=i: _shared_status_table(instance, i))
-            for i in firsts], group_of
+    group, as the instance's plan holds them (`model._plan_of`).  Every
+    call checks each group's budget against its rule's count, all of them
+    before any vector is listed; the oracles are built on the first call
+    that passes, each on the group's status table from the plan
+    (`model._shared_status_table`), and every price rule and the market
+    check on the instance reads the same ones."""
+    plan = _plan_of(instance)
+    units, periods = instance.units, instance.periods
+    firsts = [g[0] for g in plan.groups]
+    for i in firsts:
+        _check_budget(units[i], periods, plan.count(units[i]))
+    if plan.oracles is None:
+        plan.oracles = [_UnitOracle(units[i], periods, _shared_status_table(instance, i))
+                        for i in firsts]
+    return plan.oracles, plan.group_of
 
 
 def _maxima_at(
@@ -458,7 +476,7 @@ def _hull_price_single_period(instance: MarketInstance) -> PriceResult:
     Guess.  The slope of D just above q is d less the capacity of the
     units whose hull rate is at most q, so D peaks at the hull rate where
     that capacity first reaches d: where the root walk of the dispatch
-    bound, the hull-rate merit order (`dispatch._walk_entries`), meets d.
+    bound, the hull-rate merit order (`dispatch._walk`), meets d.
     From that candidate k the search climbs to a neighbour whose D~ is
     higher by more than 2 delta, while there is one.
 
@@ -502,7 +520,7 @@ def _hull_price_single_period(instance: MarketInstance) -> PriceResult:
                 priced[j] = (_dual_value(instance, q, maxima), maxima)
 
     need = d = instance.demand[0]
-    for rate, _, room, _ in dispatch._walk_entries(instance, dispatch._interchangeable(instance)):
+    for rate, _, room, _ in dispatch._walk(instance):
         if room is not None:  # at the root every group is undecided
             need -= room
             if need <= 0:

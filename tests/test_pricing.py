@@ -139,7 +139,7 @@ class TestPriceSearchWork:
         expected = reference_convex_hull_price(instance)
         result, counts = self._counted(monkeypatch, instance)
         assert repr(result) == repr(expected)
-        assert counts["vectors"] == 13
+        assert counts["vectors"] == 2
         assert counts["profit_max"] == counts["schedule"] == counts["outputs"] == 0
 
     def test_scan_prices_few_candidates_and_reads_the_dispatch_tables(self, monkeypatch):
@@ -161,11 +161,11 @@ class TestPriceSearchWork:
         rebind(monkeypatch, listed, counted_vectors)
         monkeypatch.setattr(pricing, "_maxima_at", counted_maxima)
         solve_centralized(instance)
-        assert counts["vectors"] == 13
+        assert counts["vectors"] == 2
         result = convex_hull_price(instance)
         assert 3 <= counts["prices"] <= 5 < len(_candidates(instance)) == 22
         pricing.max_profits(instance, result.price)
-        assert counts["vectors"] == 13
+        assert counts["vectors"] == 2
         monkeypatch.undo()
         assert repr(result) == repr(reference_convex_hull_price(instance))
 
@@ -175,7 +175,7 @@ class TestPriceSearchWork:
         result, counts = self._counted(monkeypatch, instance)
         assert repr(result) == repr(expected)
         assert result.iterations > 200
-        assert counts["vectors"] == 7
+        assert counts["vectors"] == 2
         assert counts["profit_max"] == counts["schedule"] == 0
         # one best response per unit at q = 0 and at each iterate
         assert counts["outputs"] == 7 * (result.iterations + 1)

@@ -21,6 +21,7 @@ next group is verified, so at most one table is alive at a time and no
 report in `units` keeps one.
 """
 
+import collections
 import math
 import random
 import weakref
@@ -37,9 +38,9 @@ from _oracles import (
     reference_unit_profit_max,
     reference_uplift_report,
 )
-from conftest import unshared_instance
+from conftest import rebind, unshared_instance
 from test_golden import COMBOS
-from uplift_zero import amendments, pricing
+from uplift_zero import amendments, cli, dispatch, model, pricing
 from uplift_zero.amendments import (
     FAMILIES,
     build_family,
@@ -48,13 +49,16 @@ from uplift_zero.amendments import (
     check_zero_total_uplift,
 )
 from uplift_zero.dispatch import solve_centralized
-from uplift_zero.errors import UpliftZeroError
+from uplift_zero.errors import EnumerationLimitError, UpliftZeroError
 from uplift_zero.model import (
     Formulation,
     MarketInstance,
     UnitParams,
+    _shared_status_table,
     feasible_status_vectors,
+    save_instance,
     scarf_instance,
+    status_table,
 )
 from uplift_zero.pricing import convex_hull_price, dual_function, marginal_price, price_for_method
 from uplift_zero.uplift import uplift_report
@@ -284,3 +288,87 @@ def test_value_only_kernel_equals_the_reference_profit_max(case):
     assert repr(pricing.unit_profit_max(unit, p, periods)) == repr(ref)
     for u, (by_status, _) in ref.per_status.items():
         assert repr(pricing.profit_given_status(unit, p, u)) == repr(by_status)
+
+
+@pytest.mark.parametrize("method", ("chp", "marginal"))
+@pytest.mark.parametrize("case", ((901, 1, 13), (903, 2, 7)),
+                         ids=lambda case: f"seed{case[0]}-T{case[1]}-n{case[2]}")
+def test_uplift_request_reads_one_plan(case, method, monkeypatch, tmp_path, capsys):
+    # units that share no parameters fall under two commitment rules: the
+    # request lists and counts each rule's status vectors once, where it
+    # used to list one table per unit and count each unit twice, and it
+    # groups the units and walks the hull rates once, where dispatch and
+    # the T = 1 hull price each did both
+    instance = unshared_instance(*case)
+    path = tmp_path / "instance.json"
+    save_instance(instance, str(path))
+    calls = collections.Counter()
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for kind, fn in (("listings", model.feasible_status_vectors),
+                     ("counts", model._status_vector_count),
+                     ("walks", dispatch._walk_entries),
+                     ("groupings", model._groups)):
+        rebind(monkeypatch, fn, counted(kind, fn))
+    code = cli.main(["uplift", str(path), "--price-method", method, "--json"])
+    monkeypatch.undo()
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert len({(u.initial_status, u.min_up, u.min_down) for u in instance.units}) == 2
+    assert calls == {"listings": 2, "counts": 2, "walks": 1, "groupings": 1}
+
+
+@pytest.mark.parametrize("case", ((901, 1, 13), (903, 2, 7)),
+                         ids=lambda case: f"seed{case[0]}-T{case[1]}-n{case[2]}")
+def test_shared_status_tables_equal_each_units_own(case):
+    # two more units on one rule, twins under == that differ in the sign of
+    # a zero startup cost: each unit's table carries its own costs
+    base = unshared_instance(*case)
+    twins = tuple(UnitParams(f"Z{k}", 0.0, 5.0, 4.0, startup, min_up=2, min_down=2)
+                  for k, startup in ((1, 0.0), (2, -0.0)))
+    instance = MarketInstance(base.periods, base.demand, base.units + twins)
+    solve_centralized(instance)
+    convex_hull_price(instance)
+    for i, unit in enumerate(instance.units):
+        assert repr(_shared_status_table(instance, i)) == repr(
+            status_table(unit, instance.periods))
+    assert repr(_shared_status_table(instance, len(base.units))) != repr(
+        _shared_status_table(instance, len(base.units) + 1))
+
+
+@pytest.mark.parametrize("dispatch_first", (True, False), ids=("dispatch-first", "price-first"))
+@pytest.mark.parametrize("minimum,count", ((0, 2 ** 40), (2, 267914296)))
+def test_every_caller_checks_the_budget_on_one_plan(monkeypatch, minimum, count, dispatch_first):
+    # two units on one rule share its count: whichever caller counts it,
+    # every caller refuses before any status vector is listed, that of the
+    # unit before them (41 vectors, within the budget) included
+    rebind(monkeypatch, model.feasible_status_vectors, None)
+    units = (UnitParams("S", 0.0, 10.0, 3.0, 0.0, min_up=40, min_down=40),) + tuple(
+        UnitParams(uid, 0.0, 10.0, c, 0.0, min_up=minimum, min_down=minimum)
+        for uid, c in (("A", 1.0), ("B", 2.0)))
+    instance = MarketInstance(periods=40, demand=(1.0,) * 40, units=units)
+    per_unit = f"unit A: {count} status vectors over 40 periods exceed"
+    entries = [
+        (lambda: solve_centralized(instance), f"{41 * count ** 2} commitment profiles exceed"),
+        (lambda: convex_hull_price(instance), per_unit),
+        (lambda: pricing.max_profits(instance, (1.0,) * 40), per_unit),
+    ]
+    if not dispatch_first:
+        entries.append(entries.pop(0))
+    for entry, message in entries:
+        with pytest.raises(EnumerationLimitError, match=message):
+            entry()
+
+
+def test_held_oracles_still_check_the_budget(monkeypatch):
+    # the plan keeps the oracles a price search built; a later call reads
+    # `dispatch.PROFILE_LIMIT` afresh
+    instance = unshared_instance(903, 2, 7)
+    pricing.max_profits(instance, (1.0, 1.0))
+    monkeypatch.setattr(dispatch, "PROFILE_LIMIT", 3)
+    with pytest.raises(EnumerationLimitError, match="4 status vectors over 2 periods"):
+        pricing.max_profits(instance, (1.0, 1.0))
