@@ -36,11 +36,16 @@ Identical units share work by the package's one rule (`model._groups`),
 under an exact key (`exact_key(unit_key(unit), ...)`) because a bundle and
 a report carry the unit's own numbers, down to the sign of a zero.
 `build_family` runs the builder once per group of units with the same
-parameters, dispatched schedule and formulation; verification runs
-`verify_conditions` once per group that also shares its bundle.  Each
+parameters, dispatched schedule and formulation; verification checks
+once per group that also shares its bundle, which it recognises by the
+identity of the bundle's expressions and multipliers where it can and by
+their exact key only where equal bundles are distinct objects.  Each
 UnitReport keeps the lattice table its checks read, the amended profit
 maximum and the residual uplift; the market check reads its maxima off
-each table as soon as the group is verified and then drops the table.
+each table as soon as the group is verified.  The table is then handed
+on to the next group when that group is of the same unit type, formulation
+and horizon and neither anchor adds a point to the grid, which then
+evaluates only its own columns; otherwise it is dropped.
 """
 
 from __future__ import annotations
@@ -80,6 +85,7 @@ from .model import (
     UnitParams,
     UnitSchedule,
     _groups,
+    _on_grid,
     exact_key,
     feasible_set_samples,
     unchecked_cost,
@@ -90,6 +96,7 @@ from .model import (
 from .pricing import (
     LatticeTable,
     _UnitOracle,
+    _hand_on,
     _max_profits,
     _profit,
     as_price,
@@ -702,12 +709,26 @@ def verify_conditions(
     last, and `max-profit-unchanged` the first point with the largest
     amended profit."""
     p = as_price(p, x_i_star.periods)
-    constraints, multipliers = bundle.constraints, bundle.multipliers
     # the amendment is the last column, after the constraints
     table = lattice_table(
-        unit, p, constraints + (bundle.amendment,), bundle.formulation,
+        unit, p, bundle.constraints + (bundle.amendment,), bundle.formulation,
         anchors=(x_i_star,), periods=x_i_star.periods, tol=tol,
     )
+    return _verify_on(table, unit, p, bundle, x_i_star, tol)
+
+
+def _verify_on(
+    table: LatticeTable,
+    unit: UnitParams,
+    p: tuple[float, ...],
+    bundle: AmendmentBundle,
+    x_i_star: UnitSchedule,
+    tol: ToleranceConfig,
+) -> UnitReport:
+    """`verify_conditions` on a table already built at the normalized
+    price p, with the bundle's constraints and then its amendment as the
+    columns."""
+    constraints, multipliers = bundle.constraints, bundle.multipliers
     pm = table.profit_max
     best = pm.value
     star = _profit(p, x_i_star.g, unchecked_cost(unit, x_i_star))
@@ -844,37 +865,76 @@ def _unit_reports(
     group's first unit is verified, and a missing bundle or schedule raises
     only when its unit is reached.
 
-    The copies `build_family` makes share their amendment, constraints and
-    multipliers, so each such object's `repr` is computed once per call.
-    Bundles read from JSON are equal objects, not the same ones; they get
-    a `repr` each and group as before."""
+    The bundle enters the key by identity: the ids of its amendment,
+    constraints and multipliers, which the copies `build_family` makes
+    share.  Only where units with one exact key of parameters, schedule,
+    family and formulation hold more than one such identity, as the equal
+    but distinct bundles read from JSON do, are those objects keyed by
+    their `exact_key`, once per object, so the groups are the ones that
+    key gives everywhere.
+
+    A group's table is handed on to the next group when both have the
+    same exact `unit_key`, formulation and horizon and neither anchor adds
+    a point to the grid (`model._on_grid`): the next group then evaluates
+    only its own columns (`pricing._hand_on`).  Otherwise the previous
+    table is dropped before `lattice_table` builds the next, so at most
+    one table is alive here."""
     units = instance.units
-    # id -> (object, repr); holding the object keeps its id from being reused
-    reprs: dict[int, tuple[object, str]] = {}
+    # holding the bundles keeps the ids in the keys from being reused
+    held = [bundles.get(unit.id) for unit in units]
+
+    def exact(unit: UnitParams, bundle: AmendmentBundle | None) -> str:
+        sched = x_star.units.get(unit.id)
+        parts = (unit_key(unit),) if sched is None else (unit_key(unit), sched.u, sched.g)
+        if bundle is None:
+            return exact_key(*parts)
+        return exact_key(*parts, bundle.family, bundle.formulation.value)
+
+    exacts = list(map(exact, units, held))
+    identities = [None if b is None else (id(b.amendment), id(b.constraints), id(b.multipliers))
+                  for b in held]
+    shared: dict[str, set] = {}
+    for k, ident in zip(exacts, identities):
+        shared.setdefault(k, set()).add(ident)
+    # id -> exact_key, for the objects of keys with more than one identity
+    reprs: dict[int, str] = {}
 
     def once(obj) -> str:
         hit = reprs.get(id(obj))
         if hit is None:
-            hit = reprs[id(obj)] = (obj, exact_key(obj))
-        return hit[1]
+            hit = reprs[id(obj)] = exact_key(obj)
+        return hit
 
-    def key(unit: UnitParams) -> tuple[str, ...]:
-        bundle, sched = bundles.get(unit.id), x_star.units.get(unit.id)
-        parts = (unit_key(unit),) if sched is None else (unit_key(unit), sched.u, sched.g)
-        if bundle is None:
-            return (exact_key(*parts),)
-        return (exact_key(*parts, bundle.family, bundle.formulation.value),
-                once(bundle.amendment), once(bundle.constraints), once(bundle.multipliers))
+    def key(k: str, bundle: AmendmentBundle | None, ident: tuple | None) -> tuple:
+        if len(shared[k]) == 1:
+            return (k, ident)
+        return (k, once(bundle.amendment), once(bundle.constraints), once(bundle.multipliers))
 
-    firsts, group_of = _groups(map(key, units))
+    firsts, group_of = _groups(map(key, exacts, held, identities))
+    tol = instance.tolerances
 
     def reports() -> Iterator[UnitReport]:
+        # the last table, and the exact (unit_key, formulation, horizon) it
+        # is handed on under, None when its anchor added a point; `_on_grid`
+        # reads only numbers, and the anchor is validated on either path
+        table, handed = None, None
         for i in firsts:
-            unit = units[i]
-            bundle = bundles.get(unit.id)
+            unit, bundle = units[i], held[i]
             if bundle is None:
                 raise ValidationError(f"no bundle for unit {unit.id}")
-            yield verify_conditions(unit, p, bundle, x_star.unit(unit.id), instance.tolerances)
+            x = x_star.unit(unit.id)
+            kind = (exact_key(unit_key(unit), bundle.formulation.value, x.periods)
+                    if _on_grid(unit, x) else None)
+            if kind is not None and kind == handed:
+                table = _hand_on(table, unit, bundle.constraints + (bundle.amendment,),
+                                 bundle.formulation, x)
+                report = _verify_on(table, unit, as_price(p, x.periods), bundle, x, tol)
+            else:
+                table = None
+                report = verify_conditions(unit, p, bundle, x, tol)
+                table = report.table
+            handed = kind
+            yield report
 
     return firsts, group_of, reports()
 
@@ -897,6 +957,7 @@ def aggregate_constraint(
             raise PreconditionError(
                 f"unit {instance.units[i].id}: bundle fails verification ({', '.join(bad)})"
             )
+        report.table = None   # so that one table is alive while the next is built
     return AggregateConstraint(
         amendments={uid: b.amendment for uid, b in bundles.items()}
     )
@@ -915,11 +976,14 @@ def check_zero_total_uplift(
     Each unit's verify_conditions report is kept in `units`, by unit id in
     instance order, without its lattice table (`table` is None); units with
     the same parameters, dispatched schedule and bundle apart from its unit
-    id share one report, verified once for the first of them.  The market
-    checks read values only, and read them off each distinct report's table
-    as soon as it is verified, so that at most one table is alive at a
-    time: at the market price the residual and both profit maxima, which
-    the report computed, and at each perturbed price the amended maximum,
+    id share one report, verified once for the first of them.  A group's
+    table is handed on to the next group of the same unit type where
+    neither anchor adds a point to the grid (`_unit_reports`), so a Scarf
+    report builds one table per unit type.  The market checks read values
+    only, and read them off each distinct report's table as soon as it is
+    verified, so that at most one table is alive at a time: at the market
+    price the residual and both profit maxima, which the report computed,
+    and at each perturbed price the amended maximum,
     the best of the table's points' profit plus amendment.  The standard
     maxima at the perturbed prices come from the units' status tables,
     once per parameter group and for all prices together (`_max_profits`),

@@ -535,20 +535,8 @@ def feasible_set_samples(
     anchors = tuple(anchors)
     if periods is None:
         periods = anchors[0].periods if anchors else 1
-    for a in anchors:
-        validate_unit_schedule(unit, a, periods, eq_tol)
-    if formulation is Formulation.OUTPUT_ONLY and not unit.output_determines_status():
-        raise ValidationError(
-            f"unit {unit.id}: output-only formulation is ambiguous "
-            "(g_min == 0 with positive startup cost)"
-        )
-
-    if unit.g_max == unit.g_min:
-        grid = [unit.g_min]
-    else:
-        step = (unit.g_max - unit.g_min) / (SAMPLE_GRID_POINTS - 1)
-        grid = [unit.g_min + k * step for k in range(SAMPLE_GRID_POINTS)]
-        grid[-1] = unit.g_max
+    _check_sample_args(unit, formulation, anchors, periods, eq_tol)
+    grid = _sample_grid(unit)
     anchor_outputs = {g for a in anchors for g, u_t in zip(a.g, a.u) if u_t == 1}
 
     # two points with one status vector coincide when their outputs do
@@ -582,6 +570,50 @@ def feasible_set_samples(
             seen.add(a_key)
             samples.append(_lattice_point(a.u, a.g))
     return tuple(samples)
+
+
+def _check_sample_args(
+    unit: UnitParams,
+    formulation: Formulation,
+    anchors: tuple[UnitSchedule, ...],
+    periods: int,
+    eq_tol: float,
+) -> None:
+    """The checks `feasible_set_samples` makes before it samples: every
+    anchor is feasible, and the formulation can read the unit's status."""
+    for a in anchors:
+        validate_unit_schedule(unit, a, periods, eq_tol)
+    if formulation is Formulation.OUTPUT_ONLY and not unit.output_determines_status():
+        raise ValidationError(
+            f"unit {unit.id}: output-only formulation is ambiguous "
+            "(g_min == 0 with positive startup cost)"
+        )
+
+
+def _sample_grid(unit: UnitParams) -> list[float]:
+    """The SAMPLE_GRID_POINTS equally spaced online outputs over [g_min,
+    g_max], which end at g_max exactly; g_min alone when the box is a
+    point."""
+    if unit.g_max == unit.g_min:
+        return [unit.g_min]
+    step = (unit.g_max - unit.g_min) / (SAMPLE_GRID_POINTS - 1)
+    grid = [unit.g_min + k * step for k in range(SAMPLE_GRID_POINTS)]
+    grid[-1] = unit.g_max
+    return grid
+
+
+def _on_grid(unit: UnitParams, sched: UnitSchedule) -> bool:
+    """Whether `feasible_set_samples` anchored at the feasible `sched`
+    gives the points it gives with no anchor: every online output is a
+    grid output under ==, and every offline output has the offline key.
+
+    Membership is ==, not the 12-decimal key: 0.7999999999999999 sorts
+    before the grid's 0.8 and would become the lattice value, and an
+    offline 1e-9 adds a point after the cross product."""
+    grid = _sample_grid(unit)
+    offline_key = _output_key(unit, 0.0)
+    return all(g in grid if u_t == 1 else _output_key(unit, g) == offline_key
+               for u_t, g in zip(sched.u, sched.g))
 
 
 def _output_key(unit: UnitParams, g: float):

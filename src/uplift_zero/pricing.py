@@ -75,6 +75,7 @@ from .model import (
     ToleranceConfig,
     UnitParams,
     UnitSchedule,
+    _check_sample_args,
     _plan_of,
     _shared_status_table,
     _startup_cost,
@@ -361,7 +362,10 @@ def lattice_table(
     plus the startup cost of its status vector, which is computed once per
     vector.  The lattice does not depend on p: the profit-maximizing
     schedules at any price have outputs g_min, g_max or 0 per period, and
-    those are on the grid of every feasible status vector already."""
+    those are on the grid of every feasible status vector already.  This
+    is the only builder of lattice tables; the market check hands a table
+    it built on to a unit of the same type whose anchor adds no point
+    (`_hand_on`), which re-evaluates only the expression columns."""
     anchors = tuple(anchors)
     if periods is None:
         periods = anchors[0].periods if anchors else (len(p) if not isinstance(p, (int, float)) else 1)
@@ -380,6 +384,24 @@ def lattice_table(
         columns=evaluate_columns(exprs, points, tol.eq_tol, outputs),
         tol=tol,
     ).at_price(p)
+
+
+def _hand_on(
+    table: LatticeTable,
+    unit: UnitParams,
+    exprs: Sequence[Expr],
+    formulation: Formulation,
+    anchor: UnitSchedule,
+) -> LatticeTable:
+    """`table` handed on to a unit with the same exact `unit_key`,
+    formulation and horizon, where neither unit's anchor adds a point to
+    the grid (`model._on_grid`), so that `lattice_table` would build the
+    same points: it keeps the points, outputs, costs, profits, gaps and
+    profit maximum, and evaluates only `exprs` as its columns.  The anchor
+    gets the checks of a fresh build first."""
+    _check_sample_args(unit, formulation, (anchor,), anchor.periods, table.tol.eq_tol)
+    columns = evaluate_columns(exprs, table.points, table.tol.eq_tol, table.outputs)
+    return replace(table, unit=unit, columns=columns)
 
 
 def _group_oracles(instance: MarketInstance) -> tuple[list[_UnitOracle], list[int]]:

@@ -1,5 +1,8 @@
 """The lattice table: one build per (unit, formulation, anchors, horizon),
-shared by every "for all feasible x" check and re-priced per query."""
+shared by every "for all feasible x" check and re-priced per query.  The
+market check hands a table on to the next group of the same unit type when
+neither group's anchor adds a point to the grid, so a Scarf report builds
+one table per unit type."""
 
 import math
 from collections import Counter
@@ -51,17 +54,18 @@ def test_report_builds_one_lattice_and_one_profit_max_per_table(monkeypatch, cap
     assert cli.main(["report", "--scarf", "40", "--family", "convex-hull"]) == 0
     capsys.readouterr()
     # 16 units of 3 types, which dispatch leaves in 6 distinct (type,
-    # schedule) pairs with 6 distinct bundles; verify_conditions builds one
-    # table per pair at the market price, and the market check builds none
-    # of its own: it reads those tables at the market price, and at the
-    # five perturbed prices it reads values only, from the status tables
-    # and each table's stored costs and rows, re-pricing no table
+    # schedule) pairs with 6 distinct bundles; every anchor is on the grid,
+    # so verify_conditions builds one table per type at the market price
+    # and hands it on to the type's other pair, and the market check builds
+    # none of its own: it reads those tables at the market price, and at
+    # the five perturbed prices it reads values only, from the status
+    # tables and each table's stored costs and rows, re-pricing no table
     assert counts[(None, "lattice")] == 0
     # pricing, uplift and the builders read profit maxima as values only
     assert counts[(None, "profit_max")] == 0
-    assert counts[("verify", "lattice")] == 6
-    assert counts[("verify", "profit_max")] == 6
-    assert counts[("verify", "at_price")] == 6
+    assert counts[("verify", "lattice")] == 3
+    assert counts[("verify", "profit_max")] == 3
+    assert counts[("verify", "at_price")] == 3
     assert counts[("market", "lattice")] == 0
     assert counts[("market", "profit_max")] == 0
     assert counts[("market", "at_price")] == 0
@@ -69,18 +73,19 @@ def test_report_builds_one_lattice_and_one_profit_max_per_table(monkeypatch, cap
 
 def test_general_form_report_builds_one_lattice_per_table(monkeypatch, capsys):
     # the CLI's gamma is the constant 0, read by its one value: the builder
-    # builds no lattice, and verify_conditions one per (type, schedule) pair
+    # builds no lattice, and verification one per unit type, handed on
+    # from the type's first (type, schedule) pair to its second
     calls = []
     build = model.feasible_set_samples
     rebind(monkeypatch, build, lambda *args: calls.append(args) or build(*args))
     assert cli.main(["report", "--scarf", "40", "--family", "general-form"]) == 0
     assert "total uplift after amendment = 0.0000" in capsys.readouterr().out
-    assert len(calls) == 6
+    assert len(calls) == 3
     # any other gamma is still checked on the lattice, with a witness point
     star = UnitSchedule((1,), (3.0,))
     with pytest.raises(PreconditionError, match=r"gamma is negative \(.*\) at \{"):
         amendments.build_general_form(MT, (7.0,), star, gamma=Sub(Const(2.0), Output(0)))
-    assert len(calls) == 7
+    assert len(calls) == 4
 
 
 def test_rows_hold_each_expression_once_per_point():

@@ -18,7 +18,13 @@ maximum (`reference_unit_profit_max`) at every price.
 
 The market check reads each group's lattice table and drops it before the
 next group is verified, so at most one table is alive at a time and no
-report in `units` keeps one.
+report in `units` keeps one.  It hands a table on to the next group of the
+same unit type when neither group's anchor adds a point to the grid; on
+one-type markets with anchors on, one ulp off and between grid outputs,
+and offline at 0.0, -0.0 and 1e-9, every report and table must be the one
+`verify_conditions` gives the unit alone.  It keys the builder's bundles
+by the identity of their parts, and bundles read back from JSON by their
+exact key, into the same groups.
 """
 
 import collections
@@ -28,7 +34,7 @@ import weakref
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _oracles import (
     reference_build_family,
@@ -43,17 +49,23 @@ from test_golden import COMBOS
 from uplift_zero import amendments, cli, dispatch, model, pricing
 from uplift_zero.amendments import (
     FAMILIES,
+    AmendmentBundle,
+    _unit_reports,
     build_family,
     bundles_from_json,
     bundles_to_json,
     check_zero_total_uplift,
+    verify_conditions,
 )
 from uplift_zero.dispatch import solve_centralized
 from uplift_zero.errors import EnumerationLimitError, UpliftZeroError
+from uplift_zero.expr import Expr, Output, Sub
 from uplift_zero.model import (
     Formulation,
     MarketInstance,
+    Schedule,
     UnitParams,
+    UnitSchedule,
     _shared_status_table,
     feasible_status_vectors,
     save_instance,
@@ -221,6 +233,150 @@ def test_market_check_releases_each_table(demand, monkeypatch):
         report = check_zero_total_uplift(instance, p, bundles, x_star)
         assert len(built) > 1
         assert [rep.table for rep in report.units.values()] == [None] * len(report.units)
+
+
+def _grid(unit: UnitParams) -> list[float]:
+    # the lattice's online outputs when no anchor adds one, spaced as
+    # `model.feasible_set_samples` spaces them
+    step = (unit.g_max - unit.g_min) / (model.SAMPLE_GRID_POINTS - 1)
+    grid = [unit.g_min + k * step for k in range(model.SAMPLE_GRID_POINTS)]
+    grid[-1] = unit.g_max
+    return grid
+
+
+def _one_type(params: dict, schedules, p, family: str, formulation: str = "xu"):
+    """An instance of one unit per schedule, all with `params`, and its
+    schedule, price, family and formulation."""
+    units = tuple(UnitParams(f"U{k + 1}", **params) for k in range(len(schedules)))
+    instance = MarketInstance(len(p), (0.0,) * len(p), units)
+    x_star = Schedule({unit.id: UnitSchedule(u, g) for unit, (u, g) in zip(units, schedules)})
+    return instance, x_star, p, family, Formulation(formulation)
+
+
+@st.composite
+def _one_type_market(draw):
+    g_max = draw(st.sampled_from((1.6, 4.0, 6.5)))
+    params = dict(
+        g_min=draw(st.sampled_from((0.0, 0.25 * g_max, g_max))),
+        g_max=g_max,
+        marginal_cost=draw(st.sampled_from((0.0, 2.0, 3.5))),
+        startup_cost=draw(st.sampled_from((0.0, -0.0, 4.0))),
+        initial_status=draw(st.sampled_from((0, 1))),
+        min_up=draw(st.integers(0, 2)),
+        min_down=draw(st.integers(0, 2)),
+    )
+    periods = draw(st.sampled_from((1, 2)))
+    unit = UnitParams("U", **params)
+    grid = _grid(unit)
+    online = st.one_of(
+        st.sampled_from((unit.g_min, unit.g_max)),
+        st.sampled_from(grid),
+        # one ulp off a grid output: 0.7999999999999999 replaces the grid's
+        # 0.8 on the lattice, 0.8000000000000002 does not
+        st.builds(math.nextafter, st.sampled_from(grid), st.sampled_from((-math.inf, math.inf))),
+        st.floats(unit.g_min, unit.g_max, allow_nan=False),
+    )
+    # an offline 1e-9 is a point of its own, after the cross product
+    offline = st.sampled_from((0.0, -0.0, 1e-9))
+    vectors = feasible_status_vectors(unit, periods)
+    schedules = []
+    for _ in range(draw(st.integers(2, 4))):
+        u = draw(st.sampled_from(vectors))
+        schedules.append((u, tuple(draw(online if u_t else offline) for u_t in u)))
+    price = st.one_of(st.just(unit.marginal_cost), st.floats(-5.0, 15.0, allow_nan=False))
+    p = tuple(draw(price) for _ in range(periods))
+    family = draw(st.sampled_from(("uplift-delta", "general-form")))
+    formulation = draw(st.sampled_from(("xu", "g"))) if unit.output_determines_status() else "xu"
+    return _one_type(params, schedules, p, family, formulation)
+
+
+_ONE_TYPE = dict(g_min=0.0, g_max=4.0, marginal_cost=2.0, startup_cost=0.0)
+_BELOW = math.nextafter(0.8, 0.0)   # 0.7999999999999999
+
+
+@settings(max_examples=150, deadline=None)
+@given(_one_type_market())
+# an anchor one ulp below a grid output, after or before a group on the grid
+@example(_one_type(_ONE_TYPE, [((1,), (0.8,)), ((1,), (_BELOW,))], (3.0,), "uplift-delta"))
+@example(_one_type(_ONE_TYPE, [((1,), (_BELOW,)), ((1,), (0.8,))], (3.0,), "general-form"))
+@example(_one_type(_ONE_TYPE, [((1,), (0.8,)), ((1,), (math.nextafter(0.8, 1.0),))], (3.0,),
+                   "uplift-delta", "g"))
+# an offline 1e-9 before an offline -0.0 or 0.0, whose lump sum the
+# 1e-9 point would earn within eq_tol
+@example(_one_type(_ONE_TYPE, [((0,), (1e-9,)), ((0,), (-0.0,))], (3.0,), "uplift-delta"))
+@example(_one_type(_ONE_TYPE, [((1, 0), (4.0, 1e-9)), ((1, 0), (4.0, 0.0))], (1.0, 3.0),
+                   "uplift-delta"))
+def test_handed_on_tables_equal_tables_built_alone(case):
+    # the market check hands a group's table on to the next group of the
+    # same unit type when neither anchor adds a point to the grid; every
+    # unit's report is the one verify_conditions gives it alone, and every
+    # group's table, handed on or built, is the one built for it alone
+    instance, x_star, p, family, formulation = case
+    bundles = build_family(family, instance, p, x_star, formulation)
+    tol = instance.tolerances
+    alone = {unit.id: verify_conditions(unit, p, bundles[unit.id], x_star.unit(unit.id), tol)
+             for unit in instance.units}
+    market = check_zero_total_uplift(instance, p, bundles, x_star)
+    for uid, rep in market.units.items():
+        assert repr((rep.checks, rep.amended_max, rep.residual)) == repr(
+            (alone[uid].checks, alone[uid].amended_max, alone[uid].residual))
+    firsts, _, reports = _unit_reports(instance, p, bundles, x_star)
+    for i, rep in zip(firsts, reports):
+        assert repr(rep.table) == repr(alone[instance.units[i].id].table)
+
+
+def _holds_expr(part) -> bool:
+    return isinstance(part, Expr) or (isinstance(part, tuple) and any(map(_holds_expr, part)))
+
+
+@pytest.mark.parametrize("demand", (10.0, 40.0))
+def test_market_check_keys_built_bundles_by_identity(demand, monkeypatch):
+    # the copies `build_family` makes share their expressions, so the market
+    # check keys them by identity and takes no exact key of an expression
+    # tree; the same bundles read back from JSON are equal but not shared,
+    # and are keyed by their trees into the same groups, each verified once
+    instance = scarf_instance(demand)
+    x_star = solve_centralized(instance).schedule
+    pairs = len({model.exact_key(model.unit_key(unit), x_star.unit(unit.id).u,
+                                 x_star.unit(unit.id).g) for unit in instance.units})
+    exact, verify_on = model.exact_key, amendments._verify_on
+    verified = []
+
+    def keyed(*parts):
+        assert not any(map(_holds_expr, parts))
+        return exact(*parts)
+
+    for family, formulation, method in COMBOS:
+        p = price_for_method(instance, method, x_star).price
+        bundles = build_family(family, instance, p, x_star, Formulation(formulation))
+        with monkeypatch.context() as m:
+            rebind(m, exact, keyed)
+            report = check_zero_total_uplift(instance, p, bundles, x_star).to_json()
+        loaded = bundles_from_json(bundles_to_json(bundles))
+        with monkeypatch.context() as m:
+            rebind(m, verify_on, lambda *args: verified.append(args[1].id) or verify_on(*args))
+            assert check_zero_total_uplift(instance, p, loaded, x_star).to_json() == report
+        assert len(verified) == pairs
+        verified.clear()
+    assert pairs == (6 if demand == 40.0 else 5)
+
+
+def test_signed_zero_multipliers_get_their_own_reports():
+    # one type on one schedule, one amendment and one constraint object:
+    # multipliers 0.0 and -0.0 are two bundles and two reports, and an
+    # equal copy of the 0.0 tuple shares the first report
+    params = dict(g_min=0.0, g_max=4.0, marginal_cost=2.0, startup_cost=0.0)
+    instance, x_star, p, _, _ = _one_type(params, [((1,), (4.0,))] * 3, (3.0,), "")
+    amendment = Sub(Output(0), Output(0))
+    rho = (Sub(Output(0), Output(0)),)
+    bundles = {uid: AmendmentBundle(uid, "custom", Formulation.STATUS_OUTPUT, amendment, rho, mu)
+               for uid, mu in (("U1", (0.0,)), ("U2", (-0.0,)), ("U3", (0.0,)))}
+    reports = check_zero_total_uplift(instance, p, bundles, x_star).units
+    assert reports["U1"] is not reports["U2"]
+    assert reports["U1"] is reports["U3"]
+    for unit in instance.units:
+        alone = verify_conditions(unit, p, bundles[unit.id], x_star.unit(unit.id))
+        assert repr(reports[unit.id].checks) == repr(alone.checks)
 
 
 # (seed, periods, units) of instances whose units share no parameters; the
