@@ -34,12 +34,13 @@ g_max.  Each closed form branches on that result alone.
 
 Identical units share work by the package's one rule (`model._groups`),
 under an exact key (`exact_key(unit_key(unit), ...)`) because a bundle and
-a report carry the unit's own numbers, down to the sign of a zero.
-`build_family` runs the builder once per group of units with the same
-parameters, dispatched schedule and formulation; verification checks
-once per group that also shares its bundle, which it recognises by the
-identity of the bundle's expressions and multipliers where it can and by
-their exact key only where equal bundles are distinct objects.  Each
+a report carry the unit's own numbers, down to the sign of a zero.  A
+bundle names no unit, so a mapping from unit ids to bundles is the group
+data: every unit of a group maps to one bundle object.  `build_family`
+runs the builder once per group of units with the same parameters,
+dispatched schedule and formulation; `bundles_from_json` loads equal
+bundles as one object; verification checks once per group of units with
+the same parameters and schedule that hold one bundle object.  Each
 UnitReport keeps the lattice table its checks read, the amended profit
 maximum and the residual uplift; the market check reads its maxima off
 each table as soon as the group is verified.  The table is then handed
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -85,6 +86,7 @@ from .model import (
     UnitParams,
     UnitSchedule,
     _groups,
+    _is_number,
     _on_grid,
     exact_key,
     feasible_set_samples,
@@ -110,9 +112,10 @@ DUAL_PRICE_OFFSETS = (-1.0, -0.5, 0.5, 1.0, 2.0)
 
 @dataclass(frozen=True)
 class AmendmentBundle:
-    """One unit's amendment together with its generating constraint family."""
+    """An amendment together with its generating constraint family.  It
+    names no unit: a mapping from unit ids to bundles gives every unit of a
+    group of identical units one bundle object."""
 
-    unit_id: str
     family: str
     formulation: Formulation
     amendment: Expr
@@ -121,15 +124,11 @@ class AmendmentBundle:
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        # a tuple of exact floats is kept, so the copies `build_family` makes
-        # share their first unit's multipliers as they share its expressions
-        if not (type(self.multipliers) is tuple
-                and all(type(m) is float for m in self.multipliers)):
-            object.__setattr__(self, "multipliers", tuple(float(m) for m in self.multipliers))
+        object.__setattr__(self, "multipliers", tuple(float(m) for m in self.multipliers))
         if len(self.constraints) != len(self.multipliers):
             raise ValidationError("constraints and multipliers must align")
         if not all(map(math.isfinite, self.multipliers)):
-            raise ValidationError(f"unit {self.unit_id}: multipliers must be finite")
+            raise ValidationError("multipliers must be finite")
         if any(m < 0 for m in self.multipliers):
             raise ValidationError("multipliers must be non-negative")
 
@@ -143,43 +142,54 @@ class AmendmentBundle:
         }
 
     @staticmethod
-    def from_json(unit_id: str, obj: Mapping) -> "AmendmentBundle":
+    def from_json(obj: Mapping) -> "AmendmentBundle":
+        """The bundle `to_json` wrote: the family a string, `rho` and `mu`
+        lists, and each multiplier a JSON number, not a bool or a string."""
         try:
-            return AmendmentBundle(
-                unit_id=unit_id,
-                family=str(obj["family"]),
-                formulation=Formulation(obj["formulation"]),
-                amendment=expr_from_dict(obj["N"]),
-                constraints=tuple(expr_from_dict(c) for c in obj["rho"]),
-                multipliers=tuple(float(m) for m in obj["mu"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad amendment bundle for unit {unit_id!r}") from exc
+            family, rho, mu = obj["family"], obj["rho"], obj["mu"]
+            if not (isinstance(family, str) and type(rho) is list and type(mu) is list
+                    and all(map(_is_number, mu))):
+                raise TypeError("expected a string family and lists rho and mu of numbers")
+            return AmendmentBundle(family, Formulation(obj["formulation"]),
+                                   expr_from_dict(obj["N"]), tuple(map(expr_from_dict, rho)), mu)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError("bad amendment bundle") from exc
 
 
 def bundles_to_json(bundles: Mapping[str, AmendmentBundle]) -> dict:
-    """Each bundle's `to_json` by unit id, in sorted order.
-
-    Units whose bundles hold the same amendment, constraints and
-    multipliers objects (the copies `build_family` makes) share one dict,
-    which callers must not mutate; `to_json` leaves out the unit id, so
-    the shared dict is each unit's own."""
-    # key -> (bundle, dict); holding the bundle keeps the ids from being reused
-    shared: dict[tuple, tuple[AmendmentBundle, dict]] = {}
+    """Each bundle's `to_json` by unit id, in sorted order.  Units that hold
+    one bundle object, as a group of identical units does, share one dict,
+    which callers must not mutate."""
+    # the mapping holds the bundles, so no id is reused during the call
+    shared: dict[int, dict] = {}
     out = {}
     for uid, b in sorted(bundles.items()):
-        key = (id(b.amendment), id(b.constraints), id(b.multipliers), b.family, b.formulation)
-        hit = shared.get(key)
-        if hit is None:
-            hit = shared[key] = (b, b.to_json())
-        out[uid] = hit[1]
+        if id(b) not in shared:
+            shared[id(b)] = b.to_json()
+        out[uid] = shared[id(b)]
     return out
 
 
 def bundles_from_json(obj: Mapping) -> dict[str, AmendmentBundle]:
+    """The bundles `bundles_to_json` wrote, by unit id.  Equal bundles load
+    as one object: the exact key of their family, formulation, expressions
+    and multipliers, which tells -0.0 from 0.0, decides.  A malformed
+    bundle raises ValidationError naming its unit."""
     if not isinstance(obj, Mapping):
         raise ValidationError("amendment file must map unit ids to bundles")
-    return {uid: AmendmentBundle.from_json(uid, b) for uid, b in obj.items()}
+    shared: dict[str, AmendmentBundle] = {}
+    out = {}
+    for uid, b in obj.items():
+        try:
+            bundle = AmendmentBundle.from_json(b)
+        except ValidationError as exc:
+            malformed = str(exc) == "bad amendment bundle"
+            raise ValidationError(f"{exc} for unit {uid!r}" if malformed
+                                  else f"unit {uid}: {exc}") from exc
+        key = exact_key(bundle.family, bundle.formulation.value, bundle.amendment,
+                        bundle.constraints, bundle.multipliers)
+        out[uid] = shared.setdefault(key, bundle)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +272,6 @@ def build_uplift_delta(
     star, best, gap = _uplift_at(_UnitOracle(unit, x_i_star.periods), p, x_i_star, tol)
     marker = delta_of(x_i_star, formulation)
     return AmendmentBundle(
-        unit_id=unit.id,
         family="uplift-delta",
         formulation=formulation,
         amendment=scale(gap, marker),
@@ -283,7 +292,6 @@ def build_constant_profit(
     best = _UnitOracle(unit, periods).maximum(p)
     profit = profit_expr(unit, p, periods, formulation)
     return AmendmentBundle(
-        unit_id=unit.id,
         family="constant-profit",
         formulation=formulation,
         amendment=Sub(Const(best), profit),
@@ -326,7 +334,6 @@ def build_general_form(
         )
     )
     return AmendmentBundle(
-        unit_id=unit.id,
         family="general-form",
         formulation=formulation,
         amendment=amendment,
@@ -362,7 +369,6 @@ def build_status_delta(
         _UnitOracle(unit, x_i_star.periods), p, x_i_star, tol, "status-delta")
     marker = status_delta_of(x_i_star.u)
     return AmendmentBundle(
-        unit_id=unit.id,
         family="status-delta",
         formulation=Formulation.STATUS_OUTPUT,
         amendment=scale(gap, marker),
@@ -403,7 +409,6 @@ def build_status_profile(
             *(scale(m, status_delta_of(w)) for m, w in zip(multipliers, vectors))
         )
     return AmendmentBundle(
-        unit_id=unit.id,
         family="status-profile",
         formulation=Formulation.STATUS_OUTPUT,
         amendment=amendment,
@@ -493,7 +498,6 @@ def build_linear_unit(
     constraints = tuple(build(unit) for build in _BOX_CONSTRAINTS)
     amendment = add(*(scale(m, neg(rho)) for m, rho in zip(mu, constraints)))
     return AmendmentBundle(
-        unit_id=unit.id,
         family="linear-unit",
         formulation=Formulation.STATUS_OUTPUT,
         amendment=amendment,
@@ -582,7 +586,6 @@ def build_convex_hull_amendment(
     hull = _hull_output_only if formulation is Formulation.OUTPUT_ONLY else _hull_status_output
     amendment, rho, mu = hull(unit, case)
     return AmendmentBundle(
-        unit_id=unit.id,
         family="convex-hull",
         formulation=formulation,
         amendment=amendment,
@@ -629,9 +632,9 @@ def build_family(
 
     The builder runs once per group of units with the same parameters,
     dispatched schedule and effective formulation, for the group's first
-    unit in instance order; every other unit of the group gets a copy of
-    that bundle under its own id.  The group key is exact (`exact_key`):
-    the bundle carries the unit's own numbers, down to the sign of a zero.
+    unit in instance order, and every unit of the group maps to that one
+    bundle object.  The group key is exact (`exact_key`): the bundle
+    carries the unit's own numbers, down to the sign of a zero.
     """
     try:
         builder = FAMILIES[family]
@@ -654,8 +657,7 @@ def build_family(
     firsts, group_of = _groups(exact_key(unit_key(unit), sched.u, sched.g, form.value)
                                for unit, sched, form in zip(units, scheds, forms))
     built = [builder(units[i], p, scheds[i], forms[i], instance.tolerances) for i in firsts]
-    return {unit.id: built[g] if i == firsts[g] else replace(built[g], unit_id=unit.id)
-            for i, (unit, g) in enumerate(zip(units, group_of))}
+    return {unit.id: built[g] for unit, g in zip(units, group_of)}
 
 
 # ---------------------------------------------------------------------------
@@ -856,22 +858,16 @@ def _unit_reports(
     """Group the units (`model._groups`) and verify each group once.
     Returns per group the index of its first unit, per unit the index of
     its group, and an iterator over the groups' verify_conditions reports
-    in group order.  The iterator verifies lazily, so a caller that stops
-    at a bad group has verified no unit after it.
+    in group order.  Every unit's bundle and schedule are looked up first,
+    so a missing one raises before any unit is verified; the iterator then
+    verifies lazily, so a caller that stops at a bad group has verified no
+    unit after it.
 
-    A group is the units with the same parameters, dispatched schedule and
-    bundle apart from its unit id, under an exact key (`exact_key`): the
-    report carries the unit's own numbers, down to the sign of a zero.  The
-    group's first unit is verified, and a missing bundle or schedule raises
-    only when its unit is reached.
-
-    The bundle enters the key by identity: the ids of its amendment,
-    constraints and multipliers, which the copies `build_family` makes
-    share.  Only where units with one exact key of parameters, schedule,
-    family and formulation hold more than one such identity, as the equal
-    but distinct bundles read from JSON do, are those objects keyed by
-    their `exact_key`, once per object, so the groups are the ones that
-    key gives everywhere.
+    A group is the units with the same parameters and dispatched schedule,
+    under an exact key (`exact_key`), that hold one bundle object: the
+    report carries the unit's own numbers, down to the sign of a zero, and
+    `build_family` and `bundles_from_json` give each group of identical
+    units one bundle.  The group's first unit is verified.
 
     A group's table is handed on to the next group when both have the
     same exact `unit_key`, formulation and horizon and neither anchor adds
@@ -880,37 +876,13 @@ def _unit_reports(
     table is dropped before `lattice_table` builds the next, so at most
     one table is alive here."""
     units = instance.units
-    # holding the bundles keeps the ids in the keys from being reused
-    held = [bundles.get(unit.id) for unit in units]
-
-    def exact(unit: UnitParams, bundle: AmendmentBundle | None) -> str:
-        sched = x_star.units.get(unit.id)
-        parts = (unit_key(unit),) if sched is None else (unit_key(unit), sched.u, sched.g)
-        if bundle is None:
-            return exact_key(*parts)
-        return exact_key(*parts, bundle.family, bundle.formulation.value)
-
-    exacts = list(map(exact, units, held))
-    identities = [None if b is None else (id(b.amendment), id(b.constraints), id(b.multipliers))
-                  for b in held]
-    shared: dict[str, set] = {}
-    for k, ident in zip(exacts, identities):
-        shared.setdefault(k, set()).add(ident)
-    # id -> exact_key, for the objects of keys with more than one identity
-    reprs: dict[int, str] = {}
-
-    def once(obj) -> str:
-        hit = reprs.get(id(obj))
-        if hit is None:
-            hit = reprs[id(obj)] = exact_key(obj)
-        return hit
-
-    def key(k: str, bundle: AmendmentBundle | None, ident: tuple | None) -> tuple:
-        if len(shared[k]) == 1:
-            return (k, ident)
-        return (k, once(bundle.amendment), once(bundle.constraints), once(bundle.multipliers))
-
-    firsts, group_of = _groups(map(key, exacts, held, identities))
+    for unit in units:
+        if unit.id not in bundles:
+            raise ValidationError(f"no bundle for unit {unit.id}")
+    scheds = [x_star.unit(unit.id) for unit in units]
+    # the mapping holds the bundles, so no id in the keys is reused
+    firsts, group_of = _groups((exact_key(unit_key(unit), x.u, x.g), id(bundles[unit.id]))
+                               for unit, x in zip(units, scheds))
     tol = instance.tolerances
 
     def reports() -> Iterator[UnitReport]:
@@ -919,10 +891,7 @@ def _unit_reports(
         # reads only numbers, and the anchor is validated on either path
         table, handed = None, None
         for i in firsts:
-            unit, bundle = units[i], held[i]
-            if bundle is None:
-                raise ValidationError(f"no bundle for unit {unit.id}")
-            x = x_star.unit(unit.id)
+            unit, bundle, x = units[i], bundles[units[i].id], scheds[i]
             kind = (exact_key(unit_key(unit), bundle.formulation.value, x.periods)
                     if _on_grid(unit, x) else None)
             if kind is not None and kind == handed:
@@ -948,7 +917,8 @@ def aggregate_constraint(
     """Combine verified per-unit amendments into the single market-wide
     redundant constraint whose pricing removes all uplift.  Units are
     verified in instance order, once per group of identical units as in
-    check_zero_total_uplift; the first unit whose bundle fails raises."""
+    check_zero_total_uplift; a missing bundle or schedule raises before any
+    unit is verified, and the first unit whose bundle fails raises."""
     firsts, _, reports = _unit_reports(instance, p, bundles, x_star)
     for i, report in zip(firsts, reports):
         needed = ("max-profit-unchanged", "zero-uplift-at-dispatch", "nonnegative")
@@ -975,8 +945,9 @@ def check_zero_total_uplift(
 
     Each unit's verify_conditions report is kept in `units`, by unit id in
     instance order, without its lattice table (`table` is None); units with
-    the same parameters, dispatched schedule and bundle apart from its unit
-    id share one report, verified once for the first of them.  A group's
+    the same parameters and dispatched schedule that hold one bundle object
+    share one report, verified once for the first of them.  A unit with no
+    bundle raises before any unit is verified.  A group's
     table is handed on to the next group of the same unit type where
     neither anchor adds a point to the grid (`_unit_reports`), so a Scarf
     report builds one table per unit type.  The market checks read values
@@ -992,9 +963,6 @@ def check_zero_total_uplift(
     tol = instance.tolerances
     p = as_price(p, instance.periods)
     validate_schedule(instance, x_star)
-    for unit in instance.units:
-        if unit.id not in bundles:
-            raise ValidationError(f"no bundle for unit {unit.id}")
     firsts, group_of, verified = _unit_reports(instance, p, bundles, x_star)
     prices = [as_price(tuple(pt + offset for pt in p), instance.periods)
               for offset in DUAL_PRICE_OFFSETS]

@@ -27,7 +27,7 @@ from itertools import repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
-from .model import DEFAULT_TOLERANCES, Formulation, UnitSchedule, _integer
+from .model import DEFAULT_TOLERANCES, Formulation, UnitSchedule, _integer, _is_number
 
 
 class Expr:
@@ -420,16 +420,16 @@ def _status(value) -> int:
 
 
 def _finite(values: Iterable, obj: Mapping) -> tuple[float, ...]:
-    values = tuple(map(float, values))
-    if not all(map(math.isfinite, values)):
-        raise ValidationError(f"expression values must be finite: {obj!r}")
-    return values
+    values = tuple(values)
+    if not all(_is_number(v) and math.isfinite(v) for v in values):
+        raise ValidationError(f"expression values must be finite numbers: {obj!r}")
+    return tuple(map(float, values))
 
 
 def expr_from_dict(obj: Mapping) -> Expr:
     """Read an expression tree from its JSON form; periods must be
     non-negative integers, status references 0 or 1, and constants and
-    references finite."""
+    output references finite numbers."""
     if not isinstance(obj, Mapping) or "op" not in obj:
         raise ValidationError(f"bad expression node: {obj!r}")
     op = obj["op"]

@@ -643,11 +643,17 @@ def _lattice_point(u: tuple[int, ...], g: tuple[float, ...]) -> UnitSchedule:
 # instance I/O
 # ---------------------------------------------------------------------------
 
+def _is_number(value) -> bool:
+    """Whether a value read from JSON is a number; int() and float() would
+    also read the string "1" and true as 1."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _integer(value) -> int:
     """A field that counts or indexes something: an int, or a float with an
     integral value such as 1.0.  Raises ValueError otherwise, for a JSON
-    boolean too."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():  # NaN, inf too
+    boolean or string too."""
+    if not _is_number(value) or isinstance(value, float) and not value.is_integer():  # NaN, inf too
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 

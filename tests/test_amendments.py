@@ -37,6 +37,7 @@ from uplift_zero import (
     uplift_report,
     verify_conditions,
 )
+from uplift_zero import amendments
 from uplift_zero.amendments import FAMILIES
 from uplift_zero.model import _groups, exact_key, feasible_set_samples, unit_key
 
@@ -311,9 +312,8 @@ class TestBundleSerde:
                         )
 
     def test_copies_share_their_multipliers(self, scarf40):
-        # the market check computes one repr per shared multiplier tuple
-        # (`amendments._unit_reports`), so every copy of a group's bundle
-        # holds its first unit's tuple, not an equal one
+        # every unit of a group holds its first unit's bundle, and so its
+        # multipliers tuple, not an equal one
         sc = scarf40
         units = sc.instance.units
         bundles = build_family("convex-hull", sc.instance, sc.price, sc.result.schedule)
@@ -341,6 +341,24 @@ class TestBundleSerde:
         b = build_uplift_delta(unit, scarf10.price, star)
         with pytest.raises(ValidationError):
             dataclasses.replace(b, multipliers=(1.0, 1.0))
+
+    def test_load_errors_name_the_unit(self, scarf10):
+        # a bundle names no unit, so the loader puts the unit in its errors
+        unit = mt_unit(scarf10.instance)
+        star = scarf10.result.schedule.unit(unit.id)
+        obj = build_uplift_delta(unit, scarf10.price, star).to_json()
+        no_n = {k: v for k, v in obj.items() if k != "N"}
+        for bad, text in (
+            (dict(obj, mu=[True]), "bad amendment bundle for unit 'Med Tech-1'"),
+            (no_n, "bad amendment bundle for unit 'Med Tech-1'"),
+            (dict(obj, mu=[float("nan")]), "unit Med Tech-1: multipliers must be finite"),
+        ):
+            with pytest.raises(ValidationError) as caught:
+                bundles_from_json({"High Tech-1": obj, unit.id: bad})
+            assert str(caught.value) == text
+        with pytest.raises(ValidationError) as caught:
+            AmendmentBundle.from_json(dict(obj, mu="1"))
+        assert str(caught.value) == "bad amendment bundle"
 
     @pytest.mark.parametrize("value", ("NaN", "Infinity"))
     def test_non_finite_multiplier_rejected(self, scarf10, value):
@@ -404,6 +422,19 @@ class TestAggregate:
         for check in (aggregate_constraint, check_zero_total_uplift):
             with pytest.raises(ValidationError, match="no bundle for unit High Tech-2"):
                 check(sc.instance, sc.price, bundles, sc.result.schedule)
+
+    def test_missing_bundle_raises_before_any_unit_is_verified(self, scarf10, monkeypatch):
+        # every unit's bundle is looked up before the first is verified, so
+        # the units before the last one in instance order are not verified
+        sc = scarf10
+        bundles = build_family("convex-hull", sc.instance, sc.price, sc.result.schedule)
+        last = sc.instance.units[-1].id
+        del bundles[last]
+        verified = []
+        monkeypatch.setattr(amendments, "_verify_on", lambda *args: verified.append(args))
+        with pytest.raises(ValidationError, match=f"^no bundle for unit {last}$"):
+            aggregate_constraint(sc.instance, sc.price, bundles, sc.result.schedule)
+        assert verified == []
 
     def test_json_shape(self, scarf10):
         sc = scarf10
@@ -607,7 +638,7 @@ def test_amendment_paying_at_the_profit_argmax_fails_with_a_witness():
     # that pays 1 everywhere pays there too
     unit = UnitParams(id="X", g_min=0.0, g_max=1.0, marginal_cost=1.0, startup_cost=0.0)
     bundle = AmendmentBundle(
-        unit_id="X", family="test", formulation=Formulation.STATUS_OUTPUT,
+        family="test", formulation=Formulation.STATUS_OUTPUT,
         amendment=Const(1.0), constraints=(Const(-1.0),), multipliers=(1.0,),
     )
     report = verify_conditions(unit, (2.0,), bundle, OFFLINE)

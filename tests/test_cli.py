@@ -449,9 +449,9 @@ class TestExitCodes:
         assert outputs[0][0] == 0
         assert outputs[1] == outputs[0]
 
-    def _bundle_file(self, capsys, tmp_path, edit):
+    def _bundle_file(self, capsys, tmp_path, edit, *amend_args):
         path = tmp_path / "bundles.json"
-        code, _, _ = run(capsys, "amend", "--scarf", "10", "--out", str(path))
+        code, _, _ = run(capsys, "amend", "--scarf", "10", "--out", str(path), *amend_args)
         assert code == 0
         payload = json.loads(path.read_text())
         edit(payload)
@@ -473,6 +473,31 @@ class TestExitCodes:
         code, out, err = run(capsys, "verify", "--scarf", "10", "--amendments", str(path))
         self._assert_one_error_line(code, out, err)
         assert "multipliers must be finite" in err
+
+    @pytest.mark.parametrize("old,new", (
+        ('"mu": [1.0]', '"mu": "1"'),
+        ('"mu": [1.0]', '"mu": [true]'),
+        ('"mu": [1.0]', '"mu": {"1": 0}'),
+        ('"mu": [1.0]', '"mu": [1' + "0" * 400 + ']'),
+        ('"family": "general-form"', '"family": 5'),
+        ('"value": -1.0', '"value": "-1.0"'),
+        ('"value": 0.0', '"value": false'),
+        ('"g": [3.0]', '"g": ["3.0"]'),
+        ('"t": 0', '"t": "0"'),
+        ('"u": [1]', '"u": "1"'),
+    ), ids=("mu-string", "mu-bool", "mu-object", "mu-too-large", "family-number",
+            "const-string", "const-bool", "delta-string", "period-string", "status-string"))
+    def test_non_number_in_bundle_file_is_two(self, capsys, tmp_path, old, new):
+        # a string or a bool was read as the number it spells, a string or
+        # an object as the list of its characters or keys, and a family
+        # number as its digits: the general-form file verified with exit 0
+        path = self._bundle_file(capsys, tmp_path, lambda payload: None,
+                                 "--family", "general-form")
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        code, out, err = run(capsys, "verify", "--scarf", "10", "--amendments", str(path))
+        self._assert_one_error_line(code, out, err)
 
     @pytest.mark.parametrize("value", (float("nan"), float("inf"), -float("inf")))
     def test_non_finite_bundle_price_is_two(self, capsys, tmp_path, value):

@@ -275,9 +275,14 @@ def test_bundles_read_from_json_group_as_built():
         built = build_family(family, instance, p, x_star)
         loaded = bundles_from_json(bundles_to_json(built))
         assert loaded == built
-        # copies from build_family share their objects; loaded bundles do not
-        firsts = {id(b.amendment) for b in built.values()}
-        assert len({id(b.amendment) for b in loaded.values()}) == len(loaded) > len(firsts)
+        # the units of a group hold one bundle object, built or loaded; the
+        # loader also gives one object to equal bundles of units on different
+        # schedules, which the schedule in the market check's key keeps apart
+        for a in built:
+            for b in built:
+                assert (loaded[a] is loaded[b]) == (repr(built[a]) == repr(built[b]))
+                assert loaded[a] is loaded[b] or built[a] is not built[b]
+        assert len({id(b) for b in loaded.values()}) <= len({id(b) for b in built.values()})
         want_firsts, want_groups, _ = _unit_reports(instance, p, built, x_star)
         got_firsts, got_groups, _ = _unit_reports(instance, p, loaded, x_star)
         assert (got_firsts, got_groups) == (want_firsts, want_groups)

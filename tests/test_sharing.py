@@ -22,9 +22,9 @@ report in `units` keeps one.  It hands a table on to the next group of the
 same unit type when neither group's anchor adds a point to the grid; on
 one-type markets with anchors on, one ulp off and between grid outputs,
 and offline at 0.0, -0.0 and 1e-9, every report and table must be the one
-`verify_conditions` gives the unit alone.  It keys the builder's bundles
-by the identity of their parts, and bundles read back from JSON by their
-exact key, into the same groups.
+`verify_conditions` gives the unit alone.  It keys the bundles by
+identity: every unit of a group holds one bundle object, as `build_family`
+builds it and as `bundles_from_json` loads equal bundles.
 """
 
 import collections
@@ -174,16 +174,12 @@ def test_shared_results_equal_per_unit_results(case):
     assert checked >= 4
 
 
-def _parts(bundle) -> tuple[int, int, int]:
-    return id(bundle.amendment), id(bundle.constraints), id(bundle.multipliers)
-
-
 @pytest.mark.parametrize("method", ("chp", "marginal"))
 @pytest.mark.parametrize("demand", (10.0, 40.0))
 def test_bundles_to_json_writes_each_group_once(demand, method):
-    # the copies `build_family` makes share one dict, which is each unit's
-    # own to_json; bundles read back from JSON share nothing and still
-    # serialise as their own to_json
+    # the units of a group hold one bundle object and share one dict, which
+    # is each unit's own to_json; bundles read back from JSON load equal
+    # bundles as one object, so they share at least as much
     instance = scarf_instance(demand)
     x_star = solve_centralized(instance).schedule
     p = price_for_method(instance, method, x_star).price
@@ -199,13 +195,17 @@ def test_bundles_to_json_writes_each_group_once(demand, method):
             assert out == {uid: b.to_json() for uid, b in bundles.items()}
             for a in bundles:
                 for b in bundles:
-                    assert (out[a] is out[b]) == (_parts(bundles[a]) == _parts(bundles[b]))
+                    assert (out[a] is out[b]) == (bundles[a] is bundles[b])
             assert len({id(d) for d in out.values()}) < len(out)
 
             loaded = bundles_from_json(out)
             back = bundles_to_json(loaded)
             assert back == {uid: b.to_json() for uid, b in loaded.items()} == out
-            assert len({id(d) for d in back.values()}) == len(back)
+            for a in loaded:
+                for b in loaded:
+                    assert (back[a] is back[b]) == (loaded[a] is loaded[b]) == (
+                        repr(loaded[a]) == repr(loaded[b]))
+            assert len({id(d) for d in back.values()}) <= len({id(d) for d in out.values()})
     assert built >= 4
 
 
@@ -331,10 +331,10 @@ def _holds_expr(part) -> bool:
 
 @pytest.mark.parametrize("demand", (10.0, 40.0))
 def test_market_check_keys_built_bundles_by_identity(demand, monkeypatch):
-    # the copies `build_family` makes share their expressions, so the market
-    # check keys them by identity and takes no exact key of an expression
-    # tree; the same bundles read back from JSON are equal but not shared,
-    # and are keyed by their trees into the same groups, each verified once
+    # the units of a group hold one built bundle, so the market check keys
+    # them by identity and takes no exact key of an expression tree; the
+    # same bundles read back from JSON give the same report, with each
+    # group verified once
     instance = scarf_instance(demand)
     x_star = solve_centralized(instance).schedule
     pairs = len({model.exact_key(model.unit_key(unit), x_star.unit(unit.id).u,
@@ -363,20 +363,58 @@ def test_market_check_keys_built_bundles_by_identity(demand, monkeypatch):
 
 def test_signed_zero_multipliers_get_their_own_reports():
     # one type on one schedule, one amendment and one constraint object:
-    # multipliers 0.0 and -0.0 are two bundles and two reports, and an
-    # equal copy of the 0.0 tuple shares the first report
+    # multipliers 0.0 and -0.0 are two bundles and two reports, and the
+    # units that hold one bundle object share one report
     params = dict(g_min=0.0, g_max=4.0, marginal_cost=2.0, startup_cost=0.0)
     instance, x_star, p, _, _ = _one_type(params, [((1,), (4.0,))] * 3, (3.0,), "")
     amendment = Sub(Output(0), Output(0))
     rho = (Sub(Output(0), Output(0)),)
-    bundles = {uid: AmendmentBundle(uid, "custom", Formulation.STATUS_OUTPUT, amendment, rho, mu)
-               for uid, mu in (("U1", (0.0,)), ("U2", (-0.0,)), ("U3", (0.0,)))}
+    zero = AmendmentBundle("custom", Formulation.STATUS_OUTPUT, amendment, rho, (0.0,))
+    bundles = {"U1": zero, "U2": replace(zero, multipliers=(-0.0,)), "U3": zero}
     reports = check_zero_total_uplift(instance, p, bundles, x_star).units
     assert reports["U1"] is not reports["U2"]
     assert reports["U1"] is reports["U3"]
     for unit in instance.units:
         alone = verify_conditions(unit, p, bundles[unit.id], x_star.unit(unit.id))
         assert repr(reports[unit.id].checks) == repr(alone.checks)
+
+
+def test_equal_bundles_load_as_one_object():
+    # two identical units on one schedule: a file that gives them the
+    # multipliers 0.0 and -0.0 loads two bundles and gets two reports, one
+    # that gives them 1 and 1.0 loads one bundle and gets one report
+    params = dict(g_min=0.0, g_max=4.0, marginal_cost=2.0, startup_cost=0.0)
+    instance, x_star, p, _, _ = _one_type(params, [((1,), (4.0,))] * 2, (3.0,), "")
+    zero = Sub(Output(0), Output(0)).to_dict()
+    obj = {"family": "custom", "formulation": "xu", "N": zero, "rho": [zero]}
+    for mus, shared in ((([0.0], [-0.0]), False), (([1], [1.0]), True)):
+        loaded = bundles_from_json({"U1": dict(obj, mu=mus[0]), "U2": dict(obj, mu=mus[1])})
+        assert (loaded["U1"] is loaded["U2"]) == shared
+        reports = check_zero_total_uplift(instance, p, loaded, x_star).units
+        assert (reports["U1"] is reports["U2"]) == shared
+        assert repr(reports["U1"].checks) == repr(
+            verify_conditions(instance.units[0], p, loaded["U1"], x_star.unit("U1")).checks)
+
+
+def test_market_check_keys_loaded_bundles_by_identity(monkeypatch):
+    # bundles read from JSON share objects as built ones do, so the market
+    # check takes no exact key of their expression trees either
+    instance = scarf_instance(40.0)
+    x_star = solve_centralized(instance).schedule
+    exact = model.exact_key
+
+    def keyed(*parts):
+        assert not any(map(_holds_expr, parts))
+        return exact(*parts)
+
+    for family, formulation, method in COMBOS:
+        p = price_for_method(instance, method, x_star).price
+        bundles = build_family(family, instance, p, x_star, Formulation(formulation))
+        loaded = bundles_from_json(bundles_to_json(bundles))
+        report = check_zero_total_uplift(instance, p, bundles, x_star).to_json()
+        with monkeypatch.context() as m:
+            rebind(m, exact, keyed)
+            assert check_zero_total_uplift(instance, p, loaded, x_star).to_json() == report
 
 
 # (seed, periods, units) of instances whose units share no parameters; the
