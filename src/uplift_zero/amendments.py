@@ -71,7 +71,6 @@ from .expr import (
     ZERO,
     add,
     delta_of,
-    evaluate_columns,
     expr_from_dict,
     neg,
     scale,
@@ -89,7 +88,6 @@ from .model import (
     _is_number,
     _on_grid,
     exact_key,
-    feasible_set_samples,
     unchecked_cost,
     unit_key,
     validate_schedule,
@@ -98,8 +96,9 @@ from .model import (
 from .pricing import (
     LatticeTable,
     _UnitOracle,
+    _group_oracles,
     _hand_on,
-    _max_profits,
+    _maxima_at,
     _profit,
     as_price,
     lattice_table,
@@ -317,11 +316,9 @@ def build_general_form(
         if not gamma.value >= -tol.eq_tol:
             raise PreconditionError(f"unit {unit.id}: gamma is negative ({gamma.value:.3g})")
     else:
-        # gamma is read on the verification lattice, which needs no price here
-        points = feasible_set_samples(unit, formulation, (x_i_star,), x_i_star.periods,
-                                      tol.eq_tol)
-        (gammas,) = evaluate_columns((gamma,), points, tol.eq_tol)
-        for point, val in zip(points, gammas):
+        # gamma is read on the verification lattice
+        table = lattice_table(unit, p_vec, (gamma,), formulation, (x_i_star,), tol=tol)
+        for point, val in zip(table.points, table.columns[0]):
             if not val >= -tol.eq_tol:
                 raise PreconditionError(
                     f"unit {unit.id}: gamma is negative ({val:.3g}) at {point.to_json()}"
@@ -380,21 +377,16 @@ def build_status_delta(
 def build_status_profile(
     unit: UnitParams,
     p,
-    x_i_star: UnitSchedule | None = None,
-    periods: int | None = None,
+    x_i_star: UnitSchedule,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> AmendmentBundle:
     """Pays the gap between the profit maximum and the best profit of the
     realized status vector, via one delta constraint per feasible status
-    vector.  The same marginal-pricing precondition as status-delta applies
-    when the dispatched schedule is supplied."""
-    if x_i_star is None and periods is None:
-        raise ValidationError("build_status_profile needs x_i_star or periods")
-    if periods is None:
-        periods = x_i_star.periods
+    vector.  The same marginal-pricing precondition as status-delta
+    applies."""
+    periods = x_i_star.periods
     oracle = _UnitOracle(unit, periods)
-    if x_i_star is not None:
-        _require_status_consistency(oracle, p, x_i_star, tol, "status-profile")
+    _require_status_consistency(oracle, p, x_i_star, tol, "status-profile")
     pm = oracle.profit_max(as_price(p, periods), tol)
     best = pm.value
     # per_status runs over the feasible status vectors in lexicographic order
@@ -610,7 +602,7 @@ FAMILIES: dict[str, Builder] = {
         unit, p, x, tol
     ),
     "status-profile": lambda unit, p, x, formulation, tol: build_status_profile(
-        unit, p, x, None, tol
+        unit, p, x, tol
     ),
     "linear-unit": lambda unit, p, x, formulation, tol: build_linear_unit(
         unit, p, x, tol
@@ -954,12 +946,13 @@ def check_zero_total_uplift(
     only, and read them off each distinct report's table as soon as it is
     verified, so that at most one table is alive at a time: at the market
     price the residual and both profit maxima, which the report computed,
-    and at each perturbed price the amended maximum,
-    the best of the table's points' profit plus amendment.  The standard
-    maxima at the perturbed prices come from the units' status tables,
-    once per parameter group and for all prices together (`_max_profits`),
-    after every group is verified; no table or ProfitMax is re-priced.  The
-    totals still add the maxima unit by unit in instance order."""
+    and at each perturbed price the amended maximum, the best of the
+    table's points' profit plus amendment.  The standard maxima at the
+    perturbed prices come from the units' status tables, once per parameter
+    group and for all prices together (`_maxima_at` on the instance's
+    `_group_oracles`), after every group is verified; no table or ProfitMax
+    is re-priced.  The totals still add the maxima unit by unit in instance
+    order."""
     tol = instance.tolerances
     p = as_price(p, instance.periods)
     validate_schedule(instance, x_star)
@@ -979,7 +972,7 @@ def check_zero_total_uplift(
         rep.table = None
         reports.append(rep)
     maxima_at = [at_price]
-    for j, standard in enumerate(_max_profits(instance, prices)):
+    for j, standard in enumerate(_maxima_at(*_group_oracles(instance), prices)):
         maxima_at.append([(standard[i], amended[j]) for i, amended in zip(firsts, amended_at)])
     report = MarketReport()
     total_residual = 0.0

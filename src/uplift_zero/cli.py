@@ -29,6 +29,7 @@ from .model import (
     Formulation,
     MarketInstance,
     _groups,
+    _is_number,
     load_instance,
     scarf_instance,
 )
@@ -335,9 +336,13 @@ def cmd_verify(args) -> int:
     if not isinstance(payload, dict) or "bundles" not in payload or "price" not in payload:
         raise ValidationError("amendments file needs 'price' and 'bundles' entries")
     bundles = bundles_from_json(payload["bundles"])
+    price = payload["price"]
     try:
-        p = as_price(payload["price"], instance.periods)
-    except (TypeError, ValueError) as exc:
+        # as_price would also read the string "1" and true as 1
+        if not all(map(_is_number, price if type(price) is list else [price])):
+            raise TypeError(f"expected a number or a list of numbers, got {price!r}")
+        p = as_price(price, instance.periods)
+    except (TypeError, OverflowError) as exc:
         raise ValidationError(f"amendments file has a malformed price: {exc}") from exc
     result = solve_centralized(instance)
     missing = [u.id for u in instance.units if u.id not in bundles]

@@ -224,7 +224,8 @@ class _Columns:
     appearance; any other node has one value per point (_PER_POINT).  An
     operation is computed at the widest kind of its arguments, the others
     repeated or expanded to it, with the operations `evaluate` applies at
-    one point, in the same order.  Each node is computed once."""
+    one point, in the same order.  Each node is computed once; a node type
+    with no rule here raises TypeError."""
 
     def __init__(self, points: Sequence[UnitSchedule], eq_tol: float,
                  outputs: Optional[Sequence[Sequence[float]]] = None):
@@ -299,8 +300,7 @@ class _Columns:
             return self._apply(lambda x: list(map(abs, x)), [self.column(node.arg)])
         if kind is Delta:
             return self._delta(node)
-        # any other node type is walked point by point
-        return _PER_POINT, [node.evaluate(s, self.eq_tol) for s in self.points]
+        raise TypeError(f"no column rule for {kind.__name__}")
 
     def _delta(self, node: Delta) -> tuple:
         # a point whose status differs returns 0.0 before the outputs are read
@@ -338,8 +338,9 @@ def evaluate_columns(
     builtins over the arguments in order, Step is strictly > 0.0, and Delta
     compares within eq_tol.  `outputs`, when given, is the points' outputs
     a period at a time, outputs[t][k] = points[k].g[t].  If any tree fails,
-    the points are walked one by one, expression by expression, with
-    `evaluate`, so the error raised is the one that walk meets first."""
+    or holds a node type the kernel has no rule for, the points are walked
+    one by one, expression by expression, with `evaluate`, so the error
+    raised is the one that walk meets first."""
     points = tuple(points)
     if not points:
         return tuple(() for _ in exprs)

@@ -649,6 +649,14 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _number(value) -> float:
+    """A field that holds a quantity: a JSON number, as a float.  Raises
+    ValueError otherwise, for a JSON boolean or string too."""
+    if not _is_number(value):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value) -> int:
     """A field that counts or indexes something: an int, or a float with an
     integral value such as 1.0.  Raises ValueError otherwise, for a JSON
@@ -663,10 +671,10 @@ def _expand_unit_type(spec: Mapping) -> list[UnitParams]:
     expanded to ids name-1..name-count, or a single unit with explicit "id"."""
     try:
         base = dict(
-            g_min=float(spec["g_min"]),
-            g_max=float(spec["g_max"]),
-            marginal_cost=float(spec["marginal_cost"]),
-            startup_cost=float(spec["startup_cost"]),
+            g_min=_number(spec["g_min"]),
+            g_max=_number(spec["g_max"]),
+            marginal_cost=_number(spec["marginal_cost"]),
+            startup_cost=_number(spec["startup_cost"]),
             initial_status=_integer(spec.get("initial_status", 0)),
             min_up=_integer(spec.get("min_up", 0)),
             min_down=_integer(spec.get("min_down", 0)),
@@ -675,7 +683,7 @@ def _expand_unit_type(spec: Mapping) -> list[UnitParams]:
             return [UnitParams(id=str(spec["id"]), **base)]
         name = spec["name"]
         count = _integer(spec.get("count", 1))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad unit type entry: {spec!r} ({exc})") from exc
     if count < 1:
         raise ValidationError(f"unit type {name!r}: count must be >= 1")
@@ -687,9 +695,9 @@ def instance_from_dict(obj: Mapping) -> MarketInstance:
         raise ValidationError("instance document must be a JSON object")
     try:
         periods = _integer(obj["periods"])
-        demand = [float(d) for d in obj["demand"]]
+        demand = [_number(d) for d in obj["demand"]]
         type_specs = obj["unit_types"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"instance document missing or malformed field: {exc}") from exc
     if not isinstance(type_specs, (list, tuple)):
         raise ValidationError("unit_types must be a list")
@@ -700,10 +708,10 @@ def instance_from_dict(obj: Mapping) -> MarketInstance:
     if not isinstance(tol_obj, Mapping):
         raise ValidationError("tolerances must be an object")
     try:
-        eq_tol = float(tol_obj.get("eq_tol", DEFAULT_TOLERANCES.eq_tol))
-        opt_tol = float(tol_obj.get("opt_tol", DEFAULT_TOLERANCES.opt_tol))
+        eq_tol = _number(tol_obj.get("eq_tol", DEFAULT_TOLERANCES.eq_tol))
+        opt_tol = _number(tol_obj.get("opt_tol", DEFAULT_TOLERANCES.opt_tol))
         report_digits = _integer(tol_obj.get("report_digits", DEFAULT_TOLERANCES.report_digits))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed tolerances: {exc}") from exc
     tolerances = ToleranceConfig(eq_tol=eq_tol, opt_tol=opt_tol, report_digits=report_digits)
     return MarketInstance(periods=periods, demand=tuple(demand), units=tuple(units), tolerances=tolerances)

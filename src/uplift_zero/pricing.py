@@ -4,10 +4,11 @@ Two price rules are provided for a solved instance:
 
 * convex_hull_price: the price vector maximizing the Lagrangian dual of the
   dispatch problem.  On a single-period horizon the dual is concave and
-  piecewise linear in the price, and the exact maximizer is the breakpoint
-  where the hull-rate merit order meets demand, certified against its two
-  neighbours within a rounding bound, or else the best of a scan of every
-  breakpoint; on longer horizons a projected subgradient ascent with
+  piecewise linear in the price, and its exact maximizer is the breakpoint
+  where the hull-rate merit order meets demand.  That breakpoint is the
+  guess; it is certified against its two neighbours within a rounding
+  bound, and where the certificate fails every breakpoint is scanned and
+  the best wins; on longer horizons a projected subgradient ascent with
   diminishing steps returns the best iterate found.
 * marginal_price: the per-period dual price of the dispatch LP with the
   optimal commitment fixed (merit-order marginal cost rule).
@@ -39,8 +40,9 @@ needs (three when the dual has a strict peak), and the subgradient reads
 each unit's first response.  Neither builds a ProfitMax, a schedule or
 a dict per unit and price.  Neither do the amendment builders, which read
 one unit's maximum, nor the market check at its perturbed prices, which
-reads every unit's maxima at all of them from one `_max_profits` call; at
-the market price it reads both maxima off the unit reports of verification.
+reads every unit's maxima at all of them from one `_maxima_at` call on
+the group oracles; at the market price it reads both maxima off the unit
+reports of verification.
 Every price rule returns the maxima its dual value was computed from
 (`PriceResult.maxima`), and the CLI's uplift table reads them there.
 Every float is computed by the same expression, in the same order, as when
@@ -434,14 +436,6 @@ def _maxima_at(
     return [[row[g] for g in group_of] for row in zip(*by_group)]
 
 
-def _max_profits(
-    instance: MarketInstance, prices: Sequence[tuple[float, ...]]
-) -> list[list[float]]:
-    """`max_profits` at each of the normalized prices, with the units
-    grouped once."""
-    return _maxima_at(*_group_oracles(instance), prices)
-
-
 def _dual_value(instance: MarketInstance, q: tuple[float, ...], values: Iterable[float]) -> float:
     # revenue minus the profit maxima, added unit by unit in instance order
     revenue = sum(qt * dt for qt, dt in zip(q, instance.demand))
@@ -456,7 +450,7 @@ def max_profits(instance: MarketInstance, q) -> list[float]:
 
     The key compares with ==, so a unit with a parameter of -0.0 (or 1)
     can share the maximum of one with 0.0 (or 1.0)."""
-    return _max_profits(instance, [as_price(q, instance.periods)])[0]
+    return _maxima_at(*_group_oracles(instance), [as_price(q, instance.periods)])[0]
 
 
 def dual_function(instance: MarketInstance, q) -> float:
@@ -498,9 +492,9 @@ def _hull_price_single_period(instance: MarketInstance) -> PriceResult:
     Guess.  The slope of D just above q is d less the capacity of the
     units whose hull rate is at most q, so D peaks at the hull rate where
     that capacity first reaches d: where the root walk of the dispatch
-    bound, the hull-rate merit order (`dispatch._walk`), meets d.
-    From that candidate k the search climbs to a neighbour whose D~ is
-    higher by more than 2 delta, while there is one.
+    bound, the hull-rate merit order (`dispatch._walk`), meets d.  That
+    candidate k and its two neighbours are priced.  Nothing moves k: D
+    peaks there, so no neighbour's D~ exceeds D~(k) by more than 2 delta.
 
     Certificate.  k is accepted when each neighbour's D~ is lower than
     D~(k) by more than 2 delta, where delta bounds |D~(q) - D(q)| at every
@@ -519,9 +513,9 @@ def _hull_price_single_period(instance: MarketInstance) -> PriceResult:
     side of k, so D~(j) <= D(j) + delta < D~(k) too, and k is the first
     largest D~ of all candidates, the scan's answer.
 
-    Fallback.  Where neither a climb nor the certificate applies, on a
-    plateau of the dual or within rounding of one (Scarf at demand 35 or
-    131), every candidate is priced and the first largest D~ wins, as in
+    Fallback.  Where the certificate does not hold, on a plateau of the
+    dual or within rounding of one (Scarf at demand 35 or 131), every
+    candidate is priced, each once, and the first largest D~ wins, as in
     the full scan.  Every D~ and its maxima come from the same float
     expressions whichever candidates are priced, so the price, its dual
     value and its maxima are bit for bit the full scan's."""
@@ -554,17 +548,10 @@ def _hull_price_single_period(instance: MarketInstance) -> PriceResult:
         scale += (q_hat + abs(u.marginal_cost)) * u.g_max + u.startup_cost
     twice_delta = 4 * (len(instance.units) + 4) * (sys.float_info.epsilon * scale + math.ulp(0.0))
     last = len(candidates) - 1
-    while True:
-        price(range(max(k - 1, 0), min(k + 1, last) + 1))
-        here = priced[k][0]
-        left = priced[k - 1][0] if k > 0 else -math.inf
-        right = priced[k + 1][0] if k < last else -math.inf
-        if right - here > twice_delta:
-            k += 1
-        elif left - here > twice_delta:
-            k -= 1
-        else:
-            break
+    price(range(max(k - 1, 0), min(k + 1, last) + 1))
+    here = priced[k][0]
+    left = priced[k - 1][0] if k > 0 else -math.inf
+    right = priced[k + 1][0] if k < last else -math.inf
     if not (here - left > twice_delta and here - right > twice_delta):
         price(range(last + 1))
         k = 0

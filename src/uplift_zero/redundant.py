@@ -20,11 +20,13 @@ the table's columns: one per constraint, and the weighted sum mu' rho at
 every point (`LatticeTable.weighted`).  The terms at x* come from
 `_at_dispatch`, the multiplier vector is checked by `_check_multipliers`,
 and every single-axis cap, conditional or not, comes from one loop
-(`_cap_scan`).  All quantifiers therefore run over the sampled lattice,
-not the whole feasible set, and every check here is sampled between
-lattice points.  Two are approximate on top of that: `min_uplift`'s
-coordinate sweep may stop short of the optimum (it says so in `stalled`),
-and `strong_duality_scan` minimizes over a multiplier grid.
+(`_cap_scan`), whose support is the points where rho < -eq_tol: a point
+within eq_tol of zero never bounds a multiplier.  All quantifiers
+therefore run over the sampled lattice, not the whole feasible set, and
+every check here is sampled between lattice points.  Two are approximate
+on top of that: `min_uplift`'s coordinate sweep may stop short of the
+optimum (it says so in `stalled`), and `strong_duality_scan` minimizes
+over a multiplier grid.
 """
 
 from __future__ import annotations
@@ -506,21 +508,6 @@ class MinUpliftResult:
     stalled: bool = False
 
 
-def _max_feasible_coordinate(l: int, multipliers: list[float], table: LatticeTable) -> float:
-    """Largest mu_l keeping membership with the other coordinates fixed,
-    from the table's gaps and its column l.
-
-    Returns +inf when no lattice point has rho_l != 0.  Unlike `_cap_scan`
-    it counts every rho_l < 0 as support, not only rho_l < -eq_tol.
-    """
-    bound = float("inf")
-    for gap, slack, rest in zip(table.gaps, table.columns[l], table.weighted(multipliers, skip=l)):
-        if slack >= 0:
-            continue
-        bound = min(bound, (gap - rest) / slack)
-    return bound
-
-
 def min_uplift(
     unit: UnitParams,
     p,
@@ -534,10 +521,12 @@ def min_uplift(
     The objective uplift + mu' rho(x_star) is linear with rho(x_star) <= 0,
     so the per-coordinate caps are pushed as high as membership allows:
     start at the box corner of per-constraint maxima and, if that corner is
-    not a member, run monotone coordinate sweeps.  With one constraint the
-    corner is exactly the optimum.  `stalled` is set when the sweeps had to
-    back off the corner, in which case the result is feasible but may be
-    conservative.
+    not a member, run monotone coordinate sweeps, each lowering a
+    coordinate to its cap with the others fixed.  Every cap, the corner's
+    and the sweeps', is `_cap_scan`'s, over the points where rho <
+    -eq_tol.  With one constraint the corner is exactly the optimum.
+    `stalled` is set when the sweeps had to back off the corner, in which
+    case the result is feasible but may be conservative.
     """
     table = _table(unit, p, constraints, formulation, tol, x_i_star=x_i_star)
     star, star_slack = _at_dispatch(table, p, constraints, x_i_star)
@@ -562,8 +551,9 @@ def min_uplift(
             for l in range(len(constraints)):
                 if caps[l] == 0.0:
                     continue
-                limit = _max_feasible_coordinate(l, multipliers, table)
-                new = min(caps[l], max(0.0, limit))
+                rests = table.weighted(multipliers, skip=l)
+                limit = _cap_scan(gaps, table.columns[l], tol, rests)[0]
+                new = caps[l] if limit is None else min(caps[l], max(0.0, limit))
                 if new < multipliers[l] - tol.eq_tol:
                     multipliers[l] = new
                     changed = True

@@ -174,6 +174,23 @@ class TestAmend:
         assert "  market: ok" in lines
         assert all(": ok" in l for l in lines if l.startswith("  "))
 
+    def test_verify_lists_failures_of_a_tampered_file(self, capsys, tmp_path):
+        bundle_file = tmp_path / "bundles.json"
+        code, _, _ = run(capsys, "amend", "--scarf", "10", "--out", str(bundle_file))
+        assert code == 0
+        payload = json.loads(bundle_file.read_text())
+        bundle = payload["bundles"]["Med Tech-1"]
+        bundle["N"] = {"op": "mul", "args": [{"op": "const", "value": 2.0}, bundle["N"]]}
+        bundle_file.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "verify", "--scarf", "10", "--amendments", str(bundle_file))
+        assert code == 1
+        lines = out.splitlines()
+        failed = [l for l in lines if ": FAIL: " in l]
+        assert [l.split(":")[0] for l in failed] == ["  Med Tech-1", "  market"]
+        assert "zero-uplift-at-dispatch" in failed[0]
+        assert lines[-1] == "  market: FAIL: amended-dual-at-price"
+        assert all(l.endswith(": ok") for l in lines if l not in failed)
+
     def test_failed_verification_exits_one(self, capsys, doubled_hull):
         code, out, _ = run(capsys, "amend", "--scarf", "10")
         assert code == 1
@@ -463,6 +480,9 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # the price of the general-form bundle file at Scarf demand 10
+    _PRICE = '"price": [6.285714285714286]'
+
     def test_nan_multipliers_are_two(self, capsys, tmp_path):
         # every multiplier NaN used to pass the market check and exit 1
         def edit(payload):
@@ -485,8 +505,12 @@ class TestExitCodes:
         ('"g": [3.0]', '"g": ["3.0"]'),
         ('"t": 0', '"t": "0"'),
         ('"u": [1]', '"u": "1"'),
+        (_PRICE, '"price": [true]'),
+        (_PRICE, '"price": ["6.285714285714286"]'),
+        (_PRICE, '"price": [1' + "0" * 400 + ']'),
     ), ids=("mu-string", "mu-bool", "mu-object", "mu-too-large", "family-number",
-            "const-string", "const-bool", "delta-string", "period-string", "status-string"))
+            "const-string", "const-bool", "delta-string", "period-string", "status-string",
+            "price-bool", "price-string", "price-too-large"))
     def test_non_number_in_bundle_file_is_two(self, capsys, tmp_path, old, new):
         # a string or a bool was read as the number it spells, a string or
         # an object as the list of its characters or keys, and a family
@@ -568,6 +592,15 @@ class TestExitCodes:
         code, out, err = run(capsys, "verify", "--scarf", "10", "--amendments", str(path))
         self._assert_one_error_line(code, out, err)
         assert "needs 'price' and 'bundles'" in err
+
+    def test_bundle_price_of_the_wrong_length_is_two(self, capsys, tmp_path):
+        def edit(payload):
+            payload["price"] = payload["price"] * 2
+
+        path = self._bundle_file(capsys, tmp_path, edit)
+        code, out, err = run(capsys, "verify", "--scarf", "10", "--amendments", str(path))
+        self._assert_one_error_line(code, out, err)
+        assert err == "error: price vector has 2 entries for 1 periods\n"
 
     def test_malformed_bundle_price_is_two(self, capsys, tmp_path):
         def edit(payload):
@@ -678,6 +711,19 @@ class TestMalformedInput:
             ([{"periods": 1}], "must be a JSON object"),
             ({"periods": 1, "demand": [1.0], "unit_types": [_UNIT], "tolerances": [1e-7]},
              "tolerances must be an object"),
+            # a string or a bool was read as the number it spells, and the
+            # instance dispatched with exit 0
+            ({"periods": 1, "demand": [1.0], "unit_types": [{**_UNIT, "g_max": True}]},
+             "expected a number, got True"),
+            ({"periods": 1, "demand": [1.0], "unit_types": [{**_UNIT, "marginal_cost": "2"}]},
+             "expected a number, got '2'"),
+            ({"periods": 1, "demand": ["5"], "unit_types": [_UNIT]},
+             "expected a number, got '5'"),
+            ({"periods": 1, "demand": [1.0], "unit_types": [_UNIT],
+              "tolerances": {"opt_tol": True}}, "expected a number, got True"),
+            # an integer too large for a float ended in a traceback
+            ({"periods": 1, "demand": [1.0], "unit_types": [{**_UNIT, "g_max": 10 ** 400}]},
+             "int too large to convert to float"),
         ),
     )
     def test_malformed_instance_is_two(self, capsys, tmp_path, doc, message):

@@ -173,6 +173,10 @@ class TestText:
     def test_negative_constant_subtraction_folds(self):
         assert expr_to_text(Sub(Output(0), Const(-4.286))) == "g + 4.286"
 
+    def test_max_and_abs(self):
+        assert expr_to_text(Max((Sub(Output(0), Const(2.0)), ZERO))) == "max[g - 2, 0]"
+        assert expr_to_text(scale(0.5, Abs(Sub(Output(1), Output(0))))) == "0.5*|g[2] - g[1]|"
+
 
 # random expression strategy: depth-bounded trees over 1-period schedules
 def exprs(depth: int = 3):
