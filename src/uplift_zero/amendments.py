@@ -43,17 +43,20 @@ bundles as one object; verification checks once per group of units with
 the same parameters and schedule that hold one bundle object.  Each
 UnitReport keeps the lattice table its checks read, the amended profit
 maximum and the residual uplift; the market check reads its maxima off
-each table as soon as the group is verified.  The table is then handed
-on to the next group when that group is of the same unit type, formulation
-and horizon and neither anchor adds a point to the grid, which then
-evaluates only its own columns; otherwise it is dropped.
+each table as soon as the group is verified, and drops it.  It holds one
+table per run of groups of one unit type, formulation and horizon: the
+run's first group builds it, priced with the profit maximum from the
+instance's plan, and each later group derives its own from the one before
+it, merging in the points its anchor adds and dropping those the previous
+anchor added.  Only an anchor that displaces a grid output or adds a point
+after the cross product has its table built afresh.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -84,9 +87,10 @@ from .model import (
     ToleranceConfig,
     UnitParams,
     UnitSchedule,
+    _anchored_values,
     _groups,
     _is_number,
-    _on_grid,
+    _online_values,
     exact_key,
     unchecked_cost,
     unit_key,
@@ -96,10 +100,12 @@ from .model import (
 from .pricing import (
     LatticeTable,
     _UnitOracle,
+    _derive,
     _group_oracles,
-    _hand_on,
     _maxima_at,
     _profit,
+    _unit_oracle,
+    _with_columns,
     as_price,
     lattice_table,
     standard_profit,
@@ -730,9 +736,13 @@ def _verify_on(
     scale_tol = tol.opt_tol * max(1.0, abs(best), abs(star))
     points, profits, n_col = table.points, table.profits, table.columns[-1]
 
-    amended = list(map(operator.add, profits, n_col))
-    amended_best = max(amended)
-    amended_best_k = amended.index(amended_best)   # the first maximiser
+    # the amended profits are read twice rather than held, so that a large
+    # lattice holds no further column: the first maximiser is the first
+    # point equal to the maximum, or the first point when the maximum is
+    # NaN, which max() returns only from the first point
+    amended_best = max(map(operator.add, profits, n_col))
+    amended_best_k = (operator.indexOf(map(operator.add, profits, n_col), amended_best)
+                      if amended_best == amended_best else 0)
     nonneg_k = _witness(lambda: map(operator.ge, n_col, repeat(-scale_tol)))
     strictly_below = any(n < best - pi - scale_tol for n, pi in zip(n_col, profits))
     redundant_witness = None
@@ -849,11 +859,11 @@ def _unit_reports(
 ) -> tuple[list[int], list[int], Iterator[UnitReport]]:
     """Group the units (`model._groups`) and verify each group once.
     Returns per group the index of its first unit, per unit the index of
-    its group, and an iterator over the groups' verify_conditions reports
-    in group order.  Every unit's bundle and schedule are looked up first,
-    so a missing one raises before any unit is verified; the iterator then
-    verifies lazily, so a caller that stops at a bad group has verified no
-    unit after it.
+    its group, and an iterator over the groups' reports in group order,
+    each the one verify_conditions gives the group's first unit alone.
+    Every unit's bundle and schedule are looked up first, so a missing one
+    raises before any unit is verified; the iterator then verifies lazily,
+    so a caller that stops at a bad group has verified no unit after it.
 
     A group is the units with the same parameters and dispatched schedule,
     under an exact key (`exact_key`), that hold one bundle object: the
@@ -861,12 +871,21 @@ def _unit_reports(
     `build_family` and `bundles_from_json` give each group of identical
     units one bundle.  The group's first unit is verified.
 
-    A group's table is handed on to the next group when both have the
-    same exact `unit_key`, formulation and horizon and neither anchor adds
-    a point to the grid (`model._on_grid`): the next group then evaluates
-    only its own columns (`pricing._hand_on`).  Otherwise the previous
-    table is dropped before `lattice_table` builds the next, so at most
-    one table is alive here."""
+    A run is the groups, one after another in group order, with the same
+    exact `unit_key`, formulation and horizon; it holds one table.  The
+    run's first group builds it (`lattice_table`), with the unit's profit
+    maximum from the instance's plan (`pricing._unit_oracle`), and every
+    later group derives its own from the table before it
+    (`pricing._derive`): unchanged but for its columns when its anchor
+    gives the same online outputs, otherwise with the points its anchor
+    adds merged in and those the previous anchor added dropped.  Only an
+    anchor that displaces a grid output or has an offline output off the
+    offline key (`model._anchored_values`) has its table built afresh, with
+    the run's profit maximum.  The table before is dropped before
+    `lattice_table` builds the next; before points are added to it, its
+    columns are; and once the next is derived, it is, before the next
+    one's columns are evaluated.  So at most one table is alive here
+    between groups."""
     units = instance.units
     for unit in units:
         if unit.id not in bundles:
@@ -875,27 +894,39 @@ def _unit_reports(
     # the mapping holds the bundles, so no id in the keys is reused
     firsts, group_of = _groups((exact_key(unit_key(unit), x.u, x.g), id(bundles[unit.id]))
                                for unit, x in zip(units, scheds))
-    tol = instance.tolerances
+    tol, periods = instance.tolerances, instance.periods
+    p = as_price(p, periods)
 
     def reports() -> Iterator[UnitReport]:
-        # the last table, and the exact (unit_key, formulation, horizon) it
-        # is handed on under, None when its anchor added a point; `_on_grid`
-        # reads only numbers, and the anchor is validated on either path
-        table, handed = None, None
+        # the run's kind, its grid's online outputs and its profit maximum;
+        # the last table and its online outputs, which are `grid` itself
+        # only where that table is the grid's cross product with no point
+        # after it
+        kind = grid = pm = table = before = None
         for i in firsts:
             unit, bundle, x = units[i], bundles[units[i].id], scheds[i]
-            kind = (exact_key(unit_key(unit), bundle.formulation.value, x.periods)
-                    if _on_grid(unit, x) else None)
-            if kind is not None and kind == handed:
-                table = _hand_on(table, unit, bundle.constraints + (bundle.amendment,),
-                                 bundle.formulation, x)
-                report = _verify_on(table, unit, as_price(p, x.periods), bundle, x, tol)
+            exprs = bundle.constraints + (bundle.amendment,)
+            same = exact_key(unit_key(unit), bundle.formulation.value, x.periods)
+            if same != kind:
+                kind, table = same, None
+                grid, pm = _online_values(unit), _unit_oracle(instance, i).profit_max(p, tol)
+            values = _anchored_values(unit, grid, x)
+            if table is not None and values is not None:
+                # the table before loses its columns before points are merged
+                # into it, and goes once this one is derived, before this
+                # group's columns are evaluated: a large lattice never holds
+                # two tables' columns
+                if values is not before:
+                    table = replace(table, columns=())
+                table = _derive(table, before, values, unit, p, bundle.formulation, x)
+                table = _with_columns(table, unit, exprs)
             else:
-                table = None
-                report = verify_conditions(unit, p, bundle, x, tol)
-                table = report.table
-            handed = kind
-            yield report
+                table = None   # so that one table is alive while the next is built
+                table = lattice_table(unit, p, exprs, bundle.formulation, (x,), periods, tol, pm)
+                if values is None:
+                    values = _online_values(unit, (x,))
+            before = values
+            yield _verify_on(table, unit, p, bundle, x, tol)
 
     return firsts, group_of, reports()
 
@@ -939,20 +970,21 @@ def check_zero_total_uplift(
     instance order, without its lattice table (`table` is None); units with
     the same parameters and dispatched schedule that hold one bundle object
     share one report, verified once for the first of them.  A unit with no
-    bundle raises before any unit is verified.  A group's
-    table is handed on to the next group of the same unit type where
-    neither anchor adds a point to the grid (`_unit_reports`), so a Scarf
-    report builds one table per unit type.  The market checks read values
-    only, and read them off each distinct report's table as soon as it is
-    verified, so that at most one table is alive at a time: at the market
-    price the residual and both profit maxima, which the report computed,
-    and at each perturbed price the amended maximum, the best of the
-    table's points' profit plus amendment.  The standard maxima at the
-    perturbed prices come from the units' status tables, once per parameter
-    group and for all prices together (`_maxima_at` on the instance's
-    `_group_oracles`), after every group is verified; no table or ProfitMax
-    is re-priced.  The totals still add the maxima unit by unit in instance
-    order."""
+    bundle raises before any unit is verified.  The groups of one unit type
+    that follow one another hold one table at a time, built for the first
+    and derived from the one before for each other (`_unit_reports`), so a
+    Scarf report builds one table per unit type and lists no status table.  The market checks read
+    values only, and read them off each distinct report's table as soon as
+    it is verified, so that at most one table is alive at a time: at the
+    market price the residual and both profit maxima, which the report
+    computed, the standard one from the instance's plan, and at each
+    perturbed price the amended maximum, the best of the table's points'
+    profit plus amendment, computed for each group's table.  The standard
+    maxima at the perturbed prices come from the units' status tables, once
+    per parameter group and for all prices together (`_maxima_at` on the
+    instance's `_group_oracles`), after every group is verified; no table
+    or ProfitMax is re-priced.  The totals still add the maxima unit by
+    unit in instance order."""
     tol = instance.tolerances
     p = as_price(p, instance.periods)
     validate_schedule(instance, x_star)

@@ -524,32 +524,20 @@ def feasible_set_samples(
     anchor shares its output's key in some period, as 0.8 does for
     0.8000000000000002.
 
-    The deduplication works on the sorted online values, once: values that
-    round to the same 12 decimals are one value, the first of them, except
-    that g_min and g_max are never merged with another.  The cross product
-    of the distinct values then holds no two equal points, and the points
-    are built without re-checking them (`UnitSchedule.__post_init__`
-    would only copy their tuples).  An anchor that the cross product does
-    not hold under these rules is appended after it.
+    The deduplication works on the sorted online values, once
+    (`_online_values`): values that round to the same 12 decimals are one
+    value, the first of them, except that g_min and g_max are never merged
+    with another.  The cross product of the distinct values then holds no
+    two equal points, and the points are built without re-checking them
+    (`UnitSchedule.__post_init__` would only copy their tuples).  An anchor
+    that the cross product does not hold under these rules is appended
+    after it.
     """
     anchors = tuple(anchors)
     if periods is None:
         periods = anchors[0].periods if anchors else 1
     _check_sample_args(unit, formulation, anchors, periods, eq_tol)
-    grid = _sample_grid(unit)
-    anchor_outputs = {g for a in anchors for g, u_t in zip(a.g, a.u) if u_t == 1}
-
-    # two points with one status vector coincide when their outputs do
-    # period by period, so the online values are deduplicated once: the
-    # first of each key in sorted order is the one the cross product meets
-    # first
-    online_values: list[float] = []
-    online_keys: set = set()
-    for g in sorted(set(grid) | anchor_outputs):
-        k = _output_key(unit, g)
-        if k not in online_keys:
-            online_keys.add(k)
-            online_values.append(float(g))
+    online_values = _online_values(unit, anchors)
 
     vectors = feasible_status_vectors(unit, periods)
     samples: list[UnitSchedule] = []
@@ -557,15 +545,14 @@ def feasible_set_samples(
         outputs = itertools.product(*[online_values if u_t == 1 else (0.0,) for u_t in u_vec])
         samples.extend(map(_lattice_point, itertools.repeat(u_vec), outputs))
     # safety net: an anchor (whose status vector is feasible, as validated
-    # above) that the cross product does not hold under its key, such as
-    # one with an offline output of 1e-9, is added after it, once
+    # above) that the cross product does not hold under its key, one with
+    # an offline output of 1e-9, say, is added after it, once; its online
+    # outputs are among the online values by their keys
     offline_key = _output_key(unit, 0.0)
     seen: set[tuple] = set()
     for a in anchors:
         a_key = _point_key(unit, a)
-        on_grid = all(
-            k in online_keys if u_t == 1 else k == offline_key for u_t, k in zip(a.u, a_key[1])
-        )
+        on_grid = all(u_t == 1 or k == offline_key for u_t, k in zip(a.u, a_key[1]))
         if not on_grid and a_key not in seen:
             seen.add(a_key)
             samples.append(_lattice_point(a.u, a.g))
@@ -602,18 +589,54 @@ def _sample_grid(unit: UnitParams) -> list[float]:
     return grid
 
 
-def _on_grid(unit: UnitParams, sched: UnitSchedule) -> bool:
-    """Whether `feasible_set_samples` anchored at the feasible `sched`
-    gives the points it gives with no anchor: every online output is a
-    grid output under ==, and every offline output has the offline key.
-
-    Membership is ==, not the 12-decimal key: 0.7999999999999999 sorts
-    before the grid's 0.8 and would become the lattice value, and an
-    offline 1e-9 adds a point after the cross product."""
+def _online_values(unit: UnitParams, anchors: Iterable[UnitSchedule] = ()) -> list[float]:
+    """The online outputs of the lattice anchored at `anchors`: the grid's
+    and the anchors' online outputs in increasing order, the first of each
+    key (`_output_key`) kept.  Two points with one status vector coincide
+    when their outputs do period by period, so deduplicating these once
+    leaves the cross product (`feasible_set_samples`) no two equal points."""
     grid = _sample_grid(unit)
+    anchor_outputs = {g for a in anchors for g, u_t in zip(a.g, a.u) if u_t == 1}
+    ordered = sorted(set(grid) | anchor_outputs)
+    # outputs more than 1e-12 apart never round to one 12-decimal key, so
+    # where each output is below its successor less 1e-11 every output is
+    # kept (where g + 1e-11 rounds to g, the ulp of g exceeds 1e-12 and g is
+    # its own key)
+    if all(map(operator.lt, map(operator.add, ordered, itertools.repeat(1e-11)), ordered[1:])):
+        return list(map(float, ordered))
+    values: list[float] = []
+    keys: set = set()
+    for g in ordered:
+        k = _output_key(unit, g)
+        if k not in keys:
+            keys.add(k)
+            values.append(float(g))
+    return values
+
+
+def _anchored_values(
+    unit: UnitParams, grid: list[float], sched: UnitSchedule,
+) -> list[float] | None:
+    """The online outputs of the lattice anchored at the feasible `sched`,
+    given the grid's, `grid = _online_values(unit)`, when that lattice is
+    the grid's with the anchor's new outputs merged in: `grid` itself when
+    the anchor adds no output.  None when it is not, because the anchor
+    displaces a grid output (0.7999999999999999 has the 12-decimal key of
+    the grid's 0.8 and sorts first, so it takes 0.8's place) or has an
+    offline output off the offline key (an offline 1e-9 adds a point after
+    the cross product); such an anchor's table is built afresh."""
     offline_key = _output_key(unit, 0.0)
-    return all(g in grid if u_t == 1 else _output_key(unit, g) == offline_key
-               for u_t, g in zip(sched.u, sched.g))
+    added = False
+    for u_t, g in zip(sched.u, sched.g):
+        if not u_t:
+            if _output_key(unit, g) != offline_key:
+                return None
+        elif g not in grid:
+            added = True
+    if not added:
+        return grid
+    values = _online_values(unit, (sched,))
+    return values if all(v in values for v in grid) else None
 
 
 def _output_key(unit: UnitParams, g: float):
@@ -666,9 +689,19 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _string(value) -> str:
+    """A field that names something: a JSON string.  Raises ValueError
+    otherwise, for a JSON null, number or boolean too, which str() would
+    spell out as a name."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
 def _expand_unit_type(spec: Mapping) -> list[UnitParams]:
     """One entry of "unit_types": either a counted type ("name", "count")
-    expanded to ids name-1..name-count, or a single unit with explicit "id"."""
+    expanded to ids name-1..name-count, or a single unit with explicit "id".
+    The id and the name are JSON strings."""
     try:
         base = dict(
             g_min=_number(spec["g_min"]),
@@ -680,8 +713,8 @@ def _expand_unit_type(spec: Mapping) -> list[UnitParams]:
             min_down=_integer(spec.get("min_down", 0)),
         )
         if "id" in spec:
-            return [UnitParams(id=str(spec["id"]), **base)]
-        name = spec["name"]
+            return [UnitParams(id=_string(spec["id"]), **base)]
+        name = _string(spec["name"])
         count = _integer(spec.get("count", 1))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad unit type entry: {spec!r} ({exc})") from exc

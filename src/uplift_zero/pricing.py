@@ -42,7 +42,8 @@ a dict per unit and price.  Neither do the amendment builders, which read
 one unit's maximum, nor the market check at its perturbed prices, which
 reads every unit's maxima at all of them from one `_maxima_at` call on
 the group oracles; at the market price it reads both maxima off the unit
-reports of verification.
+reports of verification, whose tables take the unit's ProfitMax from the
+plan's oracle (`_unit_oracle`), one per run of groups of a unit type.
 Every price rule returns the maxima its dual value was computed from
 (`PriceResult.maxima`), and the CLI's uplift table reads them there.
 Every float is computed by the same expression, in the same order, as when
@@ -53,7 +54,11 @@ is held a column at a time.  Its costs, its expression columns and its
 profits at a price are computed a period or a node at a time for every
 point together, by the per-point formulas (`unchecked_cost`, `_profit`,
 `Expr.evaluate`) with the same operations in the same order, so every
-value is bit for bit the one a point-by-point walk gives.
+value is bit for bit the one a point-by-point walk gives.  The market check
+builds one table per unit type and derives the others from it
+(`_derive`): a point both lattices hold keeps its values, and the points
+an anchor adds are computed by the same formulas, so a derived table is
+the one `lattice_table` builds, bit for bit and in point order.
 """
 
 from __future__ import annotations
@@ -61,8 +66,9 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from array import array
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import compress, count, product, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import dispatch
@@ -78,14 +84,17 @@ from .model import (
     UnitParams,
     UnitSchedule,
     _check_sample_args,
+    _lattice_point,
     _plan_of,
     _shared_status_table,
     _startup_cost,
     _status_vector_count,
     cost,
+    exact_key,
     feasible_set_samples,
     status_table,
     status_vector_feasible,
+    unit_key,
     validate_schedule,
 )
 
@@ -262,7 +271,11 @@ def profit_given_status(unit: UnitParams, p, u: Sequence[int]) -> float:
 
 def _column_sums(columns: list, n: int) -> Iterator:
     """Per point, the builtin `sum`, from int 0, of the columns' values in
-    column order; int 0 at each of the n points when there is no column."""
+    column order; int 0 at each of the n points when there is no column.
+    `sum` adds a lone value to int 0 by `+`, so one column is added so,
+    without a tuple per point."""
+    if len(columns) == 1:
+        return map(operator.add, repeat(0), columns[0])
     return map(sum, zip(*columns)) if columns else repeat(0, n)
 
 
@@ -307,7 +320,11 @@ class LatticeTable:
         """The same points, costs and columns priced at q, with the unit's
         profit maximum at q."""
         q = as_price(q, self.points[0].periods)
-        pm = unit_profit_max(self.unit, q, len(q), self.tol)
+        return self._priced(q, unit_profit_max(self.unit, q, len(q), self.tol))
+
+    def _priced(self, q: tuple[float, ...], pm: ProfitMax) -> "LatticeTable":
+        """The table priced at the normalized price q, whose profit maximum
+        is pm."""
         profits = tuple(self.profits_at(q))
         return replace(
             self, profits=profits,
@@ -318,7 +335,7 @@ class LatticeTable:
         """mu' rho at every point: the sum, from int 0, of m * value over
         the multipliers and the leading columns, in column order, leaving
         out column `skip`."""
-        terms = [[m * v for v in col]
+        terms = [map(operator.mul, repeat(m), col)
                  for l, (m, col) in enumerate(zip(multipliers, self.columns)) if l != skip]
         return list(_column_sums(terms, len(self.points)))
 
@@ -355,24 +372,39 @@ def lattice_table(
     anchors: Iterable[UnitSchedule] = (),
     periods: int | None = None,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
+    profit_max: ProfitMax | None = None,
 ) -> LatticeTable:
     """Build the unit's verification lattice anchored at `anchors`, evaluate
     its costs and each of `exprs` a column at a time
-    (`expr.evaluate_columns`), and price it at p.
+    (`expr.evaluate_columns`), and price it at p.  `profit_max` is the
+    unit's ProfitMax at p when the caller holds it; otherwise it is solved
+    here (`unit_profit_max`).
 
     A point's cost is `unchecked_cost`: the energy sum over its periods,
     plus the startup cost of its status vector, which is computed once per
     vector.  The lattice does not depend on p: the profit-maximizing
     schedules at any price have outputs g_min, g_max or 0 per period, and
     those are on the grid of every feasible status vector already.  This
-    is the only builder of lattice tables; the market check hands a table
-    it built on to a unit of the same type whose anchor adds no point
-    (`_hand_on`), which re-evaluates only the expression columns."""
+    is the only builder of a fresh lattice table; the market check builds
+    one per run of groups of one unit type and derives every other group's
+    table of the run from it (`_derive`)."""
     anchors = tuple(anchors)
     if periods is None:
         periods = anchors[0].periods if anchors else (len(p) if not isinstance(p, (int, float)) else 1)
     p = as_price(p, periods)
     points = feasible_set_samples(unit, formulation, anchors, periods, tol.eq_tol)
+    table = _points_table(unit, points, exprs, tol)
+    if profit_max is None:
+        profit_max = unit_profit_max(unit, p, periods, tol)
+    return table._priced(p, profit_max)
+
+
+def _points_table(
+    unit: UnitParams, points: tuple[UnitSchedule, ...], exprs: Sequence[Expr],
+    tol: ToleranceConfig,
+) -> LatticeTable:
+    """The unpriced table of the unit's lattice points, which are not
+    empty: their outputs, their costs and the columns of `exprs`."""
     outputs = tuple(zip(*map(operator.attrgetter("g"), points)))
     statuses = list(map(operator.attrgetter("u"), points))
     startups = {u: _startup_cost(unit, u) for u in dict.fromkeys(statuses)}
@@ -385,25 +417,100 @@ def lattice_table(
         costs=tuple(map(operator.add, energy, map(startups.__getitem__, statuses))),
         columns=evaluate_columns(exprs, points, tol.eq_tol, outputs),
         tol=tol,
-    ).at_price(p)
+    )
 
 
-def _hand_on(
+def _derive(
     table: LatticeTable,
+    before: Sequence[float],
+    values: Sequence[float],
     unit: UnitParams,
-    exprs: Sequence[Expr],
+    p: tuple[float, ...],
     formulation: Formulation,
     anchor: UnitSchedule,
 ) -> LatticeTable:
-    """`table` handed on to a unit with the same exact `unit_key`,
-    formulation and horizon, where neither unit's anchor adds a point to
-    the grid (`model._on_grid`), so that `lattice_table` would build the
-    same points: it keeps the points, outputs, costs, profits, gaps and
-    profit maximum, and evaluates only `exprs` as its columns.  The anchor
+    """The points, outputs, costs, profits, gaps and profit maximum of the
+    table `lattice_table` builds for `unit` anchored at `anchor` alone at
+    the price p, derived from `table`: one built or derived at p for a unit
+    with the same exact `unit_key`, formulation and horizon.  `before` and
+    `values` are the online outputs of the two lattices
+    (`model._online_values`), and `anchor` extends the grid
+    (`model._anchored_values`): its lattice is the cross product of
+    `values`, with no point after it.  The caller adds the columns
+    (`_with_columns`).
+
+    When `values` is `before`, `table` is returned as it is.  Otherwise
+    the points of both lattices keep their outputs, costs, profits and
+    gaps; the points with an output `before` lacks are computed by a fresh
+    build's per-point formulas (`_points_table`, `LatticeTable._priced`);
+    the points with an output `values` lacks, and a point after the cross
+    product, are dropped; and the result, which has no columns, is laid
+    out in the order of `feasible_set_samples`, status vector by status
+    vector, for any horizon.  The profit maximum is `table`'s.  The anchor
     gets the checks of a fresh build first."""
     _check_sample_args(unit, formulation, (anchor,), anchor.periods, table.tol.eq_tol)
-    columns = evaluate_columns(exprs, table.points, table.tol.eq_tol, table.outputs)
-    return replace(table, unit=unit, columns=columns)
+    if values is before:
+        return table
+    points, n_old = table.points, len(before)
+    # each value's index among `before` (by its bits, so that -0.0 is not
+    # 0.0), -1 for a value `before` lacks
+    index = {v.hex(): j for j, v in enumerate(before)}
+    old_of = [index.get(v.hex(), -1) for v in values]
+    # per point, its index in `points` followed by `added`; an array, so
+    # that a large lattice holds no int object per point
+    take = array("q")
+    added: list[UnitSchedule] = []
+    numbers = count(len(points))
+    k = 0
+    # the cross product is one block per status vector, in increasing order;
+    # a point after it has the status vector of some block
+    while k < len(points) and (k == 0 or points[k].u > points[k - 1].u):
+        u = points[k].u
+        online = sum(u)
+        # per point of the block but the last online period, its index in
+        # the old block, or -1
+        flat = [0]
+        for _ in range(online - 1):
+            flat = [i * n_old + j if i >= 0 <= j else -1 for i in flat for j in old_of]
+        if not online:
+            take.append(k)
+        else:
+            take.extend(k + i * n_old + j if i >= 0 <= j else next(numbers)
+                        for i in flat for j in old_of)
+            if -1 in flat or -1 in old_of:
+                block = product(*[values if u_t == 1 else (0.0,) for u_t in u])
+                added += map(_lattice_point, repeat(u), compress(
+                    block, (i < 0 or j < 0 for i in flat for j in old_of)))
+        k += n_old ** online
+    if not added and len(take) == len(points):
+        return table   # take is increasing, so it is every point in order
+    if added:
+        new = _points_table(unit, tuple(added), (), table.tol)._priced(p, table.profit_max)
+    else:
+        new = LatticeTable(unit, (), ((),) * len(table.outputs), (), (), table.tol)
+
+    def pick(old, new):
+        seq = old + new
+        return tuple(map(seq.__getitem__, take))
+
+    return LatticeTable(
+        unit=unit,
+        points=pick(points, new.points),
+        outputs=tuple(map(pick, table.outputs, new.outputs)),
+        costs=pick(table.costs, new.costs),
+        columns=(),
+        tol=table.tol,
+        profits=pick(table.profits, new.profits),
+        gaps=pick(table.gaps, new.gaps),
+        profit_max=table.profit_max,
+    )
+
+
+def _with_columns(table: LatticeTable, unit: UnitParams, exprs: Sequence[Expr]) -> LatticeTable:
+    """`table` for `unit`, with `exprs` evaluated as its columns."""
+    return LatticeTable(unit, table.points, table.outputs, table.costs,
+                        evaluate_columns(exprs, table.points, table.tol.eq_tol, table.outputs),
+                        table.tol, table.profits, table.gaps, table.profit_max)
 
 
 def _group_oracles(instance: MarketInstance) -> tuple[list[_UnitOracle], list[int]]:
@@ -424,6 +531,21 @@ def _group_oracles(instance: MarketInstance) -> tuple[list[_UnitOracle], list[in
         plan.oracles = [_UnitOracle(units[i], periods, _shared_status_table(instance, i))
                         for i in firsts]
     return plan.oracles, plan.group_of
+
+
+def _unit_oracle(instance: MarketInstance, i: int) -> _UnitOracle:
+    """The oracle of the instance's unit i from its plan: its group's
+    (`_group_oracles`), which answers for the unit bit for bit when the
+    group's first unit has the same exact `unit_key`.  A unit that differs
+    from it only in the sign of a zero gets one of its own, on its own
+    status table from the plan (`model._shared_status_table`), so that its
+    ProfitMax carries its own numbers.  No status vector is listed again."""
+    oracles, group_of = _group_oracles(instance)
+    oracle = oracles[group_of[i]]
+    unit = instance.units[i]
+    if exact_key(unit_key(oracle.unit)) != exact_key(unit_key(unit)):
+        oracle = _UnitOracle(unit, instance.periods, _shared_status_table(instance, i))
+    return oracle
 
 
 def _maxima_at(

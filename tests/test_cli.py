@@ -724,6 +724,13 @@ class TestMalformedInput:
             # an integer too large for a float ended in a traceback
             ({"periods": 1, "demand": [1.0], "unit_types": [{**_UNIT, "g_max": 10 ** 400}]},
              "int too large to convert to float"),
+            # a null name or a bool id was spelled out as the unit ids
+            # None-1, None-2 and True, and the instance dispatched with exit 0
+            ({"periods": 1, "demand": [1.0], "unit_types": [
+                {"name": None, "count": 2, "g_min": 0.0, "g_max": 10.0,
+                 "marginal_cost": 1.0, "startup_cost": 0.0}]}, "expected a string, got None"),
+            ({"periods": 1, "demand": [1.0], "unit_types": [{**_UNIT, "id": True}]},
+             "expected a string, got True"),
         ),
     )
     def test_malformed_instance_is_two(self, capsys, tmp_path, doc, message):

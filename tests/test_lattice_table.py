@@ -1,8 +1,8 @@
 """The lattice table: one build per (unit, formulation, anchors, horizon),
 shared by every "for all feasible x" check and re-priced per query.  The
-market check hands a table on to the next group of the same unit type when
-neither group's anchor adds a point to the grid, so a Scarf report builds
-one table per unit type."""
+market check builds one table per run of groups of the same unit type and
+derives the run's other tables from it, so a Scarf report builds one table
+per unit type."""
 
 import math
 from collections import Counter
@@ -54,27 +54,26 @@ def test_report_builds_one_lattice_and_one_profit_max_per_table(monkeypatch, cap
     assert cli.main(["report", "--scarf", "40", "--family", "convex-hull"]) == 0
     capsys.readouterr()
     # 16 units of 3 types, which dispatch leaves in 6 distinct (type,
-    # schedule) pairs with 6 distinct bundles; every anchor is on the grid,
-    # so verify_conditions builds one table per type at the market price
-    # and hands it on to the type's other pair, and the market check builds
-    # none of its own: it reads those tables at the market price, and at
+    # schedule) pairs with 6 distinct bundles; the market check builds one
+    # table per type at the market price, with the profit maximum from the
+    # instance's plan, and derives the type's other pair's table from it; at
     # the five perturbed prices it reads values only, from the status
-    # tables and each table's stored costs and rows, re-pricing no table
+    # tables and each table's profits there, re-pricing no table
     assert counts[(None, "lattice")] == 0
     # pricing, uplift and the builders read profit maxima as values only
     assert counts[(None, "profit_max")] == 0
-    assert counts[("verify", "lattice")] == 3
-    assert counts[("verify", "profit_max")] == 3
-    assert counts[("verify", "at_price")] == 3
-    assert counts[("market", "lattice")] == 0
+    assert counts[("market", "lattice")] == 3
     assert counts[("market", "profit_max")] == 0
     assert counts[("market", "at_price")] == 0
+    # the market check verifies on its own tables, not through
+    # verify_conditions, which would build a table per call
+    assert not [key for key in counts if key[0] == "verify"]
 
 
 def test_general_form_report_builds_one_lattice_per_table(monkeypatch, capsys):
     # the CLI's gamma is the constant 0, read by its one value: the builder
-    # builds no lattice, and verification one per unit type, handed on
-    # from the type's first (type, schedule) pair to its second
+    # builds no lattice, and verification one per unit type, whose second
+    # (type, schedule) pair's table is derived from its first's
     calls = []
     build = model.feasible_set_samples
     rebind(monkeypatch, build, lambda *args: calls.append(args) or build(*args))

@@ -18,13 +18,14 @@ maximum (`reference_unit_profit_max`) at every price.
 
 The market check reads each group's lattice table and drops it before the
 next group is verified, so at most one table is alive at a time and no
-report in `units` keeps one.  It hands a table on to the next group of the
-same unit type when neither group's anchor adds a point to the grid; on
-one-type markets with anchors on, one ulp off and between grid outputs,
-and offline at 0.0, -0.0 and 1e-9, every report and table must be the one
-`verify_conditions` gives the unit alone.  It keys the bundles by
-identity: every unit of a group holds one bundle object, as `build_family`
-builds it and as `bundles_from_json` loads equal bundles.
+report in `units` keeps one.  It builds one table per run of groups of the
+same unit type and derives each later group's table from the one before,
+merging in the points its anchor adds and dropping those the previous
+anchor added; on one-type markets with anchors on, one ulp off and between
+grid outputs, and offline at 0.0, -0.0 and 1e-9, every report and table
+must be the one `verify_conditions` gives the unit alone.  It keys the
+bundles by identity: every unit of a group holds one bundle object, as
+`build_family` builds it and as `bundles_from_json` loads equal bundles.
 """
 
 import collections
@@ -235,6 +236,46 @@ def test_market_check_releases_each_table(demand, monkeypatch):
         assert [rep.table for rep in report.units.values()] == [None] * len(report.units)
 
 
+@pytest.mark.parametrize("demand", (47.47, 57.954))
+def test_report_builds_one_table_per_unit_type(demand, monkeypatch, tmp_path, capsys):
+    # dispatch leaves one Med Tech group online off the grid and one
+    # offline: the offline group's table is derived from the online one's,
+    # dropping the points the online anchor added, where it used to be
+    # built again; and the market check lists no status table, since every
+    # profit maximum it reads comes from the instance's plan
+    path = tmp_path / "scarf.json"
+    save_instance(scarf_instance(demand), str(path))
+    calls = collections.Counter()
+    inside = []   # one entry while the market check runs
+    build, listing, market = amendments.lattice_table, model.status_table, check_zero_total_uplift
+
+    def built(*args, **kwargs):
+        calls["lattice_table"] += 1
+        return build(*args, **kwargs)
+
+    def listed(*args, **kwargs):
+        if inside:
+            calls["status_table in the market check"] += 1
+        return listing(*args, **kwargs)
+
+    def checked(*args, **kwargs):
+        inside.append(True)
+        try:
+            return market(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(amendments, "lattice_table", built)
+    rebind(monkeypatch, listing, listed)
+    rebind(monkeypatch, market, checked)
+    for family, formulation, method in COMBOS:
+        calls.clear()
+        assert cli.main(["report", str(path), "--family", family, "--formulation", formulation,
+                         "--price-method", method]) == 0
+        assert "total uplift after amendment = 0.0000" in capsys.readouterr().out
+        assert calls == {"lattice_table": 3}, (family, formulation, method)
+
+
 def _grid(unit: UnitParams) -> list[float]:
     # the lattice's online outputs when no anchor adds one, spaced as
     # `model.feasible_set_samples` spaces them
@@ -306,11 +347,24 @@ _BELOW = math.nextafter(0.8, 0.0)   # 0.7999999999999999
 @example(_one_type(_ONE_TYPE, [((0,), (1e-9,)), ((0,), (-0.0,))], (3.0,), "uplift-delta"))
 @example(_one_type(_ONE_TYPE, [((1, 0), (4.0, 1e-9)), ((1, 0), (4.0, 0.0))], (1.0, 3.0),
                    "uplift-delta"))
+# on the grid, off it, on it: the off-grid group's points are merged in,
+# then dropped
+@example(_one_type(_ONE_TYPE, [((1,), (0.8,)), ((1,), (1.3,)), ((1,), (4.0,))], (3.0,),
+                   "uplift-delta"))
+# a two-period anchor whose output is off the grid in one online period
+# only, between two anchors on it
+@example(_one_type(_ONE_TYPE, [((1, 1), (4.0, 4.0)), ((1, 1), (1.3, 4.0)), ((0, 1), (0.0, 2.0))],
+                   (3.0, 1.0), "general-form"))
+# an anchor that displaces the grid's 0.8 is built afresh, after an
+# off-grid group and before an on-grid one that takes 0.8 back
+@example(_one_type(_ONE_TYPE, [((1,), (1.3,)), ((1,), (_BELOW,)), ((1,), (0.8,))], (3.0,),
+                   "uplift-delta"))
 def test_handed_on_tables_equal_tables_built_alone(case):
-    # the market check hands a group's table on to the next group of the
-    # same unit type when neither anchor adds a point to the grid; every
-    # unit's report is the one verify_conditions gives it alone, and every
-    # group's table, handed on or built, is the one built for it alone
+    # the market check derives a group's table from the one before it when
+    # both are of the same unit type and its anchor displaces no grid
+    # output and adds no point after the cross product; every unit's report
+    # is the one verify_conditions gives it alone, and every group's table,
+    # derived or built, is the one built for it alone
     instance, x_star, p, family, formulation = case
     bundles = build_family(family, instance, p, x_star, formulation)
     tol = instance.tolerances
