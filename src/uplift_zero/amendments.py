@@ -882,8 +882,8 @@ def _unit_reports(
     anchor that displaces a grid output or has an offline output off the
     offline key (`model._anchored_values`) has its table built afresh, with
     the run's profit maximum.  The table before is dropped before
-    `lattice_table` builds the next; before points are added to it, its
-    columns are; and once the next is derived, it is, before the next
+    `lattice_table` builds the next; before the next is derived from it,
+    its columns are; and once the next is derived, it is, before the next
     one's columns are evaluated.  So at most one table is alive here
     between groups."""
     units = instance.units
@@ -899,9 +899,7 @@ def _unit_reports(
 
     def reports() -> Iterator[UnitReport]:
         # the run's kind, its grid's online outputs and its profit maximum;
-        # the last table and its online outputs, which are `grid` itself
-        # only where that table is the grid's cross product with no point
-        # after it
+        # the last table and its online outputs
         kind = grid = pm = table = before = None
         for i in firsts:
             unit, bundle, x = units[i], bundles[units[i].id], scheds[i]
@@ -912,12 +910,11 @@ def _unit_reports(
                 grid, pm = _online_values(unit), _unit_oracle(instance, i).profit_max(p, tol)
             values = _anchored_values(unit, grid, x)
             if table is not None and values is not None:
-                # the table before loses its columns before points are merged
-                # into it, and goes once this one is derived, before this
-                # group's columns are evaluated: a large lattice never holds
-                # two tables' columns
-                if values is not before:
-                    table = replace(table, columns=())
+                # the table before loses its columns before this one is
+                # derived from it, and goes once it is, before this group's
+                # columns are evaluated: a large lattice never holds two
+                # tables' columns
+                table = replace(table, columns=())
                 table = _derive(table, before, values, unit, p, bundle.formulation, x)
                 table = _with_columns(table, unit, exprs)
             else:

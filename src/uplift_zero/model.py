@@ -21,9 +21,11 @@ import itertools
 import json
 import math
 import operator
+import struct
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
 
@@ -531,7 +533,8 @@ def feasible_set_samples(
     two equal points, and the points are built without re-checking them
     (`UnitSchedule.__post_init__` would only copy their tuples).  An anchor
     that the cross product does not hold under these rules is appended
-    after it.
+    after it.  `_relaid_lattice` lays out one lattice from another in this
+    order.
     """
     anchors = tuple(anchors)
     if periods is None:
@@ -542,8 +545,8 @@ def feasible_set_samples(
     vectors = feasible_status_vectors(unit, periods)
     samples: list[UnitSchedule] = []
     for u_vec in vectors:
-        outputs = itertools.product(*[online_values if u_t == 1 else (0.0,) for u_t in u_vec])
-        samples.extend(map(_lattice_point, itertools.repeat(u_vec), outputs))
+        samples.extend(map(_lattice_point, itertools.repeat(u_vec),
+                           _lattice_outputs(u_vec, online_values)))
     # safety net: an anchor (whose status vector is feasible, as validated
     # above) that the cross product does not hold under its key, one with
     # an offline output of 1e-9, say, is added after it, once; its online
@@ -557,6 +560,57 @@ def feasible_set_samples(
             seen.add(a_key)
             samples.append(_lattice_point(a.u, a.g))
     return tuple(samples)
+
+
+def _lattice_outputs(u_vec: tuple[int, ...], values: Sequence[float]) -> Iterator[tuple]:
+    """The outputs of the lattice's points with the status vector u_vec, in
+    the lattice's order: the cross product over the periods of `values`
+    where u_vec is online and 0.0 where it is offline."""
+    return itertools.product(*[values if u_t == 1 else (0.0,) for u_t in u_vec])
+
+
+def _relaid_lattice(
+    points: Sequence[UnitSchedule], before: Sequence[float], values: Sequence[float],
+) -> tuple[array, list[UnitSchedule]]:
+    """Lay out a unit's lattice from another of its lattices over the same
+    horizon.  `points` is the lattice `feasible_set_samples` gave on the
+    online values (`_online_values`) `before`; the new one is its cross
+    product on `values`, with no point after it.  Returns, per point of the
+    new lattice in order, its index in `points`, or len(points) + i for
+    the i-th point `points` lacks, and the list of those points.  A point
+    of `points` after its cross product is dropped."""
+    n_old = len(before)
+    # each value's index among `before`, by its bits (so that -0.0 is not
+    # 0.0), -1 for a value `before` lacks
+    bits = struct.Struct("d").pack
+    index = dict(zip(map(bits, before), itertools.count()))
+    old_of = list(map(index.get, map(bits, values), itertools.repeat(-1)))
+    # an array, so that a large lattice holds no int object per point
+    take = array("q")
+    added: list[UnitSchedule] = []
+    numbers = itertools.count(len(points))
+    k = 0
+    # the cross product is one block per status vector, in increasing order,
+    # of the n_old ** online points `_lattice_outputs` gives it; a point
+    # after it has the status vector of some block
+    while k < len(points) and (k == 0 or points[k].u > points[k - 1].u):
+        u = points[k].u
+        online = sum(u)
+        # per point of the block but the last online period, its index in
+        # the old block, or -1
+        flat = [0]
+        for _ in range(online - 1):
+            flat = [i * n_old + j if i >= 0 <= j else -1 for i in flat for j in old_of]
+        if not online:
+            take.append(k)
+        else:
+            take.extend(k + i * n_old + j if i >= 0 <= j else next(numbers)
+                        for i in flat for j in old_of)
+            if -1 in flat or -1 in old_of:
+                added += map(_lattice_point, itertools.repeat(u), itertools.compress(
+                    _lattice_outputs(u, values), (i < 0 or j < 0 for i in flat for j in old_of)))
+        k += n_old ** online
+    return take, added
 
 
 def _check_sample_args(
@@ -594,23 +648,25 @@ def _online_values(unit: UnitParams, anchors: Iterable[UnitSchedule] = ()) -> li
     and the anchors' online outputs in increasing order, the first of each
     key (`_output_key`) kept.  Two points with one status vector coincide
     when their outputs do period by period, so deduplicating these once
-    leaves the cross product (`feasible_set_samples`) no two equal points."""
-    grid = _sample_grid(unit)
+    leaves the cross product (`feasible_set_samples`) no two equal points.
+
+    Only the box ends are their own keys; the other outputs' keys increase
+    with the outputs, so an output shares a key with an earlier one only if
+    it shares it with the last one kept that is not a box end.  Two outputs
+    1e-11 or more apart never round to one 12-decimal key (where g + 1e-11
+    rounds to g, the ulp of g exceeds 1e-12 and g is its own key), so the
+    keys, whose rounding is the costly part, are compared only for outputs
+    closer than that."""
     anchor_outputs = {g for a in anchors for g, u_t in zip(a.g, a.u) if u_t == 1}
-    ordered = sorted(set(grid) | anchor_outputs)
-    # outputs more than 1e-12 apart never round to one 12-decimal key, so
-    # where each output is below its successor less 1e-11 every output is
-    # kept (where g + 1e-11 rounds to g, the ulp of g exceeds 1e-12 and g is
-    # its own key)
-    if all(map(operator.lt, map(operator.add, ordered, itertools.repeat(1e-11)), ordered[1:])):
-        return list(map(float, ordered))
+    ends = (unit.g_min, unit.g_max)
     values: list[float] = []
-    keys: set = set()
-    for g in ordered:
-        k = _output_key(unit, g)
-        if k not in keys:
-            keys.add(k)
+    last = None   # the last output kept that is not a box end
+    for g in sorted(set(_sample_grid(unit)) | anchor_outputs):
+        if g in ends:
             values.append(float(g))
+        elif last is None or g - last >= 1e-11 or _output_key(unit, g) != _output_key(unit, last):
+            values.append(float(g))
+            last = g
     return values
 
 

@@ -66,9 +66,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from array import array
 from dataclasses import dataclass, field, replace
-from itertools import compress, count, product, repeat
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import dispatch
@@ -84,8 +83,8 @@ from .model import (
     UnitParams,
     UnitSchedule,
     _check_sample_args,
-    _lattice_point,
     _plan_of,
+    _relaid_lattice,
     _shared_status_table,
     _startup_cost,
     _status_vector_count,
@@ -272,8 +271,8 @@ def profit_given_status(unit: UnitParams, p, u: Sequence[int]) -> float:
 def _column_sums(columns: list, n: int) -> Iterator:
     """Per point, the builtin `sum`, from int 0, of the columns' values in
     column order; int 0 at each of the n points when there is no column.
-    `sum` adds a lone value to int 0 by `+`, so one column is added so,
-    without a tuple per point."""
+    `sum` adds a lone value to int 0 by `+`, so one column, the outputs at
+    T = 1, is added so, without a tuple per point."""
     if len(columns) == 1:
         return map(operator.add, repeat(0), columns[0])
     return map(sum, zip(*columns)) if columns else repeat(0, n)
@@ -439,51 +438,20 @@ def _derive(
     `values`, with no point after it.  The caller adds the columns
     (`_with_columns`).
 
-    When `values` is `before`, `table` is returned as it is.  Otherwise
-    the points of both lattices keep their outputs, costs, profits and
+    The points of both lattices keep their outputs, costs, profits and
     gaps; the points with an output `before` lacks are computed by a fresh
     build's per-point formulas (`_points_table`, `LatticeTable._priced`);
     the points with an output `values` lacks, and a point after the cross
     product, are dropped; and the result, which has no columns, is laid
-    out in the order of `feasible_set_samples`, status vector by status
-    vector, for any horizon.  The profit maximum is `table`'s.  The anchor
-    gets the checks of a fresh build first."""
+    out in the order of `feasible_set_samples` (`model._relaid_lattice`),
+    for any horizon: `table` itself when that keeps every point in place.
+    The profit maximum is `table`'s.  The anchor gets the checks of a fresh
+    build first."""
     _check_sample_args(unit, formulation, (anchor,), anchor.periods, table.tol.eq_tol)
-    if values is before:
-        return table
-    points, n_old = table.points, len(before)
-    # each value's index among `before` (by its bits, so that -0.0 is not
-    # 0.0), -1 for a value `before` lacks
-    index = {v.hex(): j for j, v in enumerate(before)}
-    old_of = [index.get(v.hex(), -1) for v in values]
-    # per point, its index in `points` followed by `added`; an array, so
-    # that a large lattice holds no int object per point
-    take = array("q")
-    added: list[UnitSchedule] = []
-    numbers = count(len(points))
-    k = 0
-    # the cross product is one block per status vector, in increasing order;
-    # a point after it has the status vector of some block
-    while k < len(points) and (k == 0 or points[k].u > points[k - 1].u):
-        u = points[k].u
-        online = sum(u)
-        # per point of the block but the last online period, its index in
-        # the old block, or -1
-        flat = [0]
-        for _ in range(online - 1):
-            flat = [i * n_old + j if i >= 0 <= j else -1 for i in flat for j in old_of]
-        if not online:
-            take.append(k)
-        else:
-            take.extend(k + i * n_old + j if i >= 0 <= j else next(numbers)
-                        for i in flat for j in old_of)
-            if -1 in flat or -1 in old_of:
-                block = product(*[values if u_t == 1 else (0.0,) for u_t in u])
-                added += map(_lattice_point, repeat(u), compress(
-                    block, (i < 0 or j < 0 for i in flat for j in old_of)))
-        k += n_old ** online
+    points = table.points
+    take, added = _relaid_lattice(points, before, values)
     if not added and len(take) == len(points):
-        return table   # take is increasing, so it is every point in order
+        return table   # every point, in place: take is increasing
     if added:
         new = _points_table(unit, tuple(added), (), table.tol)._priced(p, table.profit_max)
     else:

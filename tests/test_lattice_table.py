@@ -114,6 +114,17 @@ def test_anchor_next_to_a_box_end_keeps_the_box_end():
     assert set(table.profit_max.argmax_points) <= set(table.points)
 
 
+def test_outputs_closer_than_1e_11_keep_keys_of_their_own():
+    # 0.4200000000004 and 0.4200000000006 round to the 12-decimal keys 0.42
+    # and 0.420000000001, so both are lattice outputs although they are
+    # 2e-13 apart; 0.42000000000041 shares the first one's key and is not
+    unit = UnitParams("U", 0.0, 1.0, 1.0, 0.0)
+    lo, hi, same = 0.4200000000004, 0.4200000000006, 0.42000000000041
+    anchors = [UnitSchedule((1,), (g,)) for g in (lo, hi, same)]
+    outputs = [p.g[0] for p in model.feasible_set_samples(unit, anchors=anchors) if p.u == (1,)]
+    assert lo in outputs and hi in outputs and same not in outputs
+
+
 def test_require_redundant_names_the_first_positive_constraint():
     ok = Sub(Output(0), scale(HT.g_max, Status(0)))      # g - u g_max <= 0
     bad = Sub(Output(0), Const(3.0))                       # positive above g = 3
