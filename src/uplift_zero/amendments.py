@@ -32,24 +32,27 @@ then pi(x*) and the profit maximum, where x* sits in the unit's box
 and whether the price covers a cold start at full output, p >= c + w /
 g_max.  Each closed form branches on that result alone.
 
-Identical units share work by the package's one rule (`model._groups`),
-under an exact key (`exact_key(unit_key(unit), ...)`) because a bundle and
-a report carry the unit's own numbers, down to the sign of a zero.  A
-bundle names no unit, so a mapping from unit ids to bundles is the group
-data: every unit of a group maps to one bundle object.  `build_family`
-runs the builder once per group of units with the same parameters,
-dispatched schedule and formulation; `bundles_from_json` loads equal
-bundles as one object; verification checks once per group of units with
-the same parameters and schedule that hold one bundle object.  Each
-UnitReport keeps the lattice table its checks read, the amended profit
-maximum and the residual uplift; the market check reads its maxima off
-each table as soon as the group is verified, and drops it.  It holds one
-table per run of groups of one unit type, formulation and horizon: the
-run's first group builds it, priced with the profit maximum from the
-instance's plan, and each later group derives its own from the one before
-it, merging in the points its anchor adds and dropping those the previous
-anchor added.  Only an anchor that displaces a grid output or adds a point
-after the cross product has its table built afresh.
+Identical units share work through one record of the dispatched groups
+per instance and schedule (`model._dispatched`, held by the instance's
+plan): the units with the same parameters and schedule, under an exact key
+because a bundle, a report and the schedule's JSON carry the unit's own
+numbers, down to the sign of a zero.  The record validates the schedule
+once per group, and every layer after dispatch reads its groups instead of
+grouping the units again.  A bundle names no unit, so a mapping from unit
+ids to bundles is the group data: every unit of a group maps to one bundle
+object.  `build_family` runs the builder once per group, on the unit's
+oracle from the plan; `bundles_from_json` loads equal bundles as one
+object; verification checks once per group, split only where its units
+hold different bundle objects.  Each UnitReport keeps the lattice table
+its checks read, the amended profit maximum and the residual uplift; the
+market check reads its maxima off each table as soon as the group is
+verified, and drops it.  It holds one table per run of groups of one unit
+type and formulation: the run's first group builds it on the run's online
+outputs, priced with the profit maximum from the instance's plan, and
+each later group derives its own from the one before it, merging in the
+points its anchor adds and dropping those the previous anchor added.  Only
+an anchor with an output that shares a key with another, or with a point
+after the cross product, has its table built afresh.
 """
 
 from __future__ import annotations
@@ -88,13 +91,12 @@ from .model import (
     UnitParams,
     UnitSchedule,
     _anchored_values,
+    _dispatched,
     _groups,
     _is_number,
     _online_values,
     exact_key,
     unchecked_cost,
-    unit_key,
-    validate_schedule,
     validate_unit_schedule,
 )
 from .pricing import (
@@ -166,13 +168,9 @@ def bundles_to_json(bundles: Mapping[str, AmendmentBundle]) -> dict:
     one bundle object, as a group of identical units does, share one dict,
     which callers must not mutate."""
     # the mapping holds the bundles, so no id is reused during the call
-    shared: dict[int, dict] = {}
-    out = {}
-    for uid, b in sorted(bundles.items()):
-        if id(b) not in shared:
-            shared[id(b)] = b.to_json()
-        out[uid] = shared[id(b)]
-    return out
+    distinct = {id(b): b for b in bundles.values()}
+    shared = {key: b.to_json() for key, b in distinct.items()}
+    return {uid: shared[id(b)] for uid, b in sorted(bundles.items())}
 
 
 def bundles_from_json(obj: Mapping) -> dict[str, AmendmentBundle]:
@@ -273,8 +271,12 @@ def build_uplift_delta(
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> AmendmentBundle:
     """Lump payment of the lost profit, at the dispatched point only."""
+    return _uplift_delta(unit, p, x_i_star, formulation, tol)
+
+
+def _uplift_delta(unit, p, x_i_star, formulation, tol, oracle=None) -> AmendmentBundle:
     _require_status_readable(unit, formulation)
-    star, best, gap = _uplift_at(_UnitOracle(unit, x_i_star.periods), p, x_i_star, tol)
+    star, best, gap = _uplift_at(oracle or _UnitOracle(unit, x_i_star.periods), p, x_i_star, tol)
     marker = delta_of(x_i_star, formulation)
     return AmendmentBundle(
         family="uplift-delta",
@@ -293,8 +295,12 @@ def build_constant_profit(
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> AmendmentBundle:
     """Pays every point the gap to the profit maximum (flat amended profit)."""
+    return _constant_profit(unit, p, periods, formulation, tol)
+
+
+def _constant_profit(unit, p, periods, formulation, tol, oracle=None) -> AmendmentBundle:
     p = as_price(p, periods)
-    best = _UnitOracle(unit, periods).maximum(p)
+    best = (oracle or _UnitOracle(unit, periods)).maximum(p)
     profit = profit_expr(unit, p, periods, formulation)
     return AmendmentBundle(
         family="constant-profit",
@@ -315,8 +321,12 @@ def build_general_form(
 ) -> AmendmentBundle:
     """Canonical valid amendment: min of the constant-profit cap and a
     delta payment shifted by any non-negative expression gamma."""
+    return _general_form(unit, p, x_i_star, formulation, tol, gamma=gamma)
+
+
+def _general_form(unit, p, x_i_star, formulation, tol, oracle=None, gamma=ZERO) -> AmendmentBundle:
     _require_status_readable(unit, formulation)
-    star, best, gap = _uplift_at(_UnitOracle(unit, x_i_star.periods), p, x_i_star, tol)
+    star, best, gap = _uplift_at(oracle or _UnitOracle(unit, x_i_star.periods), p, x_i_star, tol)
     p_vec = as_price(p, x_i_star.periods)
     if isinstance(gamma, Const):
         if not gamma.value >= -tol.eq_tol:
@@ -368,8 +378,12 @@ def build_status_delta(
     """Lump payment on the dispatched status vector.  Needs the dispatched
     outputs to already be profit-maximal given that status (holds under
     marginal pricing of an optimal dispatch)."""
+    return _status_delta(unit, p, x_i_star, Formulation.STATUS_OUTPUT, tol)
+
+
+def _status_delta(unit, p, x_i_star, formulation, tol, oracle=None) -> AmendmentBundle:
     star, best, gap = _require_status_consistency(
-        _UnitOracle(unit, x_i_star.periods), p, x_i_star, tol, "status-delta")
+        oracle or _UnitOracle(unit, x_i_star.periods), p, x_i_star, tol, "status-delta")
     marker = status_delta_of(x_i_star.u)
     return AmendmentBundle(
         family="status-delta",
@@ -390,8 +404,12 @@ def build_status_profile(
     realized status vector, via one delta constraint per feasible status
     vector.  The same marginal-pricing precondition as status-delta
     applies."""
+    return _status_profile(unit, p, x_i_star, Formulation.STATUS_OUTPUT, tol)
+
+
+def _status_profile(unit, p, x_i_star, formulation, tol, oracle=None) -> AmendmentBundle:
     periods = x_i_star.periods
-    oracle = _UnitOracle(unit, periods)
+    oracle = oracle or _UnitOracle(unit, periods)
     _require_status_consistency(oracle, p, x_i_star, tol, "status-profile")
     pm = oracle.profit_max(as_price(p, periods), tol)
     best = pm.value
@@ -417,7 +435,7 @@ def build_status_profile(
 
 def _box_case(
     unit: UnitParams, p, x_i_star: UnitSchedule, formulation: Formulation,
-    tol: ToleranceConfig, family: str,
+    tol: ToleranceConfig, family: str, oracle: _UnitOracle | None,
 ) -> tuple[float, float, float, float, str, bool]:
     """The single-period box setting, checked and read once: returns
     (p0, g*, pi(x*), pi_max, where x* sits, whether p0 >= c + w / g_max).
@@ -436,7 +454,7 @@ def _box_case(
     (p0,) = as_price(p, 1)
     _require_status_readable(unit, formulation)
     star = _dispatch_profit(unit, (p0,), x_i_star, tol)
-    best = _UnitOracle(unit, 1).maximum((p0,))
+    best = (oracle or _UnitOracle(unit, 1)).maximum((p0,))
     g_star = x_i_star.g[0]
     if x_i_star.u[0] == 0:
         at = "offline"
@@ -491,7 +509,11 @@ def build_linear_unit(
     initially offline): N = mu1 (g - u g_min) + mu2 (u g_max - g)
     + mu3 (1 - u), with the closed-form case analysis on the dispatch
     point's position and the price."""
-    case = _box_case(unit, p, x_i_star, Formulation.STATUS_OUTPUT, tol, "linear-unit")
+    return _linear_unit(unit, p, x_i_star, Formulation.STATUS_OUTPUT, tol)
+
+
+def _linear_unit(unit, p, x_i_star, formulation, tol, oracle=None) -> AmendmentBundle:
+    case = _box_case(unit, p, x_i_star, Formulation.STATUS_OUTPUT, tol, "linear-unit", oracle)
     mu = _box_case_multipliers(unit, case)
     constraints = tuple(build(unit) for build in _BOX_CONSTRAINTS)
     amendment = add(*(scale(m, neg(rho)) for m, rho in zip(mu, constraints)))
@@ -580,7 +602,11 @@ def build_convex_hull_amendment(
 ) -> AmendmentBundle:
     """Amendment induced by convex-hull pricing of the single unit: the
     tightest closed form, piecewise linear around the dispatch point."""
-    case = _box_case(unit, p, x_i_star, formulation, tol, "convex-hull")
+    return _convex_hull(unit, p, x_i_star, formulation, tol)
+
+
+def _convex_hull(unit, p, x_i_star, formulation, tol, oracle=None) -> AmendmentBundle:
+    case = _box_case(unit, p, x_i_star, formulation, tol, "convex-hull", oracle)
     hull = _hull_output_only if formulation is Formulation.OUTPUT_ONLY else _hull_status_output
     amendment, rho, mu = hull(unit, case)
     return AmendmentBundle(
@@ -592,30 +618,20 @@ def build_convex_hull_amendment(
     )
 
 
-Builder = Callable[..., AmendmentBundle]
-
-FAMILIES: dict[str, Builder] = {
-    "uplift-delta": lambda unit, p, x, formulation, tol: build_uplift_delta(
-        unit, p, x, formulation, tol
-    ),
-    "constant-profit": lambda unit, p, x, formulation, tol: build_constant_profit(
-        unit, p, x.periods, formulation, tol
-    ),
-    "general-form": lambda unit, p, x, formulation, tol: build_general_form(
-        unit, p, x, ZERO, formulation, tol
-    ),
-    "status-delta": lambda unit, p, x, formulation, tol: build_status_delta(
-        unit, p, x, tol
-    ),
-    "status-profile": lambda unit, p, x, formulation, tol: build_status_profile(
-        unit, p, x, tol
-    ),
-    "linear-unit": lambda unit, p, x, formulation, tol: build_linear_unit(
-        unit, p, x, tol
-    ),
-    "convex-hull": lambda unit, p, x, formulation, tol: build_convex_hull_amendment(
-        unit, p, x, formulation, tol
-    ),
+# Each family's builder takes (unit, p, x_i_star, formulation, tol,
+# oracle=None): the arguments of the public builders, and the unit's
+# `_UnitOracle` over the horizon, which `build_family` reads from the
+# instance's plan (`pricing._unit_oracle`) and the public builders leave
+# to the builder to make.
+FAMILIES: dict[str, Callable[..., AmendmentBundle]] = {
+    "uplift-delta": _uplift_delta,
+    "constant-profit": lambda unit, p, x, formulation, tol, oracle=None: _constant_profit(
+        unit, p, x.periods, formulation, tol, oracle),
+    "general-form": _general_form,
+    "status-delta": _status_delta,
+    "status-profile": _status_profile,
+    "linear-unit": _linear_unit,
+    "convex-hull": _convex_hull,
 }
 
 
@@ -628,11 +644,15 @@ def build_family(
 ) -> dict[str, AmendmentBundle]:
     """Build one bundle per unit with the named family.
 
-    The builder runs once per group of units with the same parameters,
-    dispatched schedule and effective formulation, for the group's first
-    unit in instance order, and every unit of the group maps to that one
-    bundle object.  The group key is exact (`exact_key`): the bundle
-    carries the unit's own numbers, down to the sign of a zero.
+    The builder runs once per group of units with the same parameters and
+    dispatched schedule (`model._dispatched`, which validates x_star once
+    per group and holds the groups for the rest of the request), for the
+    group's first unit in instance order, with its oracle from the
+    instance's plan (`pricing._unit_oracle`), so no status table is listed
+    here; every unit of the group maps to that one bundle object.  The
+    groups are exact (`exact_key`): the bundle carries the unit's own
+    numbers, down to the sign of a zero.  A unit's effective formulation
+    follows from its parameters, so it splits no group.
     """
     try:
         builder = FAMILIES[family]
@@ -640,22 +660,21 @@ def build_family(
         raise ValidationError(
             f"unknown family {family!r}; choose from {sorted(FAMILIES)}"
         ) from None
-    validate_schedule(instance, x_star)
+    dispatched = _dispatched(instance, x_star)
     p = as_price(p, instance.periods)
     if formulation is not Formulation.STATUS_OUTPUT and family in (
         "status-delta", "status-profile", "linear-unit"
     ):
         raise PreconditionError(f"family {family} is defined on status and output")
     units = instance.units
-    scheds = [x_star.unit(unit.id) for unit in units]
-    # units whose status cannot be read off the output keep status terms
-    forms = [Formulation.STATUS_OUTPUT
-             if formulation is Formulation.OUTPUT_ONLY and not unit.output_determines_status()
-             else formulation for unit in units]
-    firsts, group_of = _groups(exact_key(unit_key(unit), sched.u, sched.g, form.value)
-                               for unit, sched, form in zip(units, scheds, forms))
-    built = [builder(units[i], p, scheds[i], forms[i], instance.tolerances) for i in firsts]
-    return {unit.id: built[g] for unit, g in zip(units, group_of)}
+    built = []
+    for i in dispatched.firsts:
+        # units whose status cannot be read off the output keep status terms
+        form = (Formulation.STATUS_OUTPUT if formulation is Formulation.OUTPUT_ONLY
+                and not units[i].output_determines_status() else formulation)
+        built.append(builder(units[i], p, dispatched.scheds[i], form, instance.tolerances,
+                             _unit_oracle(instance, i)))
+    return {unit.id: built[g] for unit, g in zip(units, dispatched.group_of)}
 
 
 # ---------------------------------------------------------------------------
@@ -857,54 +876,58 @@ def _unit_reports(
     bundles: Mapping[str, AmendmentBundle],
     x_star: Schedule,
 ) -> tuple[list[int], list[int], Iterator[UnitReport]]:
-    """Group the units (`model._groups`) and verify each group once.
-    Returns per group the index of its first unit, per unit the index of
-    its group, and an iterator over the groups' reports in group order,
-    each the one verify_conditions gives the group's first unit alone.
-    Every unit's bundle and schedule are looked up first, so a missing one
-    raises before any unit is verified; the iterator then verifies lazily,
-    so a caller that stops at a bad group has verified no unit after it.
+    """Verify each group of units once.  Returns per group the index of its
+    first unit, per unit the index of its group, and an iterator over the
+    groups' reports in group order, each the one verify_conditions gives
+    the group's first unit alone.  Every unit's bundle is looked up and the
+    schedule validated first, so a missing one raises before any unit is
+    verified; the iterator then verifies lazily, so a caller that stops at
+    a bad group has verified no unit after it.
 
-    A group is the units with the same parameters and dispatched schedule,
-    under an exact key (`exact_key`), that hold one bundle object: the
-    report carries the unit's own numbers, down to the sign of a zero, and
-    `build_family` and `bundles_from_json` give each group of identical
-    units one bundle.  The group's first unit is verified.
+    The groups are the instance's groups on x_star (`model._dispatched`):
+    units with the same parameters and schedule, under an exact key, since
+    the report carries the unit's own numbers, down to the sign of a zero.
+    `build_family` and `bundles_from_json` give each such group one bundle
+    object; where its units hold different ones, the group is split by
+    bundle.
 
-    A run is the groups, one after another in group order, with the same
-    exact `unit_key`, formulation and horizon; it holds one table.  The
-    run's first group builds it (`lattice_table`), with the unit's profit
-    maximum from the instance's plan (`pricing._unit_oracle`), and every
-    later group derives its own from the table before it
-    (`pricing._derive`): unchanged but for its columns when its anchor
-    gives the same online outputs, otherwise with the points its anchor
-    adds merged in and those the previous anchor added dropped.  Only an
-    anchor that displaces a grid output or has an offline output off the
-    offline key (`model._anchored_values`) has its table built afresh, with
-    the run's profit maximum.  The table before is dropped before
-    `lattice_table` builds the next; before the next is derived from it,
-    its columns are; and once the next is derived, it is, before the next
-    one's columns are evaluated.  So at most one table is alive here
-    between groups."""
+    A run is the groups, one after another in group order, of one unit type
+    (`_Dispatched.types`) with one formulation; it holds one table.  The
+    run's first group builds it (`lattice_table`) on the run's online
+    outputs (`model._online_values`, computed once per run), with the
+    unit's profit maximum from the instance's plan (`pricing._unit_oracle`),
+    and every later group derives its own from the table before it
+    (`pricing._derive`): unchanged but for its columns when neither its
+    anchor nor the one before adds an output to the grid, otherwise with
+    the points its anchor adds merged in and those the previous anchor
+    added dropped.  Only an
+    anchor whose new output shares a key with another output, or that has
+    an offline output off the offline key (`model._anchored_values`), has
+    its table built afresh, with the run's profit maximum.  The table
+    before is dropped before `lattice_table` builds the next; before the
+    next is derived from it, its columns are; and once the next is derived,
+    it is, before the next one's columns are evaluated.  So at most one
+    table is alive here between groups."""
     units = instance.units
-    for unit in units:
-        if unit.id not in bundles:
-            raise ValidationError(f"no bundle for unit {unit.id}")
-    scheds = [x_star.unit(unit.id) for unit in units]
-    # the mapping holds the bundles, so no id in the keys is reused
-    firsts, group_of = _groups((exact_key(unit_key(unit), x.u, x.g), id(bundles[unit.id]))
-                               for unit, x in zip(units, scheds))
+    dispatched = _dispatched(instance, x_star)
+    held = [bundles.get(unit.id) for unit in units]
+    if None in held:
+        raise ValidationError(f"no bundle for unit {units[held.index(None)].id}")
+    firsts, group_of = dispatched.firsts, dispatched.group_of
+    if any(b is not held[firsts[g]] for b, g in zip(held, group_of)):
+        # the mapping holds the bundles, so no id in the keys is reused
+        firsts, group_of = _groups(zip(group_of, map(id, held)))
     tol, periods = instance.tolerances, instance.periods
     p = as_price(p, periods)
 
     def reports() -> Iterator[UnitReport]:
-        # the run's kind, its grid's online outputs and its profit maximum;
-        # the last table and its online outputs
+        # the run's unit type and formulation, its grid's online outputs and
+        # its profit maximum; the last table and its online outputs
         kind = grid = pm = table = before = None
         for i in firsts:
-            unit, bundle, x = units[i], bundles[units[i].id], scheds[i]
+            unit, bundle, x = units[i], held[i], dispatched.scheds[i]
             exprs = bundle.constraints + (bundle.amendment,)
-            same = exact_key(unit_key(unit), bundle.formulation.value, x.periods)
+            same = (dispatched.types[dispatched.group_of[i]], bundle.formulation)
             if same != kind:
                 kind, table = same, None
                 grid, pm = _online_values(unit), _unit_oracle(instance, i).profit_max(p, tol)
@@ -915,13 +938,14 @@ def _unit_reports(
                 # columns are evaluated: a large lattice never holds two
                 # tables' columns
                 table = replace(table, columns=())
-                table = _derive(table, before, values, unit, p, bundle.formulation, x)
+                table = _derive(table, before, values, unit, p)
                 table = _with_columns(table, unit, exprs)
             else:
-                table = None   # so that one table is alive while the next is built
-                table = lattice_table(unit, p, exprs, bundle.formulation, (x,), periods, tol, pm)
                 if values is None:
                     values = _online_values(unit, (x,))
+                table = None   # so that one table is alive while the next is built
+                table = lattice_table(unit, p, exprs, bundle.formulation, (x,), periods, tol, pm,
+                                      values)
             before = values
             yield _verify_on(table, unit, p, bundle, x, tol)
 
@@ -937,8 +961,9 @@ def aggregate_constraint(
     """Combine verified per-unit amendments into the single market-wide
     redundant constraint whose pricing removes all uplift.  Units are
     verified in instance order, once per group of identical units as in
-    check_zero_total_uplift; a missing bundle or schedule raises before any
-    unit is verified, and the first unit whose bundle fails raises."""
+    check_zero_total_uplift; an invalid schedule or a missing bundle raises
+    before any unit is verified, and the first unit whose bundle fails
+    raises."""
     firsts, _, reports = _unit_reports(instance, p, bundles, x_star)
     for i, report in zip(firsts, reports):
         needed = ("max-profit-unchanged", "zero-uplift-at-dispatch", "nonnegative")
@@ -966,11 +991,15 @@ def check_zero_total_uplift(
     Each unit's verify_conditions report is kept in `units`, by unit id in
     instance order, without its lattice table (`table` is None); units with
     the same parameters and dispatched schedule that hold one bundle object
-    share one report, verified once for the first of them.  A unit with no
-    bundle raises before any unit is verified.  The groups of one unit type
-    that follow one another hold one table at a time, built for the first
-    and derived from the one before for each other (`_unit_reports`), so a
-    Scarf report builds one table per unit type and lists no status table.  The market checks read
+    share one report, verified once for the first of them.  The schedule is
+    validated, and the units grouped on it, once per instance and schedule
+    (`model._dispatched`), so a request whose `build_family` has read the
+    same schedule validates nothing here.  An invalid schedule, or a unit
+    with no bundle, raises before any unit is verified.  The groups of one
+    unit type that follow one another hold one table at a time, built for
+    the first and derived from the one before for each other
+    (`_unit_reports`), so a Scarf report builds one table per unit type and
+    lists no status table.  The market checks read
     values only, and read them off each distinct report's table as soon as
     it is verified, so that at most one table is alive at a time: at the
     market price the residual and both profit maxima, which the report
@@ -982,9 +1011,7 @@ def check_zero_total_uplift(
     instance's `_group_oracles`), after every group is verified; no table
     or ProfitMax is re-priced.  The totals still add the maxima unit by
     unit in instance order."""
-    tol = instance.tolerances
     p = as_price(p, instance.periods)
-    validate_schedule(instance, x_star)
     firsts, group_of, verified = _unit_reports(instance, p, bundles, x_star)
     prices = [as_price(tuple(pt + offset for pt in p), instance.periods)
               for offset in DUAL_PRICE_OFFSETS]
@@ -1015,7 +1042,7 @@ def check_zero_total_uplift(
         for total, maxima in zip(totals, maxima_at):
             total[0] += maxima[group][0]
             total[1] += maxima[group][1]
-    band = tol.opt_tol * len(instance.units)
+    band = instance.tolerances.opt_tol * len(instance.units)
     report.add(
         ConditionCheck(
             "zero-total-uplift",

@@ -28,6 +28,7 @@ from .expr import expr_to_text
 from .model import (
     Formulation,
     MarketInstance,
+    _dispatched,
     _groups,
     _is_number,
     load_instance,
@@ -35,13 +36,6 @@ from .model import (
 )
 from .pricing import as_price, price_for_method
 from .uplift import _uplift_table
-
-_TYPE_SUFFIX = re.compile(r"-\d+$")
-
-
-def _type_name(unit_id: str) -> str:
-    return _TYPE_SUFFIX.sub("", unit_id)
-
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -283,10 +277,16 @@ def _build_and_verify(instance: MarketInstance, args):
     return result, pr, bundles, market
 
 
+def _group_reports(market) -> dict:
+    """The market check's unit reports, each once, by id: the units of a
+    group share one report object, which `market` holds."""
+    return {id(rep): rep for rep in market.units.values()}
+
+
 def _verified(market) -> bool:
     """The verdict of amend, verify and report: the market check and every
-    unit's report passed."""
-    return market.passed and all(rep.passed for rep in market.units.values())
+    unit's report passed, read once per group."""
+    return market.passed and all(rep.passed for rep in _group_reports(market).values())
 
 
 def _print_amendments(instance: MarketInstance, bundles, digits: int) -> None:
@@ -352,12 +352,8 @@ def cmd_verify(args) -> int:
     reports = market.units
     if args.json:
         # units that share a report share its list; the writer writes it once
-        shared: dict[int, list] = {}
-        units = {}
-        for uid, rep in reports.items():
-            if id(rep) not in shared:
-                shared[id(rep)] = rep.to_json()
-            units[uid] = shared[id(rep)]
+        lists = {key: rep.to_json() for key, rep in _group_reports(market).items()}
+        units = {uid: lists[id(rep)] for uid, rep in reports.items()}
         print(_json_text({"units": units, "market": market.to_json()}))
     else:
         for uid in sorted(reports):
@@ -384,6 +380,10 @@ def cmd_report(args) -> int:
     verified = _verified(market)
 
     if args.json:
+        # one schedule dict per group of units with the same parameters and
+        # schedule, which the writer writes once
+        dispatched = _dispatched(instance, result.schedule)
+        scheds = [dispatched.scheds[i].to_json() for i in dispatched.firsts]
         print(_json_text({
             "objective": result.total_cost,
             "price": list(p),
@@ -394,12 +394,13 @@ def cmd_report(args) -> int:
             "formulation": args.formulation,
             "verified": verified,
             "bundles": bundles_to_json(bundles),
-            "schedule": result.schedule.to_json(),
+            "schedule": {unit.id: scheds[g]
+                         for unit, g in zip(instance.units, dispatched.group_of)},
         }))
         return 0 if verified else 1
 
     # units-online table, one row per type name
-    names = [_type_name(unit.id) for unit in instance.units]
+    names = [re.sub(r"-\d+$", "", unit.id) for unit in instance.units]
     firsts, group_of = _groups(names)
     width = max(map(len, names))
     print(f"{'unit type':<{width}}  online  output")
@@ -441,15 +442,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UpliftZeroError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -105,6 +105,11 @@ class UnitParams:
         return self.g_min > 0 or self.startup_cost == 0
 
 
+# the names of the unit's parameters but its id, in `unit_key` order
+_PARAMS = ("g_min", "g_max", "marginal_cost", "startup_cost", "initial_status", "min_up",
+           "min_down")
+
+
 def unit_key(unit: UnitParams) -> tuple:
     """Every parameter of the unit but its id.  Units with equal keys are
     interchangeable: dispatch enumerates one multiset of status vectors per
@@ -360,12 +365,15 @@ class _Plan:
       `StatusTable`;
     - `walk`: the entries of dispatch's hull-rate walk
       (`dispatch._walk`), which the T = 1 hull price reads too;
-    - `oracles`: pricing's per-group oracles (`pricing._group_oracles`).
+    - `oracles`: pricing's per-group oracles (`pricing._group_oracles`);
+    - `dispatched`: the units' groups on the last schedule asked for
+      (`_dispatched`).
 
     It refers to no instance and holds no closure, so it dies with its
     instance, by reference counting."""
 
-    __slots__ = ("groups", "group_of", "counts", "listings", "tables", "walk", "oracles")
+    __slots__ = ("groups", "group_of", "counts", "listings", "tables", "walk", "oracles",
+                 "dispatched")
 
     def __init__(self, units: Sequence[UnitParams], periods: int):
         firsts, self.group_of = _groups(map(unit_key, units))
@@ -381,6 +389,7 @@ class _Plan:
         self.tables = {}
         self.walk = None
         self.oracles = None
+        self.dispatched = None
 
     def count(self, unit: UnitParams) -> int:
         """The number of the unit's feasible status vectors."""
@@ -450,14 +459,62 @@ def validate_unit_schedule(
 
 
 def validate_schedule(instance: MarketInstance, schedule: Schedule) -> None:
-    """Raise ValidationError unless every unit schedule is feasible."""
-    missing = {u.id for u in instance.units} - set(schedule.units)
-    if missing:
-        raise ValidationError(f"schedule missing units {sorted(missing)}")
-    for unit in instance.units:
-        validate_unit_schedule(
-            unit, schedule.unit(unit.id), instance.periods, instance.tolerances.eq_tol
-        )
+    """Raise ValidationError unless every unit schedule is feasible: once
+    per group of units with the same parameters and schedule, and once per
+    schedule of the instance (`_dispatched`)."""
+    _dispatched(instance, schedule)
+
+
+class _Dispatched:
+    """The units of an instance grouped on one schedule (`_dispatched`):
+
+    - `scheds`: per unit in instance order, its UnitSchedule;
+    - `firsts` and `group_of`: per group, the index of its first unit, and
+      per unit, the index of its group (`_groups`).  A group is the units of
+      one of the plan's `unit_key` groups with the same exact key
+      (`exact_key`) of their parameters and schedule, since a bundle, a
+      report and the schedule's JSON carry the unit's own numbers, down to
+      the sign of a zero;
+    - `types`: per group, the index of its unit type, the groups' exact
+      `unit_key`s numbered in group order.
+
+    Each group's first unit's schedule is validated once, at the instance's
+    eq_tol, and stands for the group's: the first unit in instance order
+    whose schedule fails is the first of its group."""
+
+    __slots__ = ("scheds", "firsts", "group_of", "types")
+
+    def __init__(self, instance: MarketInstance, plan: _Plan, scheds: list[UnitSchedule]):
+        units = instance.units
+        self.scheds = scheds
+        if len(plan.groups) == len(units):
+            # no two units share a `unit_key`, so each is a group of its own
+            self.firsts = self.group_of = self.types = range(len(units))
+        else:
+            self.firsts, self.group_of = _groups(
+                exact_key(unit_key(unit), s.u, s.g) for unit, s in zip(units, scheds))
+            numbers: dict[str, int] = {}
+            self.types = [numbers.setdefault(exact_key(unit_key(units[i])), len(numbers))
+                          for i in self.firsts]
+        for i in self.firsts:
+            validate_unit_schedule(units[i], scheds[i], instance.periods, instance.tolerances.eq_tol)
+
+
+def _dispatched(instance: MarketInstance, schedule: Schedule) -> _Dispatched:
+    """The instance's units grouped and validated on `schedule`, which
+    raises ValidationError as `validate_schedule` does.  The instance's plan
+    holds the record of the last schedule, with its UnitSchedule objects,
+    and hands it out while every unit's entry of `schedule` is the object it
+    holds: a schedule with an entry replaced is grouped and validated
+    afresh, and no id is reused."""
+    plan = _plan_of(instance)
+    scheds = [schedule.units.get(unit.id) for unit in instance.units]
+    if plan.dispatched is None or not all(map(operator.is_, plan.dispatched.scheds, scheds)):
+        missing = {u.id for u in instance.units} - set(schedule.units)
+        if missing:
+            raise ValidationError(f"schedule missing units {sorted(missing)}")
+        plan.dispatched = _Dispatched(instance, plan, scheds)
+    return plan.dispatched
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +570,7 @@ def feasible_set_samples(
     anchors: Iterable[UnitSchedule] = (),
     periods: int | None = None,
     eq_tol: float = DEFAULT_TOLERANCES.eq_tol,
+    online_values: Sequence[float] | None = None,
 ) -> tuple[UnitSchedule, ...]:
     """Deterministic finite sample of the unit's feasible set.
 
@@ -534,13 +592,15 @@ def feasible_set_samples(
     (`UnitSchedule.__post_init__` would only copy their tuples).  An anchor
     that the cross product does not hold under these rules is appended
     after it.  `_relaid_lattice` lays out one lattice from another in this
-    order.
+    order.  A caller that holds the online values passes them in
+    `online_values`.
     """
     anchors = tuple(anchors)
     if periods is None:
         periods = anchors[0].periods if anchors else 1
     _check_sample_args(unit, formulation, anchors, periods, eq_tol)
-    online_values = _online_values(unit, anchors)
+    if online_values is None:
+        online_values = _online_values(unit, anchors)
 
     vectors = feasible_status_vectors(unit, periods)
     samples: list[UnitSchedule] = []
@@ -676,23 +736,31 @@ def _anchored_values(
     """The online outputs of the lattice anchored at the feasible `sched`,
     given the grid's, `grid = _online_values(unit)`, when that lattice is
     the grid's with the anchor's new outputs merged in: `grid` itself when
-    the anchor adds no output.  None when it is not, because the anchor
-    displaces a grid output (0.7999999999999999 has the 12-decimal key of
-    the grid's 0.8 and sorts first, so it takes 0.8's place) or has an
-    offline output off the offline key (an offline 1e-9 adds a point after
-    the cross product); such an anchor's table is built afresh."""
+    the anchor adds no output.  None when it may not be, because a new
+    output shares its 12-decimal key with another output (0.7999999999999999
+    has the key of the grid's 0.8 and sorts first, so it takes 0.8's place),
+    or when the anchor has an offline output off the offline key (an
+    offline 1e-9 adds a point after the cross product); such an anchor's
+    table is built afresh.  A new output that shares its key with no other
+    is kept by `_online_values`, and so is every grid output, so the merge
+    is its result without keying the grid again."""
     offline_key = _output_key(unit, 0.0)
-    added = False
+    added = set()
     for u_t, g in zip(sched.u, sched.g):
         if not u_t:
             if _output_key(unit, g) != offline_key:
                 return None
         elif g not in grid:
-            added = True
+            added.add(g)
     if not added:
         return grid
-    values = _online_values(unit, (sched,))
-    return values if all(v in values for v in grid) else None
+    values = sorted(grid + list(added))
+    # outputs 1e-11 or more apart never share a key, and a box end's key is
+    # a tuple, which no other output's is
+    if any(abs(v - a) < 1e-11 and v != a and _output_key(unit, v) == _output_key(unit, a)
+           for a in added for v in values):
+        return None
+    return values
 
 
 def _output_key(unit: UnitParams, g: float):
@@ -806,18 +874,6 @@ def instance_from_dict(obj: Mapping) -> MarketInstance:
     return MarketInstance(periods=periods, demand=tuple(demand), units=tuple(units), tolerances=tolerances)
 
 
-def _unit_fields(unit: UnitParams) -> dict:
-    return dict(
-        g_min=unit.g_min,
-        g_max=unit.g_max,
-        marginal_cost=unit.marginal_cost,
-        startup_cost=unit.startup_cost,
-        initial_status=unit.initial_status,
-        min_up=unit.min_up,
-        min_down=unit.min_down,
-    )
-
-
 def instance_to_dict(instance: MarketInstance) -> dict:
     """Inverse of instance_from_dict; collapses runs of identical units whose
     ids follow the name-1..name-n pattern back into counted unit types, and
@@ -828,13 +884,13 @@ def instance_to_dict(instance: MarketInstance) -> dict:
     while i < len(units):
         unit = units[i]
         name, dash, suffix = unit.id.rpartition("-")
-        params = _unit_fields(unit)
+        params = dict(zip(_PARAMS, unit_key(unit)))
         if dash and name and suffix == "1":
             count = 1
             while (
                 i + count < len(units)
                 and units[i + count].id == f"{name}-{count + 1}"
-                and _unit_fields(units[i + count]) == params
+                and unit_key(units[i + count]) == unit_key(unit)
             ):
                 count += 1
             groups.append({"name": name, "count": count, **params})

@@ -39,11 +39,13 @@ from the units' maxima alone, at the candidate prices its certificate
 needs (three when the dual has a strict peak), and the subgradient reads
 each unit's first response.  Neither builds a ProfitMax, a schedule or
 a dict per unit and price.  Neither do the amendment builders, which read
-one unit's maximum, nor the market check at its perturbed prices, which
-reads every unit's maxima at all of them from one `_maxima_at` call on
-the group oracles; at the market price it reads both maxima off the unit
-reports of verification, whose tables take the unit's ProfitMax from the
-plan's oracle (`_unit_oracle`), one per run of groups of a unit type.
+one unit's maximum, from the unit's oracle on its status table from the
+plan when `build_family` runs them (`_unit_oracle`), nor the market check
+at its perturbed prices, which reads every unit's maxima at all of them
+from one `_maxima_at` call on the group oracles; at the market price it
+reads both maxima off the unit reports of verification, whose tables take
+the unit's ProfitMax from the plan (`_unit_oracle`), one per run of groups
+of a unit type.
 Every price rule returns the maxima its dual value was computed from
 (`PriceResult.maxima`), and the CLI's uplift table reads them there.
 Every float is computed by the same expression, in the same order, as when
@@ -82,18 +84,15 @@ from .model import (
     ToleranceConfig,
     UnitParams,
     UnitSchedule,
-    _check_sample_args,
     _plan_of,
     _relaid_lattice,
     _shared_status_table,
     _startup_cost,
     _status_vector_count,
     cost,
-    exact_key,
     feasible_set_samples,
     status_table,
     status_vector_feasible,
-    unit_key,
     validate_schedule,
 )
 
@@ -372,12 +371,14 @@ def lattice_table(
     periods: int | None = None,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
     profit_max: ProfitMax | None = None,
+    online_values: Sequence[float] | None = None,
 ) -> LatticeTable:
     """Build the unit's verification lattice anchored at `anchors`, evaluate
     its costs and each of `exprs` a column at a time
     (`expr.evaluate_columns`), and price it at p.  `profit_max` is the
     unit's ProfitMax at p when the caller holds it; otherwise it is solved
-    here (`unit_profit_max`).
+    here (`unit_profit_max`).  `online_values` are the lattice's online
+    outputs (`model._online_values`) when the caller holds them.
 
     A point's cost is `unchecked_cost`: the energy sum over its periods,
     plus the startup cost of its status vector, which is computed once per
@@ -391,7 +392,7 @@ def lattice_table(
     if periods is None:
         periods = anchors[0].periods if anchors else (len(p) if not isinstance(p, (int, float)) else 1)
     p = as_price(p, periods)
-    points = feasible_set_samples(unit, formulation, anchors, periods, tol.eq_tol)
+    points = feasible_set_samples(unit, formulation, anchors, periods, tol.eq_tol, online_values)
     table = _points_table(unit, points, exprs, tol)
     if profit_max is None:
         profit_max = unit_profit_max(unit, p, periods, tol)
@@ -425,18 +426,16 @@ def _derive(
     values: Sequence[float],
     unit: UnitParams,
     p: tuple[float, ...],
-    formulation: Formulation,
-    anchor: UnitSchedule,
 ) -> LatticeTable:
     """The points, outputs, costs, profits, gaps and profit maximum of the
-    table `lattice_table` builds for `unit` anchored at `anchor` alone at
-    the price p, derived from `table`: one built or derived at p for a unit
-    with the same exact `unit_key`, formulation and horizon.  `before` and
-    `values` are the online outputs of the two lattices
-    (`model._online_values`), and `anchor` extends the grid
-    (`model._anchored_values`): its lattice is the cross product of
-    `values`, with no point after it.  The caller adds the columns
-    (`_with_columns`).
+    table `lattice_table` builds for `unit` anchored at one feasible anchor
+    alone at the price p, derived from `table`: one built or derived at p
+    for a unit with the same exact `unit_key`, formulation and horizon,
+    which `lattice_table` has checked.  `before` and `values` are the
+    online outputs of the two lattices (`model._online_values`), and the
+    anchor extends the grid (`model._anchored_values`): its lattice is the
+    cross product of `values`, with no point after it.  The caller adds the
+    columns (`_with_columns`).
 
     The points of both lattices keep their outputs, costs, profits and
     gaps; the points with an output `before` lacks are computed by a fresh
@@ -445,9 +444,11 @@ def _derive(
     product, are dropped; and the result, which has no columns, is laid
     out in the order of `feasible_set_samples` (`model._relaid_lattice`),
     for any horizon: `table` itself when that keeps every point in place.
-    The profit maximum is `table`'s.  The anchor gets the checks of a fresh
-    build first."""
-    _check_sample_args(unit, formulation, (anchor,), anchor.periods, table.tol.eq_tol)
+    When `values` is the very list `before` is, both lattices are the
+    grid's (`model._anchored_values`) and `table` is returned without a
+    layout.  The profit maximum is `table`'s."""
+    if values is before:
+        return table
     points = table.points
     take, added = _relaid_lattice(points, before, values)
     if not added and len(take) == len(points):
@@ -502,18 +503,13 @@ def _group_oracles(instance: MarketInstance) -> tuple[list[_UnitOracle], list[in
 
 
 def _unit_oracle(instance: MarketInstance, i: int) -> _UnitOracle:
-    """The oracle of the instance's unit i from its plan: its group's
-    (`_group_oracles`), which answers for the unit bit for bit when the
-    group's first unit has the same exact `unit_key`.  A unit that differs
-    from it only in the sign of a zero gets one of its own, on its own
-    status table from the plan (`model._shared_status_table`), so that its
-    ProfitMax carries its own numbers.  No status vector is listed again."""
-    oracles, group_of = _group_oracles(instance)
-    oracle = oracles[group_of[i]]
-    unit = instance.units[i]
-    if exact_key(unit_key(oracle.unit)) != exact_key(unit_key(unit)):
-        oracle = _UnitOracle(unit, instance.periods, _shared_status_table(instance, i))
-    return oracle
+    """The oracle of the instance's unit i, on the unit's own status table
+    from the plan (`model._shared_status_table`), once every group's budget
+    is checked (`_group_oracles`): it lists no status vector again, and it
+    answers bit for bit as the unit's group's oracle does, but with the
+    unit's own numbers, down to the sign of a zero, in its ProfitMax."""
+    _group_oracles(instance)
+    return _UnitOracle(instance.units[i], instance.periods, _shared_status_table(instance, i))
 
 
 def _maxima_at(

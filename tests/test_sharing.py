@@ -26,6 +26,10 @@ grid outputs, and offline at 0.0, -0.0 and 1e-9, every report and table
 must be the one `verify_conditions` gives the unit alone.  It keys the
 bundles by identity: every unit of a group holds one bundle object, as
 `build_family` builds it and as `bundles_from_json` loads equal bundles.
+
+A request groups and validates the dispatched schedule once
+(`model._dispatched`), keyed on the schedule's unit schedules, so a
+schedule with an entry replaced is grouped and validated afresh.
 """
 
 import collections
@@ -59,7 +63,7 @@ from uplift_zero.amendments import (
     verify_conditions,
 )
 from uplift_zero.dispatch import solve_centralized
-from uplift_zero.errors import EnumerationLimitError, UpliftZeroError
+from uplift_zero.errors import EnumerationLimitError, UpliftZeroError, ValidationError
 from uplift_zero.expr import Expr, Output, Sub
 from uplift_zero.model import (
     Formulation,
@@ -620,3 +624,52 @@ def test_held_oracles_still_check_the_budget(monkeypatch):
     monkeypatch.setattr(dispatch, "PROFILE_LIMIT", 3)
     with pytest.raises(EnumerationLimitError, match="4 status vectors over 2 periods"):
         pricing.max_profits(instance, (1.0, 1.0))
+
+
+@pytest.mark.parametrize("demand", ("10", "40"))
+def test_report_groups_validates_and_lists_once(demand, monkeypatch, capsys):
+    # the dispatched groups are worked out once per schedule and held by the
+    # instance's plan: one grouping for the plan's `unit_key` groups and one
+    # for the dispatched groups, each group's schedule validated by the
+    # record, its builder and its lattice, and every profit maximum read
+    # from the plan's status tables, none listed again
+    calls = collections.Counter()
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for kind, fn in (("groupings", model._groups), ("status tables", model.status_table),
+                     ("validations", model.validate_unit_schedule)):
+        rebind(monkeypatch, fn, counted(kind, fn))
+    for family, formulation, method in COMBOS:
+        calls.clear()
+        code = cli.main(["report", "--scarf", demand, "--family", family, "--formulation",
+                         formulation, "--price-method", method, "--json"])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert calls["groupings"] <= 2, (family, formulation, method)
+        assert calls["status tables"] == 0, (family, formulation, method)
+        assert calls["validations"] <= 22, (family, formulation, method, calls)
+
+
+def test_market_check_sees_a_replaced_schedule_entry():
+    # the plan holds the dispatched groups keyed on the schedule's unit
+    # schedules, not on the schedule object: an entry replaced after the
+    # bundles were built is grouped and validated afresh
+    instance = scarf_instance(10.0)
+    x_star = solve_centralized(instance).schedule
+    p = convex_hull_price(instance).price
+    bundles = build_family("uplift-delta", instance, p, x_star)
+    unit = instance.units[-1]
+    before = check_zero_total_uplift(instance, p, bundles, x_star).units[unit.id]
+    old = x_star.units[unit.id]
+    new = UnitSchedule((1,), (unit.g_max,)) if old.u == (0,) else UnitSchedule((0,), (0.0,))
+    x_star.units[unit.id] = new
+    after = check_zero_total_uplift(instance, p, bundles, x_star).units[unit.id]
+    alone = verify_conditions(unit, p, bundles[unit.id], new, instance.tolerances)
+    assert after.to_json() == alone.to_json() != before.to_json()
+    x_star.units[unit.id] = UnitSchedule((1,), (unit.g_max + 1.0,))
+    with pytest.raises(ValidationError, match=f"unit {unit.id}: output"):
+        check_zero_total_uplift(instance, p, bundles, x_star)
