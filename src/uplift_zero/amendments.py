@@ -46,13 +46,11 @@ object; verification checks once per group, split only where its units
 hold different bundle objects.  Each UnitReport keeps the lattice table
 its checks read, the amended profit maximum and the residual uplift; the
 market check reads its maxima off each table as soon as the group is
-verified, and drops it.  It holds one table per run of groups of one unit
-type and formulation: the run's first group builds it on the run's online
-outputs, priced with the profit maximum from the instance's plan, and
-each later group derives its own from the one before it, merging in the
-points its anchor adds and dropping those the previous anchor added.  Only
-an anchor with an output that shares a key with another, or with a point
-after the cross product, has its table built afresh.
+verified, and drops it.  A group's table is either its unit type's table
+of the grid's points alone, handed on from the type's group before when
+neither group's anchor adds a point, with only its own columns evaluated,
+or a fresh `lattice_table` build, priced with the profit maximum from the
+instance's plan.  No table is derived from another.
 """
 
 from __future__ import annotations
@@ -90,10 +88,10 @@ from .model import (
     ToleranceConfig,
     UnitParams,
     UnitSchedule,
-    _anchored_values,
     _dispatched,
     _groups,
     _is_number,
+    _on_grid,
     _online_values,
     exact_key,
     unchecked_cost,
@@ -102,7 +100,6 @@ from .model import (
 from .pricing import (
     LatticeTable,
     _UnitOracle,
-    _derive,
     _group_oracles,
     _maxima_at,
     _profit,
@@ -892,22 +889,17 @@ def _unit_reports(
     bundle.
 
     A run is the groups, one after another in group order, of one unit type
-    (`_Dispatched.types`) with one formulation; it holds one table.  The
-    run's first group builds it (`lattice_table`) on the run's online
-    outputs (`model._online_values`, computed once per run), with the
-    unit's profit maximum from the instance's plan (`pricing._unit_oracle`),
-    and every later group derives its own from the table before it
-    (`pricing._derive`): unchanged but for its columns when neither its
-    anchor nor the one before adds an output to the grid, otherwise with
-    the points its anchor adds merged in and those the previous anchor
-    added dropped.  Only an
-    anchor whose new output shares a key with another output, or that has
-    an offline output off the offline key (`model._anchored_values`), has
-    its table built afresh, with the run's profit maximum.  The table
-    before is dropped before `lattice_table` builds the next; before the
-    next is derived from it, its columns are; and once the next is derived,
-    it is, before the next one's columns are evaluated.  So at most one
-    table is alive here between groups."""
+    (`_Dispatched.types`) with one formulation.  It computes the grid's
+    online outputs (`model._online_values`) and the unit's profit maximum
+    from the instance's plan (`pricing._unit_oracle`) once.  A group whose
+    anchor is on the grid (`model._on_grid`) after a group whose table was
+    built for an anchor on the grid keeps that table's points, costs and
+    profits and evaluates only its own columns (`pricing._with_columns`);
+    every other group's table is built afresh (`lattice_table`), with the
+    run's profit maximum.  The table before is dropped before
+    `lattice_table` builds the next, and its columns are dropped before the
+    next group's are evaluated, so at most one table is alive here between
+    groups."""
     units = instance.units
     dispatched = _dispatched(instance, x_star)
     held = [bundles.get(unit.id) for unit in units]
@@ -922,31 +914,27 @@ def _unit_reports(
 
     def reports() -> Iterator[UnitReport]:
         # the run's unit type and formulation, its grid's online outputs and
-        # its profit maximum; the last table and its online outputs
-        kind = grid = pm = table = before = None
+        # its profit maximum; the last table, and whether it holds the
+        # grid's points alone
+        kind = grid = pm = table = None
+        gridded = False
         for i in firsts:
             unit, bundle, x = units[i], held[i], dispatched.scheds[i]
             exprs = bundle.constraints + (bundle.amendment,)
             same = (dispatched.types[dispatched.group_of[i]], bundle.formulation)
             if same != kind:
-                kind, table = same, None
+                kind, gridded = same, False
                 grid, pm = _online_values(unit), _unit_oracle(instance, i).profit_max(p, tol)
-            values = _anchored_values(unit, grid, x)
-            if table is not None and values is not None:
-                # the table before loses its columns before this one is
-                # derived from it, and goes once it is, before this group's
-                # columns are evaluated: a large lattice never holds two
-                # tables' columns
+            on_grid = _on_grid(unit, grid, x)
+            if gridded and on_grid:
+                # the last group's columns go before this group's are
+                # evaluated: a large lattice never holds two groups' columns
                 table = replace(table, columns=())
-                table = _derive(table, before, values, unit, p)
                 table = _with_columns(table, unit, exprs)
             else:
-                if values is None:
-                    values = _online_values(unit, (x,))
                 table = None   # so that one table is alive while the next is built
-                table = lattice_table(unit, p, exprs, bundle.formulation, (x,), periods, tol, pm,
-                                      values)
-            before = values
+                table = lattice_table(unit, p, exprs, bundle.formulation, (x,), periods, tol, pm)
+            gridded = on_grid
             yield _verify_on(table, unit, p, bundle, x, tol)
 
     return firsts, group_of, reports()
@@ -996,10 +984,9 @@ def check_zero_total_uplift(
     (`model._dispatched`), so a request whose `build_family` has read the
     same schedule validates nothing here.  An invalid schedule, or a unit
     with no bundle, raises before any unit is verified.  The groups of one
-    unit type that follow one another hold one table at a time, built for
-    the first and derived from the one before for each other
-    (`_unit_reports`), so a Scarf report builds one table per unit type and
-    lists no status table.  The market checks read
+    unit type that follow one another with anchors on the grid share one
+    table, and every other group builds its own (`_unit_reports`); the
+    market check lists no status table.  The market checks read
     values only, and read them off each distinct report's table as soon as
     it is verified, so that at most one table is alive at a time: at the
     market price the residual and both profit maxima, which the report

@@ -21,11 +21,9 @@ import itertools
 import json
 import math
 import operator
-import struct
-from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 
@@ -570,7 +568,6 @@ def feasible_set_samples(
     anchors: Iterable[UnitSchedule] = (),
     periods: int | None = None,
     eq_tol: float = DEFAULT_TOLERANCES.eq_tol,
-    online_values: Sequence[float] | None = None,
 ) -> tuple[UnitSchedule, ...]:
     """Deterministic finite sample of the unit's feasible set.
 
@@ -591,22 +588,19 @@ def feasible_set_samples(
     two equal points, and the points are built without re-checking them
     (`UnitSchedule.__post_init__` would only copy their tuples).  An anchor
     that the cross product does not hold under these rules is appended
-    after it.  `_relaid_lattice` lays out one lattice from another in this
-    order.  A caller that holds the online values passes them in
-    `online_values`.
+    after it.  This is the only code that knows the lattice's point order.
     """
     anchors = tuple(anchors)
     if periods is None:
         periods = anchors[0].periods if anchors else 1
     _check_sample_args(unit, formulation, anchors, periods, eq_tol)
-    if online_values is None:
-        online_values = _online_values(unit, anchors)
+    online_values = _online_values(unit, anchors)
 
     vectors = feasible_status_vectors(unit, periods)
     samples: list[UnitSchedule] = []
     for u_vec in vectors:
-        samples.extend(map(_lattice_point, itertools.repeat(u_vec),
-                           _lattice_outputs(u_vec, online_values)))
+        outputs = itertools.product(*[online_values if u_t == 1 else (0.0,) for u_t in u_vec])
+        samples.extend(map(_lattice_point, itertools.repeat(u_vec), outputs))
     # safety net: an anchor (whose status vector is feasible, as validated
     # above) that the cross product does not hold under its key, one with
     # an offline output of 1e-9, say, is added after it, once; its online
@@ -620,57 +614,6 @@ def feasible_set_samples(
             seen.add(a_key)
             samples.append(_lattice_point(a.u, a.g))
     return tuple(samples)
-
-
-def _lattice_outputs(u_vec: tuple[int, ...], values: Sequence[float]) -> Iterator[tuple]:
-    """The outputs of the lattice's points with the status vector u_vec, in
-    the lattice's order: the cross product over the periods of `values`
-    where u_vec is online and 0.0 where it is offline."""
-    return itertools.product(*[values if u_t == 1 else (0.0,) for u_t in u_vec])
-
-
-def _relaid_lattice(
-    points: Sequence[UnitSchedule], before: Sequence[float], values: Sequence[float],
-) -> tuple[array, list[UnitSchedule]]:
-    """Lay out a unit's lattice from another of its lattices over the same
-    horizon.  `points` is the lattice `feasible_set_samples` gave on the
-    online values (`_online_values`) `before`; the new one is its cross
-    product on `values`, with no point after it.  Returns, per point of the
-    new lattice in order, its index in `points`, or len(points) + i for
-    the i-th point `points` lacks, and the list of those points.  A point
-    of `points` after its cross product is dropped."""
-    n_old = len(before)
-    # each value's index among `before`, by its bits (so that -0.0 is not
-    # 0.0), -1 for a value `before` lacks
-    bits = struct.Struct("d").pack
-    index = dict(zip(map(bits, before), itertools.count()))
-    old_of = list(map(index.get, map(bits, values), itertools.repeat(-1)))
-    # an array, so that a large lattice holds no int object per point
-    take = array("q")
-    added: list[UnitSchedule] = []
-    numbers = itertools.count(len(points))
-    k = 0
-    # the cross product is one block per status vector, in increasing order,
-    # of the n_old ** online points `_lattice_outputs` gives it; a point
-    # after it has the status vector of some block
-    while k < len(points) and (k == 0 or points[k].u > points[k - 1].u):
-        u = points[k].u
-        online = sum(u)
-        # per point of the block but the last online period, its index in
-        # the old block, or -1
-        flat = [0]
-        for _ in range(online - 1):
-            flat = [i * n_old + j if i >= 0 <= j else -1 for i in flat for j in old_of]
-        if not online:
-            take.append(k)
-        else:
-            take.extend(k + i * n_old + j if i >= 0 <= j else next(numbers)
-                        for i in flat for j in old_of)
-            if -1 in flat or -1 in old_of:
-                added += map(_lattice_point, itertools.repeat(u), itertools.compress(
-                    _lattice_outputs(u, values), (i < 0 or j < 0 for i in flat for j in old_of)))
-        k += n_old ** online
-    return take, added
 
 
 def _check_sample_args(
@@ -730,37 +673,18 @@ def _online_values(unit: UnitParams, anchors: Iterable[UnitSchedule] = ()) -> li
     return values
 
 
-def _anchored_values(
-    unit: UnitParams, grid: list[float], sched: UnitSchedule,
-) -> list[float] | None:
-    """The online outputs of the lattice anchored at the feasible `sched`,
-    given the grid's, `grid = _online_values(unit)`, when that lattice is
-    the grid's with the anchor's new outputs merged in: `grid` itself when
-    the anchor adds no output.  None when it may not be, because a new
-    output shares its 12-decimal key with another output (0.7999999999999999
-    has the key of the grid's 0.8 and sorts first, so it takes 0.8's place),
-    or when the anchor has an offline output off the offline key (an
-    offline 1e-9 adds a point after the cross product); such an anchor's
-    table is built afresh.  A new output that shares its key with no other
-    is kept by `_online_values`, and so is every grid output, so the merge
-    is its result without keying the grid again."""
+def _on_grid(unit: UnitParams, grid: Sequence[float], sched: UnitSchedule) -> bool:
+    """Whether `feasible_set_samples` anchored at the feasible `sched`
+    gives the points it gives with no anchor, where `grid` is the grid's
+    online outputs, `_online_values(unit)`: every online output is a grid
+    output under ==, and every offline output has the offline key.
+
+    Membership is ==, not the 12-decimal key: 0.7999999999999999 sorts
+    before the grid's 0.8 and would become the lattice value, and an
+    offline 1e-9 adds a point after the cross product."""
     offline_key = _output_key(unit, 0.0)
-    added = set()
-    for u_t, g in zip(sched.u, sched.g):
-        if not u_t:
-            if _output_key(unit, g) != offline_key:
-                return None
-        elif g not in grid:
-            added.add(g)
-    if not added:
-        return grid
-    values = sorted(grid + list(added))
-    # outputs 1e-11 or more apart never share a key, and a box end's key is
-    # a tuple, which no other output's is
-    if any(abs(v - a) < 1e-11 and v != a and _output_key(unit, v) == _output_key(unit, a)
-           for a in added for v in values):
-        return None
-    return values
+    return all(g in grid if u_t == 1 else _output_key(unit, g) == offline_key
+               for u_t, g in zip(sched.u, sched.g))
 
 
 def _output_key(unit: UnitParams, g: float):

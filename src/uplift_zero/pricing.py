@@ -56,11 +56,10 @@ is held a column at a time.  Its costs, its expression columns and its
 profits at a price are computed a period or a node at a time for every
 point together, by the per-point formulas (`unchecked_cost`, `_profit`,
 `Expr.evaluate`) with the same operations in the same order, so every
-value is bit for bit the one a point-by-point walk gives.  The market check
-builds one table per unit type and derives the others from it
-(`_derive`): a point both lattices hold keeps its values, and the points
-an anchor adds are computed by the same formulas, so a derived table is
-the one `lattice_table` builds, bit for bit and in point order.
+value is bit for bit the one a point-by-point walk gives.  `lattice_table`
+is the only builder of a table; the market check hands a unit type's table
+built on the grid alone to the type's next group whose anchor adds no
+point, which evaluates only its own columns (`_with_columns`).
 """
 
 from __future__ import annotations
@@ -85,7 +84,6 @@ from .model import (
     UnitParams,
     UnitSchedule,
     _plan_of,
-    _relaid_lattice,
     _shared_status_table,
     _startup_cost,
     _status_vector_count,
@@ -371,46 +369,30 @@ def lattice_table(
     periods: int | None = None,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
     profit_max: ProfitMax | None = None,
-    online_values: Sequence[float] | None = None,
 ) -> LatticeTable:
     """Build the unit's verification lattice anchored at `anchors`, evaluate
     its costs and each of `exprs` a column at a time
     (`expr.evaluate_columns`), and price it at p.  `profit_max` is the
     unit's ProfitMax at p when the caller holds it; otherwise it is solved
-    here (`unit_profit_max`).  `online_values` are the lattice's online
-    outputs (`model._online_values`) when the caller holds them.
+    here (`unit_profit_max`).
 
     A point's cost is `unchecked_cost`: the energy sum over its periods,
     plus the startup cost of its status vector, which is computed once per
     vector.  The lattice does not depend on p: the profit-maximizing
     schedules at any price have outputs g_min, g_max or 0 per period, and
     those are on the grid of every feasible status vector already.  This
-    is the only builder of a fresh lattice table; the market check builds
-    one per run of groups of one unit type and derives every other group's
-    table of the run from it (`_derive`)."""
+    is the only builder of a lattice table."""
     anchors = tuple(anchors)
     if periods is None:
         periods = anchors[0].periods if anchors else (len(p) if not isinstance(p, (int, float)) else 1)
     p = as_price(p, periods)
-    points = feasible_set_samples(unit, formulation, anchors, periods, tol.eq_tol, online_values)
-    table = _points_table(unit, points, exprs, tol)
-    if profit_max is None:
-        profit_max = unit_profit_max(unit, p, periods, tol)
-    return table._priced(p, profit_max)
-
-
-def _points_table(
-    unit: UnitParams, points: tuple[UnitSchedule, ...], exprs: Sequence[Expr],
-    tol: ToleranceConfig,
-) -> LatticeTable:
-    """The unpriced table of the unit's lattice points, which are not
-    empty: their outputs, their costs and the columns of `exprs`."""
+    points = feasible_set_samples(unit, formulation, anchors, periods, tol.eq_tol)
     outputs = tuple(zip(*map(operator.attrgetter("g"), points)))
     statuses = list(map(operator.attrgetter("u"), points))
     startups = {u: _startup_cost(unit, u) for u in dict.fromkeys(statuses)}
     energy = _column_sums([map(operator.mul, repeat(unit.marginal_cost), col) for col in outputs],
                           len(points))
-    return LatticeTable(
+    table = LatticeTable(
         unit=unit,
         points=points,
         outputs=outputs,
@@ -418,61 +400,9 @@ def _points_table(
         columns=evaluate_columns(exprs, points, tol.eq_tol, outputs),
         tol=tol,
     )
-
-
-def _derive(
-    table: LatticeTable,
-    before: Sequence[float],
-    values: Sequence[float],
-    unit: UnitParams,
-    p: tuple[float, ...],
-) -> LatticeTable:
-    """The points, outputs, costs, profits, gaps and profit maximum of the
-    table `lattice_table` builds for `unit` anchored at one feasible anchor
-    alone at the price p, derived from `table`: one built or derived at p
-    for a unit with the same exact `unit_key`, formulation and horizon,
-    which `lattice_table` has checked.  `before` and `values` are the
-    online outputs of the two lattices (`model._online_values`), and the
-    anchor extends the grid (`model._anchored_values`): its lattice is the
-    cross product of `values`, with no point after it.  The caller adds the
-    columns (`_with_columns`).
-
-    The points of both lattices keep their outputs, costs, profits and
-    gaps; the points with an output `before` lacks are computed by a fresh
-    build's per-point formulas (`_points_table`, `LatticeTable._priced`);
-    the points with an output `values` lacks, and a point after the cross
-    product, are dropped; and the result, which has no columns, is laid
-    out in the order of `feasible_set_samples` (`model._relaid_lattice`),
-    for any horizon: `table` itself when that keeps every point in place.
-    When `values` is the very list `before` is, both lattices are the
-    grid's (`model._anchored_values`) and `table` is returned without a
-    layout.  The profit maximum is `table`'s."""
-    if values is before:
-        return table
-    points = table.points
-    take, added = _relaid_lattice(points, before, values)
-    if not added and len(take) == len(points):
-        return table   # every point, in place: take is increasing
-    if added:
-        new = _points_table(unit, tuple(added), (), table.tol)._priced(p, table.profit_max)
-    else:
-        new = LatticeTable(unit, (), ((),) * len(table.outputs), (), (), table.tol)
-
-    def pick(old, new):
-        seq = old + new
-        return tuple(map(seq.__getitem__, take))
-
-    return LatticeTable(
-        unit=unit,
-        points=pick(points, new.points),
-        outputs=tuple(map(pick, table.outputs, new.outputs)),
-        costs=pick(table.costs, new.costs),
-        columns=(),
-        tol=table.tol,
-        profits=pick(table.profits, new.profits),
-        gaps=pick(table.gaps, new.gaps),
-        profit_max=table.profit_max,
-    )
+    if profit_max is None:
+        profit_max = unit_profit_max(unit, p, periods, tol)
+    return table._priced(p, profit_max)
 
 
 def _with_columns(table: LatticeTable, unit: UnitParams, exprs: Sequence[Expr]) -> LatticeTable:

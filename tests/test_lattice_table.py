@@ -1,8 +1,8 @@
 """The lattice table: one build per (unit, formulation, anchors, horizon),
 shared by every "for all feasible x" check and re-priced per query.  The
-market check builds one table per run of groups of the same unit type and
-derives the run's other tables from it, so a Scarf report builds one table
-per unit type."""
+market check hands a unit type's table of the grid's points alone on to
+the type's next group whose anchor adds no point, so a Scarf report at
+demand 40 builds one table per unit type."""
 
 import math
 from collections import Counter
@@ -56,7 +56,7 @@ def test_report_builds_one_lattice_and_one_profit_max_per_table(monkeypatch, cap
     # 16 units of 3 types, which dispatch leaves in 6 distinct (type,
     # schedule) pairs with 6 distinct bundles; the market check builds one
     # table per type at the market price, with the profit maximum from the
-    # instance's plan, and derives the type's other pair's table from it; at
+    # instance's plan, and hands it on to the type's other pair; at
     # the five perturbed prices it reads values only, from the status
     # tables and each table's profits there, re-pricing no table
     assert counts[(None, "lattice")] == 0
@@ -72,8 +72,8 @@ def test_report_builds_one_lattice_and_one_profit_max_per_table(monkeypatch, cap
 
 def test_general_form_report_builds_one_lattice_per_table(monkeypatch, capsys):
     # the CLI's gamma is the constant 0, read by its one value: the builder
-    # builds no lattice, and verification one per unit type, whose second
-    # (type, schedule) pair's table is derived from its first's
+    # builds no lattice, and verification one per unit type, whose first
+    # (type, schedule) pair's table is handed on to its second
     calls = []
     build = model.feasible_set_samples
     rebind(monkeypatch, build, lambda *args: calls.append(args) or build(*args))

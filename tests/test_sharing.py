@@ -18,12 +18,12 @@ maximum (`reference_unit_profit_max`) at every price.
 
 The market check reads each group's lattice table and drops it before the
 next group is verified, so at most one table is alive at a time and no
-report in `units` keeps one.  It builds one table per run of groups of the
-same unit type and derives each later group's table from the one before,
-merging in the points its anchor adds and dropping those the previous
-anchor added; on one-type markets with anchors on, one ulp off and between
-grid outputs, and offline at 0.0, -0.0 and 1e-9, every report and table
-must be the one `verify_conditions` gives the unit alone.  It keys the
+report in `units` keeps one.  It hands a table of the grid's points alone
+on to the next group of the same unit type whose anchor adds no point, and
+builds every other group's table afresh; on one-type markets with anchors
+on, one ulp off and between grid outputs, and offline at 0.0, -0.0 and
+1e-9, every report and table must be the one `verify_conditions` gives the
+unit alone.  It keys the
 bundles by identity: every unit of a group holds one bundle object, as
 `build_family` builds it and as `bundles_from_json` loads equal bundles.
 
@@ -241,11 +241,12 @@ def test_market_check_releases_each_table(demand, monkeypatch):
 
 
 @pytest.mark.parametrize("demand", (47.47, 57.954))
-def test_report_builds_one_table_per_unit_type(demand, monkeypatch, tmp_path, capsys):
+def test_report_builds_four_tables_around_an_off_grid_group(demand, monkeypatch, tmp_path,
+                                                            capsys):
     # dispatch leaves one Med Tech group online off the grid and one
-    # offline: the offline group's table is derived from the online one's,
-    # dropping the points the online anchor added, where it used to be
-    # built again; and the market check lists no status table, since every
+    # offline after it: the off-grid group builds its own table and the
+    # offline group builds the grid's table again, so 3 unit types take 4
+    # tables; and the market check lists no status table, since every
     # profit maximum it reads comes from the instance's plan
     path = tmp_path / "scarf.json"
     save_instance(scarf_instance(demand), str(path))
@@ -277,7 +278,7 @@ def test_report_builds_one_table_per_unit_type(demand, monkeypatch, tmp_path, ca
         assert cli.main(["report", str(path), "--family", family, "--formulation", formulation,
                          "--price-method", method]) == 0
         assert "total uplift after amendment = 0.0000" in capsys.readouterr().out
-        assert calls == {"lattice_table": 3}, (family, formulation, method)
+        assert calls == {"lattice_table": 4}, (family, formulation, method)
 
 
 def _grid(unit: UnitParams) -> list[float]:
@@ -351,8 +352,8 @@ _BELOW = math.nextafter(0.8, 0.0)   # 0.7999999999999999
 @example(_one_type(_ONE_TYPE, [((0,), (1e-9,)), ((0,), (-0.0,))], (3.0,), "uplift-delta"))
 @example(_one_type(_ONE_TYPE, [((1, 0), (4.0, 1e-9)), ((1, 0), (4.0, 0.0))], (1.0, 3.0),
                    "uplift-delta"))
-# on the grid, off it, on it: the off-grid group's points are merged in,
-# then dropped
+# on the grid, off it, on it: the off-grid group builds its own table,
+# and the last group builds the grid's table again
 @example(_one_type(_ONE_TYPE, [((1,), (0.8,)), ((1,), (1.3,)), ((1,), (4.0,))], (3.0,),
                    "uplift-delta"))
 # a two-period anchor whose output is off the grid in one online period
@@ -363,12 +364,21 @@ _BELOW = math.nextafter(0.8, 0.0)   # 0.7999999999999999
 # off-grid group and before an on-grid one that takes 0.8 back
 @example(_one_type(_ONE_TYPE, [((1,), (1.3,)), ((1,), (_BELOW,)), ((1,), (0.8,))], (3.0,),
                    "uplift-delta"))
+# off the grid, then on it twice: the grid's table is built again for the
+# second group and handed on to the third
+@example(_one_type(_ONE_TYPE, [((1,), (1.3,)), ((1,), (0.8,)), ((1,), (4.0,))], (3.0,),
+                   "uplift-delta"))
+# three two-period anchors on the grid with different status vectors,
+# which share one table
+@example(_one_type(_ONE_TYPE, [((1, 1), (4.0, 4.0)), ((0, 1), (0.0, 2.0)), ((1, 0), (0.8, 0.0))],
+                   (3.0, 1.0), "general-form"))
 def test_handed_on_tables_equal_tables_built_alone(case):
-    # the market check derives a group's table from the one before it when
-    # both are of the same unit type and its anchor displaces no grid
-    # output and adds no point after the cross product; every unit's report
-    # is the one verify_conditions gives it alone, and every group's table,
-    # derived or built, is the one built for it alone
+    # the market check hands a group's table on to the next group when
+    # both are of the same unit type and neither anchor displaces a grid
+    # output or adds a point after the cross product, and builds every
+    # other group's table afresh; every unit's report is the one
+    # verify_conditions gives it alone, and every group's table, handed on
+    # or built, is the one built for it alone
     instance, x_star, p, family, formulation = case
     bundles = build_family(family, instance, p, x_star, formulation)
     tol = instance.tolerances
